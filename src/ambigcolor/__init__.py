@@ -20,9 +20,9 @@ from .matrix import (ColorMatrix, MatrixClass, WitnessSequence, balance_flags,
                      classify, enumerate_desirable, is_fully_indecomposable,
                      is_mininormal, load_matrix, special_variant,
                      special_variants, witness_sequence)
-from .maximality import (ReconstructionTrace, is_maximal_ambiguous,
-                         is_maximal_colorable, reconstruct_matrix,
-                         verify_theorem1)
+from .maximality import (ReconstructionTrace, is_maximal,
+                         is_maximal_ambiguous, is_maximal_colorable,
+                         reconstruct_matrix, verify_theorem1)
 from .perfection import is_perfect, verify_perfectness
 
 __version__ = "0.1.0"

@@ -6,12 +6,12 @@ example whose complement is maximal 3-fold 4-colorable but imperfect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 
 from .coloring import count_colorings, enumerate_colorings
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 from .graphcore import SimpleGraph
+from .maximality import is_maximal
 
 MAX_TENSOR_CELLS = 10 ** 6
 DEFAULT_DFOLD_MAX_N = 24
@@ -105,14 +105,7 @@ def is_dfold_colorable(g, d, k, max_n=DEFAULT_DFOLD_MAX_N):
 
 def is_maximal_dfold(g, d, k, max_n=DEFAULT_DFOLD_MAX_N):
     """d-fold k-colorable, and every single-edge addition is not."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"limited to n <= {max_n}")
-    if count_colorings(g, k, d) < d:
-        return False
-    for u, v in g.non_edges():
-        if count_colorings(g.add_edge(u, v), k, d) >= d:
-            return False
-    return True
+    return is_maximal(g, k, d, max_n)
 
 
 def recover_tensor(g, d, k):

@@ -187,6 +187,10 @@ def verify_turan_theorem(max_n, k_list, oracle_max_n=7, jobs=1):
     if max_n > oracle_max_n:
         raise ResourceLimitError(
             f"oracle leg limited to max_n <= {oracle_max_n}")
+    if not k_list or max_n < max(2, min(k_list)):
+        raise PreconditionError(
+            "verify_turan_theorem checks nothing: it needs a non-empty k "
+            "list and max_n >= max(2, min k)")
     reports = []
     for k in k_list:
         for n in range(max(2, k), max_n + 1):

@@ -32,6 +32,8 @@ class SimpleGraph:
     __slots__ = ("n", "rows", "labels", "_cert")
 
     def __init__(self, n, edges=(), labels=None):
+        if n < 0:
+            raise InputFormatError(f"vertex count must be >= 0, got {n}")
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):

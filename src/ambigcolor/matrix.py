@@ -11,7 +11,7 @@ matrices with a prescribed entry sum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError

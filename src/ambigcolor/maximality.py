@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coloring import chromatic_number, count_colorings, enumerate_colorings
+from .coloring import (chromatic_number, count_colorings, enumerate_colorings,
+                       iter_colorings)
 from .errors import PreconditionError, ReconstructionError, ResourceLimitError
-from .graphcore import (SimpleGraph, are_isomorphic, build_graph,
-                        canonical_form, enumerate_graphs,
+from .graphcore import (build_graph, canonical_form, enumerate_graphs,
                         enumerate_labeled_graphs)
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
@@ -25,28 +25,73 @@ from .matrix import (ColorMatrix, _bipartite_matching, classify,
 DEFAULT_MAX_N = 32
 
 
+def _placement_order(g):
+    """Static vertex order for the coloring backtracker: next comes the
+    vertex with the most neighbours already placed, ties broken by higher
+    degree, then by lower index."""
+    rows = g.rows
+    placed = 0
+    order = []
+    rest = set(range(g.n))
+    while rest:
+        v = max(rest, key=lambda u: ((rows[u] & placed).bit_count(),
+                                     rows[u].bit_count(), -u))
+        order.append(v)
+        rest.discard(v)
+        placed |= 1 << v
+    return order
+
+
+def is_maximal(g, k, d, max_n=DEFAULT_MAX_N):
+    """At least d distinct k-colorings, and every single-edge addition
+    leaves fewer than d.
+
+    The k-colorings of G + uv are exactly the k-colorings of G that put u
+    and v in different classes, so one pass over the colorings of G tallies
+    for every non-edge how many colorings separate it; G is not maximal as
+    soon as a tally reaches d.  At most one coloring separates no non-edge,
+    so the pass stops after at most (d - 1) * |non-edges| + 2 colorings.
+    The graph is first relabeled by `_placement_order`, which does not
+    change the verdict since maximality is invariant under isomorphism.
+    """
+    if g.n > max_n:
+        raise ResourceLimitError(f"maximality limited to n <= {max_n}")
+    if d < 1:
+        raise PreconditionError("need d >= 1")
+    h = g.permuted(_placement_order(g))
+    n, rows = h.n, h.rows
+    # non-neighbours above each vertex, so every non-edge is seen once
+    upper = [((1 << n) - 1) & ~rows[u] & ~((1 << (u + 1)) - 1)
+             for u in range(n)]
+    # layers[i][u]: non-edges uv separated by at least i + 1 colorings
+    layers = [[0] * n for _ in range(d - 1)]
+    count = 0
+    for col in iter_colorings(h, k):
+        count += 1
+        rgs = col.rgs
+        class_masks = [0] * col.num_classes
+        for v, c in enumerate(rgs):
+            class_masks[c] |= 1 << v
+        for u in range(n):
+            sep = upper[u] & ~class_masks[rgs[u]]
+            if not sep:
+                continue
+            if d == 1 or sep & layers[-1][u]:
+                return False
+            for i in range(d - 2, 0, -1):
+                layers[i][u] |= sep & layers[i - 1][u]
+            layers[0][u] |= sep
+    return count >= d
+
+
 def is_maximal_ambiguous(g, k, max_n=DEFAULT_MAX_N):
     """Ambiguously k-colorable, and every single-edge addition is not."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"is_maximal_ambiguous limited to n <= {max_n}")
-    if count_colorings(g, k, 2) < 2:
-        return False
-    for u, v in g.non_edges():
-        if count_colorings(g.add_edge(u, v), k, 2) >= 2:
-            return False
-    return True
+    return is_maximal(g, k, 2, max_n)
 
 
 def is_maximal_colorable(g, k, max_n=DEFAULT_MAX_N):
     """k-colorable, and every single-edge addition is not."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"is_maximal_colorable limited to n <= {max_n}")
-    if count_colorings(g, k, 1) < 1:
-        return False
-    for u, v in g.non_edges():
-        if count_colorings(g.add_edge(u, v), k, 1) >= 1:
-            return False
-    return True
+    return is_maximal(g, k, 1, max_n)
 
 
 @dataclass
@@ -60,11 +105,33 @@ class ReconstructionTrace:
     relabeling: dict                  # vertex -> (i, j, t) label in G(A)
 
 
-def _diagonal_certificate(g, k, coloring):
-    sizes = sorted((len(c) for c in coloring.classes()), reverse=True)
-    diag = sizes + [0] * (k - len(sizes))
+def _diagonal_certificate(k, coloring):
+    """Diagonal certificate of the classes sorted by size, descending, and
+    the relabeling that sends class i to the labels (i+1, i+1, t)."""
+    classes = sorted(coloring.classes(), key=len, reverse=True)
+    diag = [len(c) for c in classes] + [0] * (k - len(classes))
     entries = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    return ColorMatrix(entries)
+    relabeling = {v: (i + 1, i + 1, t)
+                  for i, cls in enumerate(classes)
+                  for t, v in enumerate(cls, start=1)}
+    return ColorMatrix(entries), relabeling
+
+
+def _is_isomorphism(g, matrix, relabeling):
+    """True iff `relabeling` is an isomorphism from g onto G(matrix): a
+    bijection onto the labels of G(matrix) under which u ~ v exactly when
+    the labels differ in both coordinates."""
+    if (sorted(relabeling) != list(range(g.n))
+            or sorted(relabeling.values()) != sorted(build_graph(matrix).labels)):
+        return False
+    row_masks = [0] * (matrix.k + 1)
+    col_masks = [0] * (matrix.k + 1)
+    for v, (i, j, _) in relabeling.items():
+        row_masks[i] |= 1 << v
+        col_masks[j] |= 1 << v
+    full = (1 << g.n) - 1
+    return all(g.rows[v] == full & ~row_masks[i] & ~col_masks[j]
+               for v, (i, j, _) in relabeling.items())
 
 
 def reconstruct_matrix(g, k):
@@ -83,10 +150,10 @@ def reconstruct_matrix(g, k):
         # size 2, padded with zero diagonal entries
         chi = chromatic_number(g)
         col = enumerate_colorings(g, chi, limit=1)[0]
-        matrix = _diagonal_certificate(g, k, col)
+        matrix, relabeling = _diagonal_certificate(k, col)
         trace = ReconstructionTrace(
             colorings=(col.class_sets(),), h_edges=[], matching=[],
-            r=0, matrix=matrix, relabeling={})
+            r=0, matrix=matrix, relabeling=relabeling)
     else:
         cols = enumerate_colorings(g, k, limit=2)
         a_classes = [set(c) for c in cols[0].classes()]
@@ -136,7 +203,9 @@ def reconstruct_matrix(g, k):
             f"reconstructed matrix is not desirable: {verdict.witness}")
     if matrix.order != g.n:
         raise ReconstructionError("entry sum does not match vertex count")
-    if not are_isomorphic(g, build_graph(matrix)):
+    # G is a spanning subgraph of the graph the relabeling carries onto
+    # G(A), so G is isomorphic to G(A) iff the relabeling is an isomorphism
+    if not _is_isomorphism(g, matrix, trace.relabeling):
         raise ReconstructionError("G(A) is not isomorphic to the input")
     return matrix, trace
 
@@ -181,6 +250,11 @@ def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False,
     if max_n > max_n_bound:
         raise ResourceLimitError(
             f"verify_theorem1 limited to max_n <= {max_n_bound}")
+    if max_n < 1 or not k_list:
+        raise PreconditionError(
+            "verify_theorem1 needs max_n >= 1 and a non-empty k list")
+    if jobs < 1:
+        raise PreconditionError("verify_theorem1 needs jobs >= 1")
     rows = []
     for n in range(1, max_n + 1):
         if use_labeled:

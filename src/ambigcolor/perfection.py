@@ -82,6 +82,9 @@ def verify_perfectness(max_n, k_list, max_n_bound=12, jobs=1):
     if max_n > max_n_bound:
         raise ResourceLimitError(
             f"verify_perfectness limited to max_n <= {max_n_bound}")
+    if max_n < 1 or not k_list:
+        raise PreconditionError(
+            "verify_perfectness needs max_n >= 1 and a non-empty k list")
     checked = 0
     violations = []
     corpus_bound = min(max_n, 7)

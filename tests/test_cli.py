@@ -110,6 +110,19 @@ def test_verify_theorem1(capsys):
     assert "counterexample_total=0" in out
 
 
+def test_verify_theorem1_rejects_jobs_below_one(capsys):
+    assert main(["verify", "--theorem", "1", "--max-n", "4",
+                 "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem, max_n", [("1", "0"), ("perfect", "0"),
+                                            ("turan", "1")])
+def test_verify_rejects_max_n_checking_nothing(theorem, max_n, capsys):
+    assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 2
+    assert "max_n" in capsys.readouterr().err
+
+
 def test_verify_turan_json(capsys):
     assert main(["verify", "--theorem", "turan", "--max-n", "5",
                  "--k-list", "2,3", "--format", "json"]) == 0

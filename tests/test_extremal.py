@@ -82,6 +82,9 @@ def test_verify_turan_theorem_report():
     tsv = turan_report_tsv(reports)
     assert tsv.splitlines()[0].startswith("n\tk")
     assert len(tsv.splitlines()) == len(reports) + 1
+    for max_n, k_list in ((1, [2]), (3, [4]), (5, [])):
+        with pytest.raises(PreconditionError):
+            verify_turan_theorem(max_n, k_list)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ def test_basic_container():
     assert g.degree(0) == 2
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(InputFormatError):
+        SimpleGraph(-1)
+
+
 def test_add_edge_is_persistent():
     g = path_graph(3)
     g2 = g.add_edge(0, 2)

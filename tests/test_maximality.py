@@ -1,19 +1,90 @@
 """Maximality decision and certificate-matrix reconstruction."""
 
 import json
+import random
 
 import pytest
 
-from ambigcolor.errors import ReconstructionError
+from ambigcolor.coloring import count_colorings
+from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
-                                  complete_graph, cycle_graph, path_graph)
+                                  complete_graph, cycle_graph,
+                                  enumerate_graphs, path_graph)
 from ambigcolor.matrix import (NORMAL, SMALL, SPECIAL, TINY, ColorMatrix,
                                classify, enumerate_desirable)
-from ambigcolor.maximality import (is_maximal_ambiguous, is_maximal_colorable,
-                                   reconstruct_matrix, theorem1_report_json,
-                                   verify_theorem1)
+from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
+                                   is_maximal_colorable, reconstruct_matrix,
+                                   theorem1_report_json, verify_theorem1)
 
 FIG_MATRIX = ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])
+
+# desirable matrices of order 17..20: normal for k = 3, 4, 5, special for
+# k = 3, 4
+LARGE_MATRICES = [
+    ColorMatrix([[3, 2, 1], [1, 3, 2], [2, 1, 3]]),
+    ColorMatrix([[3, 2, 0, 0], [0, 3, 2, 0], [0, 0, 3, 2], [2, 0, 0, 3]]),
+    ColorMatrix([[2, 1, 1, 0], [0, 2, 1, 1], [1, 0, 2, 1], [1, 1, 0, 3]]),
+    ColorMatrix([[2, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0],
+                 [0, 0, 1, 2, 1], [1, 0, 0, 1, 2]]),
+    ColorMatrix([[6, 1, 0], [0, 6, 0], [0, 0, 6]]),
+    ColorMatrix([[5, 1, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 4]]),
+]
+
+
+def oracle_is_maximal(g, k, d):
+    """Reference: count the colorings of G and of each G + uv from
+    scratch."""
+    if count_colorings(g, k, d) < d:
+        return False
+    for u, v in g.non_edges():
+        if count_colorings(g.add_edge(u, v), k, d) >= d:
+            return False
+    return True
+
+
+def assert_relabeling_is_isomorphism(g, mat, relabeling):
+    assert sorted(relabeling) == list(range(g.n))
+    assert sorted(relabeling.values()) == sorted(build_graph(mat).labels)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            (a, b, _), (c, e, _) = relabeling[u], relabeling[v]
+            assert g.has_edge(u, v) == (a != c and b != e)
+
+
+def test_is_maximal_matches_oracle_on_all_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for k in (1, 2, 3, 4):
+                for d in (1, 2, 3):
+                    assert is_maximal(g, k, d) == oracle_is_maximal(g, k, d), \
+                        (g.edges(), n, k, d)
+
+
+def test_is_maximal_large_family_graphs():
+    for mat in LARGE_MATRICES:
+        assert classify(mat).desirable and 17 <= mat.order <= 20
+        g = build_graph(mat)
+        assert is_maximal(g, mat.k, 2)
+        edges = g.edges()
+        for drop in edges:
+            h = SimpleGraph(g.n, [e for e in edges if e != drop])
+            assert not is_maximal(h, mat.k, 2)
+
+
+def test_is_maximal_invariant_under_vertex_order():
+    rnd = random.Random(7)
+    g = build_graph(LARGE_MATRICES[1])
+    h = SimpleGraph(g.n, g.edges()[1:])
+    for _ in range(6):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        assert is_maximal(g.permuted(perm), 4, 2)
+        assert not is_maximal(h.permuted(perm), 4, 2)
+
+
+def test_is_maximal_rejects_d_below_one():
+    with pytest.raises(PreconditionError):
+        is_maximal(cycle_graph(4), 3, 0)
 
 
 def test_is_maximal_ambiguous_known():
@@ -56,14 +127,32 @@ def test_reconstruct_tiny_route():
     assert sorted(mat.diagonal(), reverse=True) == [2, 1, 0]
     assert trace.r == 0 and trace.matching == []
     # at k = 4 the same graph pads with a second zero and lands in tiny
-    mat4, _ = reconstruct_matrix(path_graph(3), 4)
+    assert_relabeling_is_isomorphism(path_graph(3), mat, trace.relabeling)
+    mat4, trace4 = reconstruct_matrix(path_graph(3), 4)
     assert classify(mat4).verdict == TINY
+    assert_relabeling_is_isomorphism(path_graph(3), mat4, trace4.relabeling)
 
 
 def test_reconstruct_small_route():
-    mat, _ = reconstruct_matrix(cycle_graph(4), 3)
+    mat, trace = reconstruct_matrix(cycle_graph(4), 3)
     assert classify(mat).verdict == SMALL
     assert sorted(mat.diagonal(), reverse=True) == [2, 2, 0]
+    assert_relabeling_is_isomorphism(cycle_graph(4), mat, trace.relabeling)
+
+
+def test_reconstruct_large_orders():
+    # orders above the canonical-form cap, in a shuffled vertex order
+    rnd = random.Random(3)
+    for mat in LARGE_MATRICES:
+        g = build_graph(mat)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        g = g.permuted(perm)
+        out, trace = reconstruct_matrix(g, mat.k)
+        assert classify(out).verdict == classify(mat).verdict
+        assert_relabeling_is_isomorphism(g, out, trace.relabeling)
+        with pytest.raises(ReconstructionError):
+            reconstruct_matrix(SimpleGraph(g.n, g.edges()[1:]), mat.k)
 
 
 def test_reconstruct_special_route():
@@ -120,6 +209,15 @@ def test_verify_theorem1_jobs_invariance():
     rows1 = verify_theorem1(4, [3], jobs=1)
     rows3 = verify_theorem1(4, [3], jobs=3)
     assert [r.to_json() for r in rows1] == [r.to_json() for r in rows3]
+
+
+def test_verify_theorem1_rejects_vacuous_runs():
+    with pytest.raises(PreconditionError):
+        verify_theorem1(4, [3], jobs=0)
+    with pytest.raises(PreconditionError):
+        verify_theorem1(0, [3])
+    with pytest.raises(PreconditionError):
+        verify_theorem1(4, [])
 
 
 def test_verify_theorem1_labeled_cross_check():

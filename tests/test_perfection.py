@@ -51,3 +51,6 @@ def test_verify_perfectness_no_violations():
     assert report["graphs_checked"] > 100
     js = perfectness_report_json(report)
     assert '"schema_version": 1' in js
+    for max_n, k_list in ((0, [2]), (4, [])):
+        with pytest.raises(PreconditionError):
+            verify_perfectness(max_n, k_list)
