@@ -140,6 +140,8 @@ def cmd_reconstruct(args):
 
 def cmd_verify(args):
     k_list = _parse_k_list(args.k_list)
+    if args.jobs < 1:
+        raise PreconditionError(f"--jobs must be >= 1, got {args.jobs}")
     if args.theorem == "1":
         rows = maximality.verify_theorem1(args.max_n, k_list, jobs=args.jobs)
         bad = sum(len(r.counterexamples) for r in rows)
@@ -155,8 +157,7 @@ def cmd_verify(args):
             print(f"counterexample_total={bad}")
         return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
     if args.theorem == "turan":
-        reports = extremal.verify_turan_theorem(args.max_n, k_list,
-                                                jobs=args.jobs)
+        reports = extremal.verify_turan_theorem(args.max_n, k_list)
         ok = all(r.formula_agrees and r.certificates_agree for r in reports)
         if args.format == "json":
             print(extremal.turan_report_json(reports))
@@ -164,8 +165,7 @@ def cmd_verify(args):
             sys.stdout.write(extremal.turan_report_tsv(reports))
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     if args.theorem == "perfect":
-        report = perfection.verify_perfectness(args.max_n, k_list,
-                                               jobs=args.jobs)
+        report = perfection.verify_perfectness(args.max_n, k_list)
         if args.format == "json":
             print(perfection.perfectness_report_json(report))
         else:
@@ -236,7 +236,8 @@ def build_parser():
                    required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--k-list", default="2,3,4")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="shards of the theorem 1 graph leg (>= 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

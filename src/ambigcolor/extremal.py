@@ -133,6 +133,23 @@ def enumerate_extremal(n, k, max_n=12, max_k=5):
     return {cert: sorted(tags) for cert, tags in sorted(out.items())}
 
 
+def _max_edges_by_k(graphs, k_list):
+    """{k: (max edge count, sorted extremal certs)} over the ambiguously
+    k-colorable graphs among `graphs`, (None, []) for a k with none."""
+    best = {k: (-1, []) for k in k_list}
+    for g in graphs:
+        edges = g.m
+        for k, (m, certs) in best.items():
+            if edges < m or count_colorings(g, k, 2) < 2:
+                continue
+            if edges > m:
+                best[k] = (edges, [canonical_form(g)])
+            else:
+                certs.append(canonical_form(g))
+    return {k: (m, sorted(certs)) if m >= 0 else (None, [])
+            for k, (m, certs) in best.items()}
+
+
 def brute_force_max_edges(n, k, max_n=7, allow_n8=False):
     """Independent oracle: (max edge count, extremal certs) over all
     ambiguously k-colorable graphs on n vertices, using coloring counts
@@ -140,19 +157,7 @@ def brute_force_max_edges(n, k, max_n=7, allow_n8=False):
     limit = 8 if allow_n8 else max_n
     if n > limit:
         raise ResourceLimitError(f"oracle limited to n <= {limit}")
-    best = -1
-    certs = []
-    for g in enumerate_graphs(n, max_n=limit):
-        if count_colorings(g, k, 2) < 2:
-            continue
-        if g.m > best:
-            best = g.m
-            certs = [canonical_form(g)]
-        elif g.m == best:
-            certs.append(canonical_form(g))
-    if best < 0:
-        return None, []
-    return best, sorted(certs)
+    return _max_edges_by_k(enumerate_graphs(n, max_n=limit), [k])[k]
 
 
 @dataclass
@@ -181,9 +186,10 @@ class ExtremalReport:
         }
 
 
-def verify_turan_theorem(max_n, k_list, oracle_max_n=7, jobs=1):
+def verify_turan_theorem(max_n, k_list, oracle_max_n=7):
     """For each (n, k) with k <= n <= max_n: formula value vs. oracle, and
-    oracle extremal set vs. matrix-family extremal set."""
+    oracle extremal set vs. matrix-family extremal set.  The oracle
+    enumerates the graphs of each order once, for every k at that order."""
     if max_n > oracle_max_n:
         raise ResourceLimitError(
             f"oracle leg limited to max_n <= {oracle_max_n}")
@@ -191,19 +197,22 @@ def verify_turan_theorem(max_n, k_list, oracle_max_n=7, jobs=1):
         raise PreconditionError(
             "verify_turan_theorem checks nothing: it needs a non-empty k "
             "list and max_n >= max(2, min k)")
+    cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
+             for n in range(max(2, k), max_n + 1)]
+    oracle = {n: _max_edges_by_k(enumerate_graphs(n, max_n=oracle_max_n),
+                                 {k for m, k, _ in cells if m == n})
+              for n in sorted({n for n, _, _ in cells})}
     reports = []
-    for k in k_list:
-        for n in range(max(2, k), max_n + 1):
-            formula = ambiguous_max_edges(n, k)
-            oracle, oracle_certs = brute_force_max_edges(n, k, max_n=oracle_max_n)
-            fam = enumerate_extremal(n, k)
-            reports.append(ExtremalReport(
-                n=n, k=k, formula_value=formula, oracle_value=oracle,
-                certificates=[(tags, cert) for cert, tags in fam.items()],
-                oracle_certificates=oracle_certs,
-                formula_agrees=(formula == oracle),
-                certificates_agree=(sorted(fam) == oracle_certs),
-            ))
+    for n, k, formula in cells:
+        value, oracle_certs = oracle[n][k]
+        fam = enumerate_extremal(n, k)
+        reports.append(ExtremalReport(
+            n=n, k=k, formula_value=formula, oracle_value=value,
+            certificates=[(tags, cert) for cert, tags in fam.items()],
+            oracle_certificates=oracle_certs,
+            formula_agrees=(formula == value),
+            certificates_agree=(sorted(fam) == oracle_certs),
+        ))
     return reports
 
 

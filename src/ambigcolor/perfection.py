@@ -1,18 +1,20 @@
 """Desk-scale perfectness checking.
 
-The reference method applies the definition directly: chromatic number
-equals clique number on every induced subgraph.  The fast path scans for
-induced odd holes and antiholes; the strong perfect graph theorem says the
-two agree, which is used as a cross-check rather than assumed.
+The definition method decides chi = omega on every induced subgraph in one
+dynamic program over the vertex subsets, in increasing numeric order: a
+clique-number table, and for each subset one independent set through its
+lowest vertex that lowers the clique number by one.  The second method
+scans for induced odd holes and antiholes; the strong perfect graph
+theorem says the two agree, which is used as a cross-check rather than
+assumed.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coloring import chromatic_number
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import build_graph, clique_number, complement
+from .graphcore import build_graph, complement
 from .maximality import is_maximal_ambiguous
 from .matrix import enumerate_desirable
 
@@ -54,11 +56,57 @@ def _has_odd_hole(g):
     return False
 
 
+def _chi_equals_omega_everywhere(n, rows):
+    """True iff chi(S) = omega(S) for every vertex subset S.
+
+    Subsets are visited in increasing numeric order, so every proper
+    subset of S is done before S, and the scan stops at the first S with
+    chi(S) != omega(S).  With v the lowest vertex of S,
+    omega(S) = max(omega(S - v), 1 + omega(S & N(v))).  Once chi = omega
+    holds on every proper subset, chi(S) = 1 + min omega(S - I) over the
+    independent sets I of S that contain v (the color class of v), and
+    removing an independent set lowers omega by at most one; so chi(S) =
+    omega(S) iff some such I has omega(S - I) = omega(S) - 1.
+    """
+    omega = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        w = omega[rest]
+        if omega[rest & rows[v]] == w:
+            omega[s] = w + 1        # v is in every maximum clique of S,
+            continue                # so I = {v} is a witness
+        omega[s] = w
+        if not _lowering_set(omega, rows, rest, rest & ~rows[v], w - 1):
+            return False
+    return True
+
+
+def _lowering_set(omega, rows, rest, cand, target):
+    """True iff some independent J within `cand` has omega[rest - J] ==
+    target.  omega only falls as J grows, so a branch is cut as soon as
+    removing all of its remaining candidates cannot reach the target."""
+    stack = [(0, cand)]
+    while stack:
+        taken, cand = stack.pop()
+        if omega[rest & ~taken] == target:
+            return True
+        if not cand or omega[rest & ~(taken | cand)] > target:
+            continue
+        low = cand & -cand
+        u = low.bit_length() - 1
+        stack.append((taken, cand ^ low))
+        stack.append((taken | low, cand & ~rows[u] & ~low))
+    return False
+
+
 def is_perfect(g, method="definition", max_n=DEFAULT_PERFECT_MAX_N):
     """True iff chi = omega on every induced subgraph.
 
-    method="definition" iterates all vertex subsets (the reference);
-    method="holes" tests for induced odd holes/antiholes instead.
+    method="definition" decides the definition by one dynamic program
+    over the vertex subsets; method="holes" tests for induced odd
+    holes/antiholes instead (the cross-check).
     """
     if g.n > max_n:
         raise ResourceLimitError(f"is_perfect limited to n <= {max_n}")
@@ -66,14 +114,10 @@ def is_perfect(g, method="definition", max_n=DEFAULT_PERFECT_MAX_N):
         return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
     if method != "definition":
         raise PreconditionError(f"unknown method {method!r}")
-    for mask in range(1, 1 << g.n):
-        sub = g.induced(_subset_vertices(mask))
-        if chromatic_number(sub) != clique_number(sub):
-            return False
-    return True
+    return _chi_equals_omega_everywhere(g.n, g.rows)
 
 
-def verify_perfectness(max_n, k_list, max_n_bound=12, jobs=1):
+def verify_perfectness(max_n, k_list, max_n_bound=12):
     """Assert perfectness of every maximal ambiguously k-colorable graph
     in the exhaustive corpus and of every family graph G(A) with n <=
     max_n; report violations (must be none)."""

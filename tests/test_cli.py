@@ -116,6 +116,13 @@ def test_verify_theorem1_rejects_jobs_below_one(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theorem", ["turan", "perfect"])
+def test_verify_rejects_jobs_below_one(theorem, capsys):
+    assert main(["verify", "--theorem", theorem, "--max-n", "4",
+                 "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theorem, max_n", [("1", "0"), ("perfect", "0"),
                                             ("turan", "1")])
 def test_verify_rejects_max_n_checking_nothing(theorem, max_n, capsys):
