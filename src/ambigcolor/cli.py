@@ -140,10 +140,8 @@ def cmd_reconstruct(args):
 
 def cmd_verify(args):
     k_list = _parse_k_list(args.k_list)
-    if args.jobs < 1:
-        raise PreconditionError(f"--jobs must be >= 1, got {args.jobs}")
     if args.theorem == "1":
-        rows = maximality.verify_theorem1(args.max_n, k_list, jobs=args.jobs)
+        rows = maximality.verify_theorem1(args.max_n, k_list)
         bad = sum(len(r.counterexamples) for r in rows)
         if args.format == "json":
             print(maximality.theorem1_report_json(rows))
@@ -180,13 +178,14 @@ def cmd_table(args):
     if args.oracle:
         header.append("oracle")
     lines = ["\t".join(header)]
-    for k in range(2, args.max_k + 1):
-        for n in range(max(2, k), args.max_n + 1):
-            row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]
-            if args.oracle:
-                value, _ = extremal.brute_force_max_edges(n, k)
-                row.append(str(value))
-            lines.append("\t".join(row))
+    cells = [(n, k) for k in range(2, args.max_k + 1)
+             for n in range(max(2, k), args.max_n + 1)]
+    oracle = extremal.max_edges_by_order(cells) if args.oracle else {}
+    for n, k in cells:
+        row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]
+        if args.oracle:
+            row.append(str(oracle[n, k][0]))
+        lines.append("\t".join(row))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -236,8 +235,6 @@ def build_parser():
                    required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--k-list", default="2,3,4")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="shards of the theorem 1 graph leg (>= 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .coloring import count_colorings
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import build_graph, canonical_form, enumerate_graphs, turan_graph
+from .graphcore import (build_graph, canonical_form, enumerate_graphs,
+                        graph_levels, turan_graph)
 from .matrix import enumerate_desirable
 
 EXTREMAL_FAMILIES = ("tiny", "small", "very-special", "mininormal")
@@ -160,6 +161,23 @@ def brute_force_max_edges(n, k, max_n=7, allow_n8=False):
     return _max_edges_by_k(enumerate_graphs(n, max_n=limit), [k])[k]
 
 
+def max_edges_by_order(pairs, max_n=7):
+    """The oracle of `brute_force_max_edges` for every (n, k) in `pairs`,
+    as {(n, k): (max edge count, sorted extremal certs)}.  The graphs of
+    each order are enumerated once, for every k wanted at that order."""
+    ks_by_n = {}
+    for n, k in pairs:
+        ks_by_n.setdefault(n, set()).add(k)
+    top = max(ks_by_n, default=0)
+    if top > max_n:
+        raise ResourceLimitError(f"oracle limited to n <= {max_n}")
+    out = {}
+    for n, level in graph_levels(top, max_n):
+        for k, value in _max_edges_by_k(level, ks_by_n.get(n, ())).items():
+            out[n, k] = value
+    return out
+
+
 @dataclass
 class ExtremalReport:
     n: int
@@ -199,12 +217,10 @@ def verify_turan_theorem(max_n, k_list, oracle_max_n=7):
             "list and max_n >= max(2, min k)")
     cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
              for n in range(max(2, k), max_n + 1)]
-    oracle = {n: _max_edges_by_k(enumerate_graphs(n, max_n=oracle_max_n),
-                                 {k for m, k, _ in cells if m == n})
-              for n in sorted({n for n, _, _ in cells})}
+    oracle = max_edges_by_order([(n, k) for n, k, _ in cells], oracle_max_n)
     reports = []
     for n, k, formula in cells:
-        value, oracle_certs = oracle[n][k]
+        value, oracle_certs = oracle[n, k]
         fam = enumerate_extremal(n, k)
         reports.append(ExtremalReport(
             n=n, k=k, formula_value=formula, oracle_value=value,

@@ -251,12 +251,31 @@ def _cert_bits(rows, order):
     return bits
 
 
+def _twin_chains(rows):
+    """(earlier, later) pairs of consecutive members, by index, of every
+    twin class.  Twins u, v have N(u) - v == N(v) - u: open twins have
+    equal rows, closed twins equal ``rows[v] | 1 << v``.  Both relations
+    are equivalences, and no vertex has twins of both kinds."""
+    last = {}
+    chains = []
+    for v, r in enumerate(rows):
+        for key in ((0, r), (1, r | 1 << v)):
+            if key in last:
+                chains.append((last[key], v))
+            last[key] = v
+    return chains
+
+
 def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
     """Canonical certificate: equal certs iff isomorphic.
 
-    Iterative refinement plus full backtracking over the remaining cells;
-    the certificate is (n, minimal adjacency bitstring over all canonical
-    candidate orderings).
+    Iterative refinement plus backtracking over the remaining cells; the
+    certificate is (n, minimal adjacency bitstring over all canonical
+    candidate orderings).  At each target cell only the first vertex of
+    each twin class in the cell is individualized: swapping two twins is
+    an automorphism that fixes every other vertex, hence the current
+    partition, and it maps the skipped branch onto the kept one leaf for
+    leaf, so the minimum is that of the full search.
     """
     if g._cert is not None:
         return g._cert
@@ -272,6 +291,9 @@ def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
         g._cert = (n, _cert_bits(rows, list(range(n))))
         return g._cert
 
+    twin_of = list(range(n))
+    for first, later in _twin_chains(rows):
+        twin_of[later] = twin_of[first]
     best = [None]
 
     def search(cells):
@@ -287,7 +309,11 @@ def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
                 best[0] = cert
             return
         cell = cells[target]
+        tried = set()
         for v in cell:
+            if twin_of[v] in tried:
+                continue
+            tried.add(twin_of[v])
             rest = [u for u in cell if u != v]
             search(cells[:target] + [[v], rest] + cells[target + 1:])
 
@@ -304,32 +330,47 @@ def are_isomorphic(g, h, max_n=DEFAULT_CANON_MAX_N):
     return canonical_form(g, max_n) == canonical_form(h, max_n)
 
 
-def enumerate_graphs(n, max_n=8):
-    """All graphs on exactly n vertices, one per isomorphism class.
+def graph_levels(max_n, bound=8):
+    """Yield (n, all graphs on n vertices, one per isomorphism class) for
+    n = 1..max_n, building each level once from the one before.
 
     Grown by vertex augmentation: every n-vertex graph arises from some
     (n-1)-vertex graph by adding one vertex, so extending every class
     representative by every possible neighborhood and deduplicating on the
-    canonical certificate is exhaustive.
+    canonical certificate is exhaustive.  A neighborhood mask is skipped
+    when, for some twin class of the parent, it contains a later member
+    but not an earlier one: swapping the two twins gives a smaller mask
+    with an isomorphic child, and every mask reaches one that skips for
+    no class by such swaps.  The first candidate of each certificate,
+    which is the one stored, is therefore never skipped.
     """
-    if n > max_n:
-        raise ResourceLimitError(f"graph enumeration limited to n <= {max_n}")
-    if n == 0:
-        return [SimpleGraph(0)]
-    level = [SimpleGraph(1)]
-    for size in range(2, n + 1):
+    if max_n > bound:
+        raise ResourceLimitError(f"graph enumeration limited to n <= {bound}")
+    level = [SimpleGraph(0)]
+    for size in range(1, max_n + 1):
         seen = {}
         for g in level:
-            rows = list(g.rows)
-            for mask in range(1 << (size - 1)):
-                new_rows = [rows[v] | ((mask >> v & 1) << (size - 1))
-                            for v in range(size - 1)]
+            chains = [(1 << a, 1 << b) for a, b in _twin_chains(g.rows)]
+            for mask in range(1 << g.n):
+                if any(mask & b and not mask & a for a, b in chains):
+                    continue
+                new_rows = [r | (mask >> v & 1) << g.n
+                            for v, r in enumerate(g.rows)]
                 new_rows.append(mask)
                 cand = SimpleGraph.from_rows(new_rows)
                 cert = canonical_form(cand)
                 if cert not in seen:
                     seen[cert] = cand
         level = [seen[c] for c in sorted(seen)]
+        yield size, level
+
+
+def enumerate_graphs(n, max_n=8):
+    """All graphs on exactly n vertices, one per isomorphism class: the
+    last level of ``graph_levels(n)``."""
+    level = [SimpleGraph(0)]
+    for _, level in graph_levels(n, max_n):
+        pass
     return level
 
 

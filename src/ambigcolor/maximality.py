@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .coloring import (chromatic_number, count_colorings, enumerate_colorings,
                        iter_colorings)
 from .errors import PreconditionError, ReconstructionError, ResourceLimitError
-from .graphcore import (build_graph, canonical_form, enumerate_graphs,
-                        enumerate_labeled_graphs)
+from .graphcore import (build_graph, canonical_form, enumerate_labeled_graphs,
+                        graph_levels)
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
@@ -238,8 +238,18 @@ def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
 
 
-def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False,
-                    jobs=1):
+def _labeled_classes(n):
+    """One graph per isomorphism class on n vertices, found by filtering
+    all labeled graphs (the cross-check of ``graph_levels``)."""
+    seen = {}
+    for g in enumerate_labeled_graphs(n):
+        cert = canonical_form(g)
+        if cert not in seen:
+            seen[cert] = g
+    return [seen[c] for c in sorted(seen)]
+
+
+def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
@@ -253,36 +263,27 @@ def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False,
     if max_n < 1 or not k_list:
         raise PreconditionError(
             "verify_theorem1 needs max_n >= 1 and a non-empty k list")
-    if jobs < 1:
-        raise PreconditionError("verify_theorem1 needs jobs >= 1")
+    if use_labeled:
+        levels = ((n, _labeled_classes(n)) for n in range(1, max_n + 1))
+    else:
+        levels = graph_levels(max_n, max_n_bound)
     rows = []
-    for n in range(1, max_n + 1):
-        if use_labeled:
-            seen = {}
-            for g in enumerate_labeled_graphs(n):
-                cert = canonical_form(g)
-                if cert not in seen:
-                    seen[cert] = g
-            graphs = [seen[c] for c in sorted(seen)]
-        else:
-            graphs = enumerate_graphs(n, max_n=max_n_bound)
-        shards = [graphs[i::jobs] for i in range(jobs)]
+    for n, graphs in levels:
         for k in k_list:
             maximal = 0
             matched = 0
             counterexamples = []
-            for shard in shards:
-                for g in shard:
-                    is_max = is_maximal_ambiguous(g, k)
-                    try:
-                        reconstruct_matrix(g, k)
-                        ok = True
-                    except ReconstructionError:
-                        ok = False
-                    maximal += is_max
-                    matched += ok
-                    if is_max != ok:
-                        counterexamples.append(_edge_list_lines(g))
+            for g in graphs:
+                is_max = is_maximal_ambiguous(g, k)
+                try:
+                    reconstruct_matrix(g, k)
+                    ok = True
+                except ReconstructionError:
+                    ok = False
+                maximal += is_max
+                matched += ok
+                if is_max != ok:
+                    counterexamples.append(_edge_list_lines(g))
             # forward direction: every desirable matrix with this entry sum
             family = 0
             for mat in enumerate_desirable(k, n):

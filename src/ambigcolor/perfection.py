@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import build_graph, complement
+from .graphcore import build_graph, complement, graph_levels
 from .maximality import is_maximal_ambiguous
 from .matrix import enumerate_desirable
 
@@ -121,8 +121,6 @@ def verify_perfectness(max_n, k_list, max_n_bound=12):
     """Assert perfectness of every maximal ambiguously k-colorable graph
     in the exhaustive corpus and of every family graph G(A) with n <=
     max_n; report violations (must be none)."""
-    from .graphcore import enumerate_graphs
-
     if max_n > max_n_bound:
         raise ResourceLimitError(
             f"verify_perfectness limited to max_n <= {max_n_bound}")
@@ -131,9 +129,8 @@ def verify_perfectness(max_n, k_list, max_n_bound=12):
             "verify_perfectness needs max_n >= 1 and a non-empty k list")
     checked = 0
     violations = []
-    corpus_bound = min(max_n, 7)
-    for n in range(1, corpus_bound + 1):
-        for g in enumerate_graphs(n):
+    for _, level in graph_levels(min(max_n, 7)):
+        for g in level:
             for k in k_list:
                 if is_maximal_ambiguous(g, k):
                     checked += 1

@@ -110,19 +110,6 @@ def test_verify_theorem1(capsys):
     assert "counterexample_total=0" in out
 
 
-def test_verify_theorem1_rejects_jobs_below_one(capsys):
-    assert main(["verify", "--theorem", "1", "--max-n", "4",
-                 "--jobs", "0"]) == 2
-    assert "jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("theorem", ["turan", "perfect"])
-def test_verify_rejects_jobs_below_one(theorem, capsys):
-    assert main(["verify", "--theorem", theorem, "--max-n", "4",
-                 "--jobs", "0"]) == 2
-    assert "jobs" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("theorem, max_n", [("1", "0"), ("perfect", "0"),
                                             ("turan", "1")])
 def test_verify_rejects_max_n_checking_nothing(theorem, max_n, capsys):
@@ -153,6 +140,13 @@ def test_table(capsys):
         assert formula == oracle
         row[(int(n), int(k))] = int(formula)
     assert row[(4, 3)] == 4 and row[(5, 2)] == 4
+
+
+def test_table_oracle_limited_to_order_7(capsys):
+    assert main(["table", "--max-n", "8", "--max-k", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "oracle limited" in captured.err
+    assert main(["table", "--max-n", "8", "--max-k", "4", "--no-oracle"]) == 0
 
 
 def test_input_errors(tmp_path, capsys):

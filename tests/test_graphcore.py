@@ -5,13 +5,14 @@ import random
 import pytest
 
 from ambigcolor.errors import InputFormatError, PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
-                                  canonical_form, clique_number, complement,
-                                  complete_graph, complete_multipartite,
-                                  cycle_graph, empty_graph, enumerate_graphs,
+from ambigcolor.graphcore import (SimpleGraph, _cert_bits, _refine,
+                                  are_isomorphic, build_graph, canonical_form,
+                                  clique_number, complement, complete_graph,
+                                  complete_multipartite, cycle_graph,
+                                  empty_graph, enumerate_graphs,
                                   enumerate_labeled_graphs, from_edge_list,
-                                  from_graph6, path_graph, to_edge_list,
-                                  to_graph6, turan_graph)
+                                  from_graph6, graph_levels, path_graph,
+                                  to_edge_list, to_graph6, turan_graph)
 from ambigcolor.matrix import ColorMatrix
 
 
@@ -105,6 +106,114 @@ def test_enumeration_consistent_with_labeled_filter():
         labeled = {canonical_form(g) for g in enumerate_labeled_graphs(n)}
         augmented = {canonical_form(g) for g in enumerate_graphs(n)}
         assert labeled == augmented
+
+
+def oracle_canonical_form(g):
+    """Reference: the search without twin pruning, branching on every
+    vertex of each target cell."""
+    n, rows = g.n, g.rows
+    if n == 0:
+        return (0, 0)
+    best = [None]
+
+    def search(cells):
+        cells = _refine(rows, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            cert = _cert_bits(rows, [c[0] for c in cells])
+            if best[0] is None or cert < best[0]:
+                best[0] = cert
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [u for u in cell if u != v]
+            search(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    search([list(range(n))])
+    return (n, best[0])
+
+
+def augmentation_candidates(level):
+    """Every graph in `level` extended by one vertex with every possible
+    neighbourhood."""
+    for g in level:
+        for mask in range(1 << g.n):
+            rows = [r | (mask >> v & 1) << g.n for v, r in enumerate(g.rows)]
+            yield SimpleGraph.from_rows(rows + [mask])
+
+
+def oracle_enumerate_graphs(n):
+    """Reference: vertex augmentation without twin pruning, keeping the
+    first candidate of each certificate."""
+    level = [SimpleGraph(0)]
+    for _ in range(n):
+        seen = {}
+        for cand in augmentation_candidates(level):
+            seen.setdefault(canonical_form(cand), cand)
+        level = [seen[c] for c in sorted(seen)]
+    return level
+
+
+def test_twin_pruned_canonical_form_matches_oracle():
+    for n in range(1, 7):
+        for cand in augmentation_candidates(enumerate_graphs(n - 1)):
+            assert canonical_form(cand) == oracle_canonical_form(cand)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(ColorMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]])),
+    build_graph(ColorMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]])),
+    SimpleGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+], ids=["K333", "special-diagonal-222", "C3+C4"])
+def test_twin_pruned_canonical_form_on_symmetric_graphs(g):
+    # C3 + C4 is regular, so refinement never splits it, yet it has two
+    # vertex orbits
+    expected = oracle_canonical_form(g)
+    assert canonical_form(g) == expected
+    rng = random.Random(5)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g.permuted(perm)) == expected
+
+
+def test_twin_pruned_enumeration_matches_oracle():
+    levels = dict(graph_levels(7))
+    assert sorted(levels) == list(range(1, 8))
+    for n in range(8):
+        expected = [g.rows for g in oracle_enumerate_graphs(n)]
+        assert [g.rows for g in enumerate_graphs(n)] == expected
+        if n:
+            assert [g.rows for g in levels[n]] == expected
+
+
+def test_enumeration_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+
+    def invariant(h):
+        # each vertex's degree with its neighbours' degrees, sorted
+        return tuple(sorted((h.degree(v), tuple(sorted(h.degree(u)
+                                                       for u in h[v])))
+                            for v in h))
+
+    atlas_graphs = nx.graph_atlas_g()
+    atlas = {}
+    for i, h in enumerate(atlas_graphs):
+        atlas.setdefault(invariant(h), []).append((i, h))
+    for n in range(1, 8):
+        graphs = enumerate_graphs(n)
+        matched = set()
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            hits = [i for i, a in atlas.get(invariant(h), [])
+                    if nx.is_isomorphic(h, a)]
+            assert len(hits) == 1
+            matched.update(hits)
+        assert len(matched) == len(graphs)
+        assert len(graphs) == sum(1 for h in atlas_graphs
+                                  if h.number_of_nodes() == n)
 
 
 def test_canonical_form_invariance():
