@@ -38,20 +38,6 @@ def _load_graph(path):
     return graphcore.from_graph6(text)
 
 
-def _load_matrix_or_tensor(path):
-    text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"bad JSON: {exc}") from exc
-        if "d" in obj:
-            return dfold.ColorTensor.from_json(obj)
-        return matrix.ColorMatrix.from_json(obj)
-    return matrix.ColorMatrix.from_text(text)
-
-
 def _parse_k_list(text):
     try:
         values = [int(t) for t in text.split(",") if t]
@@ -87,11 +73,7 @@ def cmd_classify(args):
 
 
 def cmd_build(args):
-    obj = _load_matrix_or_tensor(args.input)
-    if isinstance(obj, dfold.ColorTensor):
-        g = dfold.build_graph_d(obj)
-    else:
-        g = graphcore.build_graph(obj)
+    g = dfold.build_graph_d(dfold.load_tensor(_read(args.input)))
     text = graphcore.to_edge_list(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -180,6 +162,9 @@ def cmd_table(args):
     lines = ["\t".join(header)]
     cells = [(n, k) for k in range(2, args.max_k + 1)
              for n in range(max(2, k), args.max_n + 1)]
+    if not cells:
+        raise PreconditionError(
+            "table has no (n, k) cell: it needs max_k >= 2 and max_n >= 2")
     oracle = extremal.max_edges_by_order(cells) if args.oracle else {}
     for n, k in cells:
         row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]

@@ -1,19 +1,22 @@
 """Enumeration and counting of k-colorings.
 
 A k-coloring is a partition of the vertex set into at most k nonempty
-anticliques; partitions are represented canonically as restricted-growth
-strings over the fixed vertex order, so distinct Coloring values are
-exactly distinct unordered partitions.  The empty graph has exactly one
-coloring (the empty partition) for every k.
+anticliques.  One backtracker finds them all; every coloring question
+(counting, enumeration, chromatic number, ambiguity, d-fold colorability,
+maximality) goes through it.  Partitions are handed out canonically as
+restricted-growth strings over the input's vertex order, so distinct
+Coloring values are exactly distinct unordered partitions.  The empty
+graph has exactly one coloring (the empty partition) for every k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import PreconditionError, ResourceLimitError
 
-DEFAULT_CHROMATIC_MAX_N = 32
+MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -51,38 +54,70 @@ class Coloring:
                          for cls in self.classes()) + "\n"
 
 
-def iter_colorings(g, k):
-    """All k-colorings in lexicographic restricted-growth order.
+def _class_masks(g, k):
+    """Yield every k-coloring of g once, as a list of k class bitmasks
+    (empty classes are 0).  The list is reused between yields.
 
-    Backtracking assigns each vertex a class index at most
-    min(k - 1, 1 + max index used so far), pruning on anticliqueness.
+    Backtracks over one static vertex order, degree descending with ties
+    by lower index; the vertex at depth i joins a class already opened or
+    opens the next one, so each partition is reached exactly once.
+    Raises ResourceLimitError above MAX_N vertices.
     """
+    n, rows = g.n, g.rows
+    if n > MAX_N:
+        raise ResourceLimitError(f"coloring search limited to n <= {MAX_N}")
     if k < 0:
         raise PreconditionError("need k >= 0")
-    n, rows = g.n, g.rows
+    masks = [0] * k
     if n == 0:
-        yield Coloring(())
+        yield masks
         return
-    if k == 0:
-        return
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    nbrs = [rows[v] for v in order]
+    bits = [1 << v for v in order]
     assign = [0] * n
-    class_masks = [0] * k
-
-    def bt(v, used):
-        if v == n:
-            yield Coloring(tuple(assign))
-            return
-        limit = min(used + 1, k)
-        bit = 1 << v
-        for c in range(limit):
-            if rows[v] & class_masks[c]:
+    opened = [0] * (n + 1)     # opened[i]: classes used by depths < i
+    i = c = 0
+    while True:
+        used = opened[i]
+        limit = used + 1 if used < k else k
+        nb = nbrs[i]
+        while c < limit and nb & masks[c]:
+            c += 1
+        if c < limit:
+            assign[i] = c
+            masks[c] |= bits[i]
+            opened[i + 1] = used + (c == used)
+            i += 1
+            c = 0
+            if i < n:
                 continue
-            assign[v] = c
-            class_masks[c] |= bit
-            yield from bt(v + 1, max(used, c + 1))
-            class_masks[c] &= ~bit
+            yield masks
+        # backtrack: undo the deepest assignment and try its next class
+        if i == 0:
+            return
+        i -= 1
+        c = assign[i]
+        masks[c] ^= bits[i]
+        c += 1
 
-    yield from bt(0, 0)
+
+def _rgs(masks, n):
+    """Restricted-growth string of a partition given by class bitmasks."""
+    rgs = [0] * n
+    classes = sorted((m for m in masks if m), key=lambda m: m & -m)
+    for c, m in enumerate(classes):
+        while m:
+            rgs[(m & -m).bit_length() - 1] = c
+            m &= m - 1
+    return tuple(rgs)
+
+
+def iter_colorings(g, k):
+    """All k-colorings, each once, in the order `_class_masks` finds them
+    (not lexicographic in the restricted-growth strings)."""
+    for masks in _class_masks(g, k):
+        yield Coloring(_rgs(masks, g.n))
 
 
 def enumerate_colorings(g, k, limit=None):
@@ -90,51 +125,18 @@ def enumerate_colorings(g, k, limit=None):
     when fewer exist."""
     if limit is not None and limit < 1:
         raise PreconditionError("need limit >= 1")
-    out = []
-    for col in iter_colorings(g, k):
-        out.append(col)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(iter_colorings(g, k), limit))
 
 
 def count_colorings(g, k, cap):
     """Number of distinct k-colorings, saturating at `cap`."""
     if cap < 1:
         raise PreconditionError("need cap >= 1")
-    n, rows = g.n, g.rows
-    if n == 0:
-        return 1
-    if k <= 0:
-        return 0
-    class_masks = [0] * k
-    count = 0
-
-    def bt(v, used):
-        nonlocal count
-        if v == n:
-            count += 1
-            return count >= cap
-        limit = min(used + 1, k)
-        bit = 1 << v
-        for c in range(limit):
-            if rows[v] & class_masks[c]:
-                continue
-            class_masks[c] |= bit
-            done = bt(v + 1, max(used, c + 1))
-            class_masks[c] &= ~bit
-            if done:
-                return True
-        return False
-
-    bt(0, 0)
-    return count
+    return sum(1 for _ in islice(_class_masks(g, k), cap))
 
 
-def chromatic_number(g, max_n=DEFAULT_CHROMATIC_MAX_N):
+def chromatic_number(g):
     """Least k admitting a k-coloring (0 for the empty graph)."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"chromatic_number limited to n <= {max_n}")
     k = 0
     while count_colorings(g, k, 1) == 0:
         k += 1

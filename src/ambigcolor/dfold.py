@@ -10,11 +10,12 @@ from itertools import product
 
 from .coloring import count_colorings, enumerate_colorings
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
-from .graphcore import SimpleGraph
+from .graphcore import SimpleGraph, graph_from_labels
+from .matrix import load_matrix, nonnegative_ints
 from .maximality import is_maximal
 
 MAX_TENSOR_CELLS = 10 ** 6
-DEFAULT_DFOLD_MAX_N = 24
+MATCHING_MAX_N = 24
 
 
 class ColorTensor:
@@ -23,16 +24,18 @@ class ColorTensor:
     __slots__ = ("k", "d", "entries")
 
     def __init__(self, k, d, entries_flat):
+        k, d = nonnegative_ints((k, d))
         if k < 1 or d < 2:
             raise InputFormatError("need k >= 1 and d >= 2")
-        if k ** d > MAX_TENSOR_CELLS:
-            raise ResourceLimitError(f"k^d = {k ** d} exceeds {MAX_TENSOR_CELLS}")
-        flat = tuple(int(x) for x in entries_flat)
+        # k >= 2 and 2^d > MAX_TENSOR_CELLS: reject before computing k^d
+        if (k > 1 and d >= MAX_TENSOR_CELLS.bit_length()
+                or k ** d > MAX_TENSOR_CELLS):
+            raise ResourceLimitError(
+                f"k^d exceeds {MAX_TENSOR_CELLS} cells (k = {k}, d = {d})")
+        flat = nonnegative_ints(entries_flat)
         if len(flat) != k ** d:
             raise InputFormatError(
                 f"expected {k ** d} entries, got {len(flat)}")
-        if any(x < 0 for x in flat):
-            raise InputFormatError("tensor entries must be nonnegative")
         self.k = k
         self.d = d
         self.entries = flat
@@ -62,50 +65,42 @@ class ColorTensor:
 
     @classmethod
     def from_json(cls, obj):
-        for key in ("k", "d", "entries_flat"):
-            if key not in obj:
-                raise InputFormatError(f'tensor JSON needs key "{key}"')
-        return cls(obj["k"], obj["d"], obj["entries_flat"])
+        keys = ("k", "d", "entries_flat")
+        if not isinstance(obj, dict) or any(key not in obj for key in keys):
+            raise InputFormatError(
+                'tensor JSON needs keys "k", "d" and "entries_flat"')
+        return cls(*(obj[key] for key in keys))
 
 
 def load_tensor(text):
+    """Parse the tensor JSON {"k", "d", "entries_flat"}; any other input is
+    read by `matrix.load_matrix` as a matrix, the tensor with d = 2."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad JSON: {exc}") from exc
-    return ColorTensor.from_json(obj)
+    except ValueError:
+        obj = None
+    if isinstance(obj, dict) and "d" in obj:
+        return ColorTensor.from_json(obj)
+    return ColorTensor.from_matrix(load_matrix(text))
 
 
-def build_graph_d(tensor, max_vertices=64):
-    """Graph on tuples (i_1, ..., i_d, s); adjacency iff every coordinate
-    differs.  Coincides with build_graph at d = 2."""
-    labels = []
-    for idx in product(range(1, tensor.k + 1), repeat=tensor.d):
-        for s in range(1, tensor[idx] + 1):
-            labels.append(idx + (s,))
-    n = len(labels)
-    if n > max_vertices:
-        raise ResourceLimitError(f"G(A) has {n} vertices, limit {max_vertices}")
-    rows = [0] * n
-    d = tensor.d
-    for u in range(n):
-        for v in range(u + 1, n):
-            if all(labels[u][p] != labels[v][p] for p in range(d)):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return SimpleGraph.from_rows(rows, labels)
+def build_graph_d(tensor):
+    """Graph on tuples (i_1, ..., i_d, s), 1 <= s <= A(i_1, ..., i_d), in
+    row-major order; adjacency iff every index coordinate differs.
+    Coincides with build_graph at d = 2."""
+    cells = product(range(1, tensor.k + 1), repeat=tensor.d)
+    return graph_from_labels(idx + (s,) for idx, a in zip(cells, tensor.entries)
+                             for s in range(1, a + 1))
 
 
-def is_dfold_colorable(g, d, k, max_n=DEFAULT_DFOLD_MAX_N):
+def is_dfold_colorable(g, d, k):
     """At least d pairwise distinct k-colorings."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"limited to n <= {max_n}")
     return count_colorings(g, k, d) >= d
 
 
-def is_maximal_dfold(g, d, k, max_n=DEFAULT_DFOLD_MAX_N):
+def is_maximal_dfold(g, d, k):
     """d-fold k-colorable, and every single-edge addition is not."""
-    return is_maximal(g, k, d, max_n)
+    return is_maximal(g, k, d)
 
 
 def recover_tensor(g, d, k):
@@ -164,7 +159,7 @@ def join(g1, g2):
     return SimpleGraph.from_rows(rows)
 
 
-def count_perfect_matchings(g, max_n=DEFAULT_DFOLD_MAX_N):
+def count_perfect_matchings(g, max_n=MATCHING_MAX_N):
     """Exact count by backtracking on the lowest unmatched vertex."""
     if g.n > max_n:
         raise ResourceLimitError(f"limited to n <= {max_n}")

@@ -151,14 +151,13 @@ def _max_edges_by_k(graphs, k_list):
             for k, (m, certs) in best.items()}
 
 
-def brute_force_max_edges(n, k, max_n=7, allow_n8=False):
+def brute_force_max_edges(n, k, max_n=7):
     """Independent oracle: (max edge count, extremal certs) over all
     ambiguously k-colorable graphs on n vertices, using coloring counts
     and edge counts only."""
-    limit = 8 if allow_n8 else max_n
-    if n > limit:
-        raise ResourceLimitError(f"oracle limited to n <= {limit}")
-    return _max_edges_by_k(enumerate_graphs(n, max_n=limit), [k])[k]
+    if n > max_n:
+        raise ResourceLimitError(f"oracle limited to n <= {max_n}")
+    return _max_edges_by_k(enumerate_graphs(n, max_n=max_n), [k])[k]
 
 
 def max_edges_by_order(pairs, max_n=7):

@@ -1,7 +1,8 @@
 """Simple undirected graphs with bitrow adjacency.
 
-Provides the matrix-to-graph construction (triples (i, j, t) with adjacency
-iff both coordinates differ), the standard constructions used by the
+Provides the one construction of G(A) from labels (i_1, ..., i_d, t) with
+adjacency iff every index coordinate differs, used for matrices (d = 2)
+and tensors alike, the standard constructions used by the
 extremal machinery (complement, complete multipartite, Turan graph),
 desk-scale canonical labeling / isomorphism, maximum clique, exhaustive
 generation of small graphs up to isomorphism, and the edge-list / graph6
@@ -10,11 +11,11 @@ file formats.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
-DEFAULT_MAX_VERTICES = 64
+MAX_VERTICES = 64
 DEFAULT_CANON_MAX_N = 16
 DEFAULT_CLIQUE_MAX_N = 32
 
@@ -136,27 +137,42 @@ class SimpleGraph:
 # constructions
 # ---------------------------------------------------------------------------
 
-def build_graph(matrix, max_vertices=DEFAULT_MAX_VERTICES):
-    """Graph on triples (i, j, t), 1 <= t <= A(i, j), adjacency iff i != i'
-    and j != j'.  Vertex order is row-major by (i, j, t)."""
-    k = matrix.k
-    labels = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for t in range(1, matrix[i, j] + 1):
-                labels.append((i, j, t))
+def graph_from_labels(labels):
+    """Graph on the label tuples (i_1, ..., i_d, t) of an iterable, in its
+    order: u ~ v iff the labels differ in every index coordinate.  Raises
+    ResourceLimitError above MAX_VERTICES labels, reading at most one
+    label more."""
+    labels = list(islice(labels, MAX_VERTICES + 1))
     n = len(labels)
-    if n > max_vertices:
-        raise ResourceLimitError(f"G(A) has {n} vertices, limit {max_vertices}")
-    rows = [0] * n
-    for u in range(n):
-        iu, ju, _ = labels[u]
-        for v in range(u + 1, n):
-            iv, jv, _ = labels[v]
-            if iu != iv and ju != jv:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"G(A) has more than {MAX_VERTICES} vertices")
+    # vertices sharing coordinate p with value x, per (p, x)
+    shared = {}
+    for v, label in enumerate(labels):
+        for key in enumerate(label[:-1]):
+            shared[key] = shared.get(key, 0) | 1 << v
+    rows = []
+    for label in labels:
+        row = (1 << n) - 1
+        for key in enumerate(label[:-1]):
+            row &= ~shared[key]
+        rows.append(row)
     return SimpleGraph.from_rows(rows, labels)
+
+
+def matrix_labels(matrix):
+    """Iterator over the triples (i, j, t), 1 <= t <= A(i, j), in
+    row-major order."""
+    k = matrix.k
+    return ((i, j, t) for i in range(1, k + 1) for j in range(1, k + 1)
+            for t in range(1, matrix[i, j] + 1))
+
+
+def build_graph(matrix):
+    """G(A): the graph on the triples of `matrix_labels`, adjacency iff
+    i != i' and j != j'.  Vertex order is row-major by (i, j, t)."""
+    return graph_from_labels(matrix_labels(matrix))
 
 
 def complement(g):
@@ -346,6 +362,8 @@ def graph_levels(max_n, bound=8):
     """
     if max_n > bound:
         raise ResourceLimitError(f"graph enumeration limited to n <= {bound}")
+    if max_n < 0:
+        raise PreconditionError(f"need a vertex count >= 0, got {max_n}")
     level = [SimpleGraph(0)]
     for size in range(1, max_n + 1):
         seen = {}

@@ -21,13 +21,32 @@ DEFAULT_SUBSET_BOUND = 20
 DEFAULT_ENUM_CAP = 1_000_000
 
 
+def nonnegative_ints(values):
+    """The values as a tuple, if each is a nonnegative int.  Anything else,
+    bools and floats (integral or not) included, raises InputFormatError:
+    the one entry check of matrices and tensors."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputFormatError(f"expected a list, got {values!r}") from None
+    for x in values:
+        if type(x) is not int or x < 0:
+            raise InputFormatError(
+                f"expected a nonnegative integer, got {x!r}")
+    return values
+
+
 class ColorMatrix:
     """Immutable k x k matrix of nonnegative integers, 1-based access."""
 
     __slots__ = ("k", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            rows = tuple(map(nonnegative_ints, entries))
+        except TypeError:
+            raise InputFormatError("matrix entries must be a list of rows") \
+                from None
         k = len(rows)
         if k < 1:
             raise InputFormatError("matrix must have dimension k >= 1")
@@ -35,8 +54,6 @@ class ColorMatrix:
             raise InputFormatError(f"matrix dimension {k} exceeds limit {MAX_K}")
         if any(len(r) != k for r in rows):
             raise InputFormatError("matrix must be square (ragged input)")
-        if any(x < 0 for r in rows for x in r):
-            raise InputFormatError("matrix entries must be nonnegative")
         self.k = k
         self.entries = rows
 
@@ -91,7 +108,7 @@ class ColorMatrix:
         if not isinstance(obj, dict) or "k" not in obj or "entries" not in obj:
             raise InputFormatError('matrix JSON needs keys "k" and "entries"')
         m = cls(obj["entries"])
-        if m.k != obj["k"]:
+        if type(obj["k"]) is not int or m.k != obj["k"]:
             raise InputFormatError(f'"k"={obj["k"]} does not match {m.k} rows')
         return m
 
@@ -117,11 +134,10 @@ class ColorMatrix:
 
 def load_matrix(text):
     """Parse either the JSON or the whitespace text matrix format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # includes over-long integer literals
             raise InputFormatError(f"bad JSON: {exc}") from exc
         return ColorMatrix.from_json(obj)
     return ColorMatrix.from_text(text)

@@ -14,84 +14,61 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coloring import (chromatic_number, count_colorings, enumerate_colorings,
-                       iter_colorings)
+from .coloring import (_class_masks, chromatic_number, count_colorings,
+                       enumerate_colorings)
 from .errors import PreconditionError, ReconstructionError, ResourceLimitError
 from .graphcore import (build_graph, canonical_form, enumerate_labeled_graphs,
-                        graph_levels)
+                        graph_levels, matrix_labels)
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
-DEFAULT_MAX_N = 32
 
-
-def _placement_order(g):
-    """Static vertex order for the coloring backtracker: next comes the
-    vertex with the most neighbours already placed, ties broken by higher
-    degree, then by lower index."""
-    rows = g.rows
-    placed = 0
-    order = []
-    rest = set(range(g.n))
-    while rest:
-        v = max(rest, key=lambda u: ((rows[u] & placed).bit_count(),
-                                     rows[u].bit_count(), -u))
-        order.append(v)
-        rest.discard(v)
-        placed |= 1 << v
-    return order
-
-
-def is_maximal(g, k, d, max_n=DEFAULT_MAX_N):
+def is_maximal(g, k, d):
     """At least d distinct k-colorings, and every single-edge addition
     leaves fewer than d.
 
     The k-colorings of G + uv are exactly the k-colorings of G that put u
-    and v in different classes, so one pass over the colorings of G tallies
-    for every non-edge how many colorings separate it; G is not maximal as
-    soon as a tally reaches d.  At most one coloring separates no non-edge,
-    so the pass stops after at most (d - 1) * |non-edges| + 2 colorings.
-    The graph is first relabeled by `_placement_order`, which does not
-    change the verdict since maximality is invariant under isomorphism.
+    and v in different classes, so one pass over the class bitmasks of the
+    colorings of G tallies for every non-edge how many colorings separate
+    it; G is not maximal as soon as a tally reaches d.  At most one
+    coloring separates no non-edge, so the pass stops after at most
+    (d - 1) * |non-edges| + 2 colorings.
     """
-    if g.n > max_n:
-        raise ResourceLimitError(f"maximality limited to n <= {max_n}")
     if d < 1:
         raise PreconditionError("need d >= 1")
-    h = g.permuted(_placement_order(g))
-    n, rows = h.n, h.rows
+    n, rows = g.n, g.rows
     # non-neighbours above each vertex, so every non-edge is seen once
     upper = [((1 << n) - 1) & ~rows[u] & ~((1 << (u + 1)) - 1)
              for u in range(n)]
     # layers[i][u]: non-edges uv separated by at least i + 1 colorings
     layers = [[0] * n for _ in range(d - 1)]
     count = 0
-    for col in iter_colorings(h, k):
+    for masks in _class_masks(g, k):
         count += 1
-        rgs = col.rgs
-        class_masks = [0] * col.num_classes
-        for v, c in enumerate(rgs):
-            class_masks[c] |= 1 << v
-        for u in range(n):
-            sep = upper[u] & ~class_masks[rgs[u]]
-            if not sep:
-                continue
-            if d == 1 or sep & layers[-1][u]:
-                return False
-            for i in range(d - 2, 0, -1):
-                layers[i][u] |= sep & layers[i - 1][u]
-            layers[0][u] |= sep
+        for mask in masks:
+            rest = mask
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                sep = upper[u] & ~mask
+                if not sep:
+                    continue
+                if d == 1 or sep & layers[-1][u]:
+                    return False
+                for i in range(d - 2, 0, -1):
+                    layers[i][u] |= sep & layers[i - 1][u]
+                layers[0][u] |= sep
     return count >= d
 
 
-def is_maximal_ambiguous(g, k, max_n=DEFAULT_MAX_N):
+def is_maximal_ambiguous(g, k):
     """Ambiguously k-colorable, and every single-edge addition is not."""
-    return is_maximal(g, k, 2, max_n)
+    return is_maximal(g, k, 2)
 
 
-def is_maximal_colorable(g, k, max_n=DEFAULT_MAX_N):
+def is_maximal_colorable(g, k):
     """k-colorable, and every single-edge addition is not."""
-    return is_maximal(g, k, 1, max_n)
+    return is_maximal(g, k, 1)
 
 
 @dataclass
@@ -122,7 +99,7 @@ def _is_isomorphism(g, matrix, relabeling):
     bijection onto the labels of G(matrix) under which u ~ v exactly when
     the labels differ in both coordinates."""
     if (sorted(relabeling) != list(range(g.n))
-            or sorted(relabeling.values()) != sorted(build_graph(matrix).labels)):
+            or sorted(relabeling.values()) != list(matrix_labels(matrix))):
         return False
     row_masks = [0] * (matrix.k + 1)
     col_masks = [0] * (matrix.k + 1)

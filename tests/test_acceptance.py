@@ -13,10 +13,8 @@ from ambigcolor.coloring import (chromatic_number, count_colorings,
                                  enumerate_colorings, iter_colorings)
 from ambigcolor.dfold import (count_perfect_matchings, is_dfold_colorable,
                               is_maximal_dfold, join, seymour_example)
-from ambigcolor.errors import ReconstructionError
-from ambigcolor.extremal import (LemmaBoundInput, ambiguous_max_edges,
-                                 brute_force_max_edges, check_lemma_bound,
-                                 enumerate_extremal, turan_number,
+from ambigcolor.extremal import (LemmaBoundInput, brute_force_max_edges,
+                                 check_lemma_bound, turan_number,
                                  verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   canonical_form, clique_number, complement,

@@ -142,6 +142,13 @@ def test_table(capsys):
     assert row[(4, 3)] == 4 and row[(5, 2)] == 4
 
 
+def test_table_rejects_empty_range(capsys):
+    assert main(["table", "--max-n", "-3", "--max-k", "3"]) == 2
+    assert main(["table", "--max-n", "7", "--max-k", "1", "--no-oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no (n, k) cell" in captured.err
+
+
 def test_table_oracle_limited_to_order_7(capsys):
     assert main(["table", "--max-n", "8", "--max-k", "4"]) == 3
     captured = capsys.readouterr()
@@ -149,19 +156,47 @@ def test_table_oracle_limited_to_order_7(capsys):
     assert main(["table", "--max-n", "8", "--max-k", "4", "--no-oracle"]) == 0
 
 
-def test_input_errors(tmp_path, capsys):
-    missing = str(tmp_path / "nope.txt")
-    assert main(["classify", missing]) == 2
-    bad = tmp_path / "bad.txt"
-    bad.write_text("this is not a matrix\n")
-    assert main(["classify", str(bad)]) == 2
-    badk = tmp_path / "m.txt"
-    badk.write_text("2\n1 0\n0 1\n")
+MALFORMED_INPUTS = {
+    "missing": None,
+    "not-a-matrix": "this is not a matrix\n",
+    "string-entry": '{"k": 2, "entries": [[1, 0], [0, "x"]]}',
+    "fractional-entries": '{"k": 2, "entries": [[1.5, 0], [0, 1.7]]}',
+    "bool-entry": '{"k": 2, "entries": [[1, 0], [0, true]]}',
+    "scalar-rows": '{"k": 2, "entries": 5}',
+    "tensor-string-k": '{"k": "2", "d": 2, "entries_flat": [1, 0, 0, 1]}',
+    "tensor-scalar-entries": '{"k": 2, "d": 2, "entries_flat": 5}',
+    "tensor-fractional-entry": '{"k": 2, "d": 2, "entries_flat": [1, 0, 0, 1.5]}',
+    "over-long-integer": '{"k": 1%s, "entries": [[1]]}' % ("0" * 5000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_input_errors(case, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if MALFORMED_INPUTS[case] is not None:
+        path.write_text(MALFORMED_INPUTS[case])
+    assert main(["classify", str(path)]) == 2
+    assert main(["build", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_rejects_bad_k_list():
     assert main(["verify", "--theorem", "1", "--max-n", "3",
                  "--k-list", "x"]) == 2
+
+
+def test_coloring_commands_limited_to_32_vertices(tmp_path, capsys):
+    big = tmp_path / "empty33.txt"
+    big.write_text("33 0\n")
+    for command in ("count", "check-maximal", "reconstruct"):
+        assert main([command, str(big), "-k", "2"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("2\n40 0\n0 40\n")
     assert main(["build", str(big)]) == 3
+    for d in (20, 20000):
+        big.write_text(json.dumps({"k": 2, "d": d, "entries_flat": []}))
+        assert main(["build", str(big)]) == 3

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigcolor.coloring import (Coloring, chromatic_number, count_colorings,
+from ambigcolor.coloring import (MAX_N, chromatic_number, count_colorings,
                                  enumerate_colorings, is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
+from ambigcolor.dfold import is_dfold_colorable, is_maximal_dfold, recover_tensor
+from ambigcolor.errors import ResourceLimitError
 from ambigcolor.graphcore import (SimpleGraph, complete_graph, cycle_graph,
                                   empty_graph, path_graph)
+from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
+                                   is_maximal_colorable, reconstruct_matrix)
 
 
 def random_graph(rng, n, p=0.5):
@@ -137,3 +141,43 @@ def test_rgs_canonical_form():
         for x in rgs:
             assert x <= seen_max + 1
             seen_max = max(seen_max, x)
+
+
+def test_count_matches_iteration_under_shuffled_orders():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        for k in range(5):
+            total = len(list(iter_colorings(g, k)))
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = g.permuted(perm)
+                assert len(list(iter_colorings(h, k))) == total
+                for cap in (1, 2, 3, 7, 10 ** 6):
+                    assert count_colorings(h, k, cap) == min(cap, total)
+
+
+def test_one_ceiling_for_every_coloring_entry_point():
+    ok, big = empty_graph(MAX_N), empty_graph(MAX_N + 1)
+    assert count_colorings(ok, 1, 2) == 1
+    assert chromatic_number(complete_graph(MAX_N)) == MAX_N
+    entry_points = [
+        lambda g: next(iter_colorings(g, 2)),
+        lambda g: enumerate_colorings(g, 2, limit=1),
+        lambda g: count_colorings(g, 2, 1),
+        chromatic_number,
+        lambda g: is_ambiguously_colorable(g, 2),
+        lambda g: is_uniquely_colorable(g, 2),
+        lambda g: is_maximal(g, 2, 3),
+        lambda g: is_maximal_ambiguous(g, 2),
+        lambda g: is_maximal_colorable(g, 2),
+        lambda g: is_dfold_colorable(g, 3, 2),
+        lambda g: is_maximal_dfold(g, 3, 2),
+        lambda g: reconstruct_matrix(g, 2),
+        lambda g: recover_tensor(g, 3, 2),
+    ]
+    for call in entry_points:
+        with pytest.raises(ResourceLimitError):
+            call(big)

@@ -29,6 +29,34 @@ def test_tensor_container():
         ColorTensor(2, 1, [1, 2])      # d >= 2
 
 
+@pytest.mark.parametrize("bad", ["1", 1.5, 2.0, True, None, [1], -1],
+                         ids=["str", "fraction", "integral-float", "bool",
+                              "none", "list", "negative"])
+def test_matrix_and_tensor_share_entry_check(bad):
+    with pytest.raises(InputFormatError):
+        ColorMatrix([[1, 0], [0, bad]])
+    with pytest.raises(InputFormatError):
+        ColorTensor(2, 2, [1, 0, 0, bad])
+    with pytest.raises(InputFormatError):
+        ColorTensor(bad, 2, [1])
+
+
+def test_non_list_entries_rejected():
+    with pytest.raises(InputFormatError):
+        ColorMatrix(5)
+    with pytest.raises(InputFormatError):
+        ColorTensor(2, 2, 5)
+    with pytest.raises(InputFormatError):
+        load_tensor(json.dumps({"k": 2, "d": 2}))
+
+
+def test_load_tensor_reads_matrices_as_d2():
+    m = ColorMatrix([[1, 2], [0, 3]])
+    for text in (m.to_text(), json.dumps(m.to_json())):
+        t = load_tensor(text)
+        assert (t.k, t.d, t.entries) == (2, 2, (1, 2, 0, 3))
+
+
 def test_tensor_json_round_trip():
     t = ColorTensor(2, 3, list(range(8)))
     assert load_tensor(json.dumps(t.to_json())).entries == t.entries

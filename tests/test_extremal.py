@@ -15,8 +15,9 @@ from ambigcolor.extremal import (LemmaBoundInput, ambiguous_max_edges,
                                  turan_number, turan_report_json,
                                  turan_report_tsv, verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
-                                  cycle_graph, path_graph, turan_graph)
-from ambigcolor.matrix import ColorMatrix, enumerate_desirable
+                                  cycle_graph, enumerate_graphs, graph_levels,
+                                  path_graph, turan_graph)
+from ambigcolor.matrix import ColorMatrix
 
 
 def test_turan_number_known():
@@ -42,6 +43,17 @@ def test_ambiguous_max_edges_formula():
         ambiguous_max_edges(1, 3)
     with pytest.raises(PreconditionError):
         ambiguous_max_edges(5, 1)
+
+
+def test_negative_orders_rejected():
+    with pytest.raises(PreconditionError):
+        enumerate_graphs(-1)
+    with pytest.raises(PreconditionError):
+        list(graph_levels(-1))
+    with pytest.raises(PreconditionError):
+        brute_force_max_edges(-1, 2)
+    assert list(graph_levels(0)) == []
+    assert len(enumerate_graphs(0)) == 1
 
 
 def test_oracle_agrees_with_formula():

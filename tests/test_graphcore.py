@@ -74,9 +74,9 @@ def test_build_graph_diagonal_is_complete_multipartite():
 
 
 def test_build_graph_vertex_cap():
-    a = ColorMatrix([[9, 0], [0, 9]])
+    assert build_graph(ColorMatrix([[32, 0], [0, 32]])).n == 64
     with pytest.raises(ResourceLimitError):
-        build_graph(a, max_vertices=10)
+        build_graph(ColorMatrix([[33, 0], [0, 32]]))
 
 
 def test_turan_graph_edges():
