@@ -22,6 +22,8 @@ from .graphcore import (build_graph, canonical_form, enumerate_labeled_graphs,
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
+THEOREM1_MAX_N = 8
+
 
 def is_maximal(g, k, d):
     """At least d distinct k-colorings, and every single-edge addition
@@ -226,7 +228,7 @@ def _labeled_classes(n):
     return [seen[c] for c in sorted(seen)]
 
 
-def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False):
+def verify_theorem1(max_n, k_list, use_labeled=False):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
@@ -234,16 +236,16 @@ def verify_theorem1(max_n, k_list, max_n_bound=8, use_labeled=False):
     desirable matrix with entry sum n is checked to induce a maximal
     ambiguously k-colorable graph.
     """
-    if max_n > max_n_bound:
+    if max_n > THEOREM1_MAX_N:
         raise ResourceLimitError(
-            f"verify_theorem1 limited to max_n <= {max_n_bound}")
+            f"verify_theorem1 limited to max_n <= {THEOREM1_MAX_N}")
     if max_n < 1 or not k_list:
         raise PreconditionError(
             "verify_theorem1 needs max_n >= 1 and a non-empty k list")
     if use_labeled:
         levels = ((n, _labeled_classes(n)) for n in range(1, max_n + 1))
     else:
-        levels = graph_levels(max_n, max_n_bound)
+        levels = graph_levels(max_n, THEOREM1_MAX_N)
     rows = []
     for n, graphs in levels:
         for k in k_list:

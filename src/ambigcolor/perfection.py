@@ -4,9 +4,11 @@ The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
 clique-number table, and for each subset one independent set through its
 lowest vertex that lowers the clique number by one.  The second method
-scans for induced odd holes and antiholes; the strong perfect graph
-theorem says the two agree, which is used as a cross-check rather than
-assumed.
+searches G and its complement for an induced odd cycle of length >= 5 by
+extending induced paths from the cycle's lowest vertex s, through the
+lower of its two cycle neighbours, and closing through the higher one.
+The strong perfect graph theorem says the two methods agree, which is
+used as a cross-check rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,40 +21,48 @@ from .maximality import is_maximal_ambiguous
 from .matrix import enumerate_desirable
 
 DEFAULT_PERFECT_MAX_N = 14
-
-
-def _subset_vertices(mask):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+VERIFY_PERFECTNESS_MAX_N = 12
 
 
 def _has_odd_hole(g):
-    """Induced odd cycle of length >= 5: an odd subset inducing a
-    connected 2-regular subgraph."""
+    """Induced odd cycle of length >= 5, found by extending induced paths.
+
+    Each hole is searched from its lowest vertex s, along the path
+    s - a - ... - x where a is the lower of s's two neighbours on the
+    hole; the higher one, b, closes the cycle.  A path grows from its last
+    vertex x only to vertices above s outside N(s) and outside the closed
+    neighbourhoods of the vertices before x, so it stays induced and
+    misses N(s) after a.  It closes through a neighbour b > a of s and x
+    with no neighbour among the interior vertices a .. (before x).  A path
+    of m >= 4 vertices, m even, closes to a hole of odd length m + 1.
+    Fixing s lowest and a < b finds each hole from one start only.
+    """
     n, rows = g.n, g.rows
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size < 5 or size % 2 == 0:
-            continue
-        vs = _subset_vertices(mask)
-        if any((rows[v] & mask).bit_count() != 2 for v in vs):
-            continue
-        # 2-regular; connected iff one cycle
-        seen = 1 << vs[0]
-        stack = [vs[0]]
-        while stack:
-            v = stack.pop()
-            rest = rows[v] & mask & ~seen
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                seen |= 1 << u
-                stack.append(u)
-                rest &= rest - 1
-        if seen == mask:
-            return True
+    for s in range(n):
+        below = (2 << s) - 1
+        forbid_s = rows[s] | below
+        nbrs = rows[s] & ~below
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            a = low.bit_length() - 1
+            closers = nbrs & ~rows[a]       # candidates for b
+            if not closers:
+                continue
+            # (x, vertices on the path, union of N[v] over the path
+            # before x, the same without s)
+            stack = [(a, 2, forbid_s, 0)]
+            while stack:
+                x, m, forbid, inner = stack.pop()
+                if m >= 4 and m % 2 == 0 and closers & rows[x] & ~inner:
+                    return True
+                ext = rows[x] & ~forbid
+                closed_x = rows[x] | 1 << x
+                while ext:
+                    y = ext & -ext
+                    ext ^= y
+                    stack.append((y.bit_length() - 1, m + 1,
+                                  forbid | closed_x, inner | closed_x))
     return False
 
 
@@ -101,29 +111,30 @@ def _lowering_set(omega, rows, rest, cand, target):
     return False
 
 
-def is_perfect(g, method="definition", max_n=DEFAULT_PERFECT_MAX_N):
+def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
     method="definition" decides the definition by one dynamic program
-    over the vertex subsets; method="holes" tests for induced odd
-    holes/antiholes instead (the cross-check).
+    over the vertex subsets; method="holes" searches G and its complement
+    for an induced odd hole (the cross-check).
     """
-    if g.n > max_n:
-        raise ResourceLimitError(f"is_perfect limited to n <= {max_n}")
+    if method not in ("definition", "holes"):
+        raise PreconditionError(f"unknown method {method!r}")
+    if g.n > DEFAULT_PERFECT_MAX_N:
+        raise ResourceLimitError(
+            f"is_perfect limited to n <= {DEFAULT_PERFECT_MAX_N}")
     if method == "holes":
         return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
-    if method != "definition":
-        raise PreconditionError(f"unknown method {method!r}")
     return _chi_equals_omega_everywhere(g.n, g.rows)
 
 
-def verify_perfectness(max_n, k_list, max_n_bound=12):
+def verify_perfectness(max_n, k_list):
     """Assert perfectness of every maximal ambiguously k-colorable graph
     in the exhaustive corpus and of every family graph G(A) with n <=
     max_n; report violations (must be none)."""
-    if max_n > max_n_bound:
-        raise ResourceLimitError(
-            f"verify_perfectness limited to max_n <= {max_n_bound}")
+    if max_n > VERIFY_PERFECTNESS_MAX_N:
+        raise ResourceLimitError("verify_perfectness limited to max_n <= "
+                                 f"{VERIFY_PERFECTNESS_MAX_N}")
     if max_n < 1 or not k_list:
         raise PreconditionError(
             "verify_perfectness needs max_n >= 1 and a non-empty k list")

@@ -1,4 +1,4 @@
-"""Perfectness checking: definition method vs. odd-hole scan."""
+"""Perfectness checking: definition method vs. odd-hole search."""
 
 import random
 
@@ -11,7 +11,8 @@ from ambigcolor.graphcore import (SimpleGraph, build_graph, clique_number,
                                   complete_multipartite, cycle_graph,
                                   empty_graph, enumerate_graphs, path_graph)
 from ambigcolor.matrix import ColorMatrix
-from ambigcolor.perfection import (is_perfect, perfectness_report_json,
+from ambigcolor.perfection import (_has_odd_hole, is_perfect,
+                                   perfectness_report_json,
                                    verify_perfectness)
 
 
@@ -23,6 +24,38 @@ def oracle_is_perfect(g):
         if chromatic_number(sub) != clique_number(sub):
             return False
     return True
+
+
+def oracle_has_odd_hole(g):
+    """Induced odd cycle of length >= 5, by scanning every vertex subset:
+    an odd subset of size >= 5 inducing a connected 2-regular subgraph."""
+    n, rows = g.n, g.rows
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        if size < 5 or size % 2 == 0:
+            continue
+        vs = [v for v in range(n) if mask >> v & 1]
+        if any((rows[v] & mask).bit_count() != 2 for v in vs):
+            continue
+        # 2-regular; connected iff one cycle
+        seen = 1 << vs[0]
+        stack = [vs[0]]
+        while stack:
+            v = stack.pop()
+            rest = rows[v] & mask & ~seen
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                seen |= 1 << u
+                stack.append(u)
+                rest &= rest - 1
+        if seen == mask:
+            return True
+    return False
+
+
+def random_graph(rng, n, p):
+    return SimpleGraph(n, [(u, v) for u in range(n)
+                           for v in range(u + 1, n) if rng.random() < p])
 
 
 def disjoint_union(g, h):
@@ -52,16 +85,19 @@ def test_methods_agree_on_random_graphs():
     rng = random.Random(29)
     for _ in range(60):
         n = rng.randint(1, 9)
-        g = SimpleGraph(n, [(u, v) for u in range(n)
-                            for v in range(u + 1, n) if rng.random() < 0.5])
+        g = random_graph(rng, n, 0.5)
         assert is_perfect(g, "definition") == is_perfect(g, "holes"), g.edges()
 
 
 def test_method_validation_and_limits():
     with pytest.raises(PreconditionError):
         is_perfect(cycle_graph(4), method="guess")
-    with pytest.raises(ResourceLimitError):
-        is_perfect(empty_graph(20))
+    # the method is a precondition, checked before the size limit
+    with pytest.raises(PreconditionError):
+        is_perfect(empty_graph(20), method="guess")
+    for method in ("definition", "holes"):
+        with pytest.raises(ResourceLimitError):
+            is_perfect(empty_graph(20), method)
 
 
 def test_verify_perfectness_no_violations():
@@ -92,10 +128,7 @@ def test_definition_invariant_under_vertex_order():
     graphs = [cycle_graph(5), cycle_graph(6), complement(cycle_graph(7)),
               build_graph(ColorMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]]))]
     for _ in range(20):
-        n = rng.randint(5, 9)
-        graphs.append(SimpleGraph(n, [(u, v) for u in range(n)
-                                      for v in range(u + 1, n)
-                                      if rng.random() < 0.5]))
+        graphs.append(random_graph(rng, rng.randint(5, 9), 0.5))
     for g in graphs:
         expect = oracle_is_perfect(g)
         for _ in range(4):
@@ -114,3 +147,83 @@ def test_definition_finds_planted_hole(hole):
     for g in (disjoint_union(ga, h), disjoint_union(h, ga)):
         assert not is_perfect(g, "definition")
         assert not is_perfect(g, "holes")
+
+
+def test_hole_search_matches_oracle_on_all_small_graphs():
+    holes = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            found = _has_odd_hole(g)
+            assert found == oracle_has_odd_hole(g), g.edges()
+            holes += found
+    # the graphs with an induced C5 or C7, a subset of the 147 imperfect
+    assert 0 < holes < 147
+
+
+def test_hole_search_matches_oracle_on_random_graphs():
+    rng = random.Random(37)
+    verdicts = set()
+    for i in range(200):
+        n = rng.randint(5, 12)
+        g = random_graph(rng, n, (0.15, 0.3, 0.5, 0.7, 0.85)[i % 5])
+        for h in (g, complement(g)):
+            expect = oracle_has_odd_hole(h)
+            verdicts.add(expect)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert _has_odd_hole(h.permuted(perm)) == expect, (
+                    h.edges(), perm)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("name", ["C9", "C11", "co-C9", "C9+"])
+def test_hole_search_finds_long_holes(name):
+    h = {"C9": cycle_graph(9), "C11": cycle_graph(11),
+         "co-C9": complement(cycle_graph(9)),
+         # C9 on 0..8, vertex 9 joined to 0 and 1 (a triangle, no new
+         # hole), vertex 10 joined to 0 and 2 (a C4 and a second C9)
+         "C9+": SimpleGraph(11, cycle_graph(9).edges()
+                            + [(0, 9), (1, 9), (0, 10), (2, 10)])}[name]
+    rng = random.Random(name)
+    # in C9+, vertex 0 is the lowest of the hole 0..8 and has neighbours
+    # off it: above both hole neighbours in the identity order, and
+    # between them (at 2 and 3) in the second order
+    perms = [list(range(h.n))]
+    if name == "C9+":
+        perms.append([0, 1, 9, 10, 2, 3, 4, 5, 6, 7, 8])
+    for _ in range(6):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    for perm in perms:
+        g = h.permuted(perm)
+        assert _has_odd_hole(g) == oracle_has_odd_hole(g), perm
+        assert _has_odd_hole(complement(g)) == oracle_has_odd_hole(
+            complement(g)), perm
+        assert not is_perfect(g, "holes")
+    assert not is_perfect(h, "definition")
+
+
+def test_hole_search_sees_only_induced_odd_cycles():
+    """A hole must be odd, of length >= 5, and chordless; a chord of a
+    cycle splits it into two shorter cycles."""
+    def chorded(n, *chords):
+        return SimpleGraph(n, cycle_graph(n).edges() + list(chords))
+
+    no_hole = [cycle_graph(3), cycle_graph(4), cycle_graph(6),
+               cycle_graph(8), cycle_graph(10), path_graph(9),
+               chorded(8, (0, 3)),                   # C4 + C6
+               chorded(10, (0, 5)),                  # C6 + C6
+               chorded(7, (0, 2), (0, 3), (0, 4), (0, 5))]   # a fan
+    hole = [chorded(7, (0, 3)),                      # C4 + C5
+            chorded(9, (0, 4))]                      # C5 + C6
+    rng = random.Random(41)
+    for graphs, expect in ((no_hole, False), (hole, True)):
+        for g in graphs:
+            for _ in range(4):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = g.permuted(perm)
+                assert _has_odd_hole(h) == oracle_has_odd_hole(h) == expect, (
+                    g.edges(), perm)
