@@ -159,10 +159,10 @@ def join(g1, g2):
     return SimpleGraph.from_rows(rows)
 
 
-def count_perfect_matchings(g, max_n=MATCHING_MAX_N):
+def count_perfect_matchings(g):
     """Exact count by backtracking on the lowest unmatched vertex."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"limited to n <= {max_n}")
+    if g.n > MATCHING_MAX_N:
+        raise ResourceLimitError(f"limited to n <= {MATCHING_MAX_N}")
     if g.n % 2:
         return 0
     rows = g.rows

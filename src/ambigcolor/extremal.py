@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .coloring import count_colorings
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import (build_graph, canonical_form, enumerate_graphs,
-                        graph_levels, turan_graph)
+from .graphcore import (ORACLE_MAX_N, SimpleGraph, build_graph,
+                        canonical_form, graph_levels, turan_graph)
 from .matrix import enumerate_desirable
 
 EXTREMAL_FAMILIES = ("tiny", "small", "very-special", "mininormal")
+EXTREMAL_MAX_N = 12
+EXTREMAL_MAX_K = 5
 
 
 def turan_number(n, k):
@@ -113,15 +116,16 @@ def check_lemma_bound(bound_input, g):
 # extremal graph enumeration and the independent oracle
 # ---------------------------------------------------------------------------
 
-def enumerate_extremal(n, k, max_n=12, max_k=5):
+def enumerate_extremal(n, k):
     """Extremal graphs from the four matrix families, up to isomorphism.
 
     Returns {canonical cert: sorted family tags}; only graphs with exactly
     ambiguous_max_edges(n, k) edges are kept.
     """
-    if n > max_n or k > max_k:
+    if n > EXTREMAL_MAX_N or k > EXTREMAL_MAX_K:
         raise ResourceLimitError(
-            f"enumerate_extremal limited to n <= {max_n}, k <= {max_k}")
+            f"enumerate_extremal limited to n <= {EXTREMAL_MAX_N}, "
+            f"k <= {EXTREMAL_MAX_K}")
     target = ambiguous_max_edges(n, k)
     out = {}
     for family in EXTREMAL_FAMILIES:
@@ -151,16 +155,14 @@ def _max_edges_by_k(graphs, k_list):
             for k, (m, certs) in best.items()}
 
 
-def brute_force_max_edges(n, k, max_n=7):
+def brute_force_max_edges(n, k):
     """Independent oracle: (max edge count, extremal certs) over all
     ambiguously k-colorable graphs on n vertices, using coloring counts
     and edge counts only."""
-    if n > max_n:
-        raise ResourceLimitError(f"oracle limited to n <= {max_n}")
-    return _max_edges_by_k(enumerate_graphs(n, max_n=max_n), [k])[k]
+    return max_edges_by_order([(n, k)])[n, k]
 
 
-def max_edges_by_order(pairs, max_n=7):
+def max_edges_by_order(pairs):
     """The oracle of `brute_force_max_edges` for every (n, k) in `pairs`,
     as {(n, k): (max edge count, sorted extremal certs)}.  The graphs of
     each order are enumerated once, for every k wanted at that order."""
@@ -168,10 +170,10 @@ def max_edges_by_order(pairs, max_n=7):
     for n, k in pairs:
         ks_by_n.setdefault(n, set()).add(k)
     top = max(ks_by_n, default=0)
-    if top > max_n:
-        raise ResourceLimitError(f"oracle limited to n <= {max_n}")
+    if top > ORACLE_MAX_N:
+        raise ResourceLimitError(f"oracle limited to n <= {ORACLE_MAX_N}")
     out = {}
-    for n, level in graph_levels(top, max_n):
+    for n, level in chain([(0, [SimpleGraph(0)])], graph_levels(top)):
         for k, value in _max_edges_by_k(level, ks_by_n.get(n, ())).items():
             out[n, k] = value
     return out
@@ -203,20 +205,17 @@ class ExtremalReport:
         }
 
 
-def verify_turan_theorem(max_n, k_list, oracle_max_n=7):
+def verify_turan_theorem(max_n, k_list):
     """For each (n, k) with k <= n <= max_n: formula value vs. oracle, and
     oracle extremal set vs. matrix-family extremal set.  The oracle
     enumerates the graphs of each order once, for every k at that order."""
-    if max_n > oracle_max_n:
-        raise ResourceLimitError(
-            f"oracle leg limited to max_n <= {oracle_max_n}")
     if not k_list or max_n < max(2, min(k_list)):
         raise PreconditionError(
             "verify_turan_theorem checks nothing: it needs a non-empty k "
             "list and max_n >= max(2, min k)")
     cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
              for n in range(max(2, k), max_n + 1)]
-    oracle = max_edges_by_order([(n, k) for n, k, _ in cells], oracle_max_n)
+    oracle = max_edges_by_order([(n, k) for n, k, _ in cells])
     reports = []
     for n, k, formula in cells:
         value, oracle_certs = oracle[n, k]

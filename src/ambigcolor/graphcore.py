@@ -18,6 +18,8 @@ from .errors import InputFormatError, PreconditionError, ResourceLimitError
 MAX_VERTICES = 64
 DEFAULT_CANON_MAX_N = 16
 DEFAULT_CLIQUE_MAX_N = 32
+ENUMERATION_MAX_N = 8       # graphs up to isomorphism, by graph_levels
+ORACLE_MAX_N = 7            # the exhaustive corpus of the oracle harnesses
 
 
 class SimpleGraph:
@@ -282,7 +284,7 @@ def _twin_chains(rows):
     return chains
 
 
-def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
+def canonical_form(g):
     """Canonical certificate: equal certs iff isomorphic.
 
     Iterative refinement plus backtracking over the remaining cells; the
@@ -295,8 +297,9 @@ def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
     """
     if g._cert is not None:
         return g._cert
-    if g.n > max_n:
-        raise ResourceLimitError(f"canonical_form limited to n <= {max_n}")
+    if g.n > DEFAULT_CANON_MAX_N:
+        raise ResourceLimitError(
+            f"canonical_form limited to n <= {DEFAULT_CANON_MAX_N}")
     n, rows = g.n, g.rows
     if n == 0:
         g._cert = (0, 0)
@@ -338,15 +341,15 @@ def canonical_form(g, max_n=DEFAULT_CANON_MAX_N):
     return g._cert
 
 
-def are_isomorphic(g, h, max_n=DEFAULT_CANON_MAX_N):
+def are_isomorphic(g, h):
     if g.n != h.n or g.m != h.m:
         return False
     if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
         return False
-    return canonical_form(g, max_n) == canonical_form(h, max_n)
+    return canonical_form(g) == canonical_form(h)
 
 
-def graph_levels(max_n, bound=8):
+def graph_levels(max_n):
     """Yield (n, all graphs on n vertices, one per isomorphism class) for
     n = 1..max_n, building each level once from the one before.
 
@@ -360,8 +363,9 @@ def graph_levels(max_n, bound=8):
     no class by such swaps.  The first candidate of each certificate,
     which is the one stored, is therefore never skipped.
     """
-    if max_n > bound:
-        raise ResourceLimitError(f"graph enumeration limited to n <= {bound}")
+    if max_n > ENUMERATION_MAX_N:
+        raise ResourceLimitError(
+            f"graph enumeration limited to n <= {ENUMERATION_MAX_N}")
     if max_n < 0:
         raise PreconditionError(f"need a vertex count >= 0, got {max_n}")
     level = [SimpleGraph(0)]
@@ -383,11 +387,11 @@ def graph_levels(max_n, bound=8):
         yield size, level
 
 
-def enumerate_graphs(n, max_n=8):
+def enumerate_graphs(n):
     """All graphs on exactly n vertices, one per isomorphism class: the
     last level of ``graph_levels(n)``."""
     level = [SimpleGraph(0)]
-    for _, level in graph_levels(n, max_n):
+    for _, level in graph_levels(n):
         pass
     return level
 
@@ -404,11 +408,12 @@ def enumerate_labeled_graphs(n):
 # maximum clique (bitset branch and bound)
 # ---------------------------------------------------------------------------
 
-def clique_number(g, max_n=DEFAULT_CLIQUE_MAX_N):
+def clique_number(g):
     """Size of a maximum clique, by branch and bound with a greedy
     coloring bound."""
-    if g.n > max_n:
-        raise ResourceLimitError(f"clique_number limited to n <= {max_n}")
+    if g.n > DEFAULT_CLIQUE_MAX_N:
+        raise ResourceLimitError(
+            f"clique_number limited to n <= {DEFAULT_CLIQUE_MAX_N}")
     if g.n == 0:
         return 0
     rows = g.rows
@@ -473,7 +478,10 @@ def from_edge_list(text):
         except ValueError as exc:
             raise InputFormatError(f"bad edge line: {ln!r}") from exc
         edges.append((u, v))
-    return SimpleGraph(n, edges)
+    g = SimpleGraph(n, edges)
+    if g.m != m:
+        raise InputFormatError(f"{m} edge lines name {g.m} distinct edges")
+    return g
 
 
 def to_graph6(g):

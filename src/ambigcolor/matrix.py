@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
 MAX_K = 32
-DEFAULT_SUBSET_BOUND = 20
-DEFAULT_ENUM_CAP = 1_000_000
+DEFAULT_SUBSET_BOUND = 20       # the subset method's 2^r row subsets
+DEFAULT_ENUM_CAP = 1_000_000    # matrices yielded by enumerate_desirable
 
 
 def nonnegative_ints(values):
@@ -216,13 +216,13 @@ class WitnessSequence:
 # full indecomposability
 # ---------------------------------------------------------------------------
 
-def is_fully_indecomposable(m_entries, subset_bound=DEFAULT_SUBSET_BOUND,
-                            method="subset"):
+def is_fully_indecomposable(m_entries, method="subset"):
     """No s x (r-s) all-zero submatrix for any s in {1, ..., r-1}.
 
     ``method="subset"`` enumerates all 2^r - 2 proper row subsets (the
-    reference algorithm); ``method="matching"`` uses the polynomial check
-    that every (i, j) minor has a bipartite support matching.
+    reference algorithm, up to r = DEFAULT_SUBSET_BOUND);
+    ``method="matching"`` uses the polynomial check that every (i, j)
+    minor has a bipartite support matching.
     For r = 1 the convention is: true iff the single entry is nonzero.
     Accepts a ColorMatrix or a nested list of rows.
     """
@@ -238,9 +238,9 @@ def is_fully_indecomposable(m_entries, subset_bound=DEFAULT_SUBSET_BOUND,
         return _fully_indecomposable_matching(rows)
     if method != "subset":
         raise PreconditionError(f"unknown method {method!r}")
-    if r > subset_bound:
+    if r > DEFAULT_SUBSET_BOUND:
         raise ResourceLimitError(
-            f"subset enumeration limited to r <= {subset_bound}; "
+            f"subset enumeration limited to r <= {DEFAULT_SUBSET_BOUND}; "
             "use method='matching'")
     # zero_mask[i]: bitmask of columns j with M(i, j) == 0
     zero_masks = [sum(1 << j for j in range(r) if rows[i][j] == 0)
@@ -362,7 +362,7 @@ def _is_special(matrix):
     return len(off) == 1 and off[0][2] == 1
 
 
-def _normal_block(matrix, subset_bound=DEFAULT_SUBSET_BOUND):
+def _normal_block(matrix):
     """0-based index set of the fully indecomposable block, or None.
 
     Every row and column of a fully indecomposable block of size >= 2 has
@@ -380,11 +380,8 @@ def _normal_block(matrix, subset_bound=DEFAULT_SUBSET_BOUND):
     r = len(block)
     if r < 2:
         return None
-    sub = matrix.submatrix(block)
-    if r > subset_bound:
-        ok = is_fully_indecomposable(sub, method="matching")
-    else:
-        ok = is_fully_indecomposable(sub, subset_bound=subset_bound)
+    method = "matching" if r > DEFAULT_SUBSET_BOUND else "subset"
+    ok = is_fully_indecomposable(matrix.submatrix(block), method=method)
     return sorted(block) if ok else None
 
 
@@ -423,7 +420,7 @@ def special_variants(matrix):
     return tuple(out)
 
 
-def classify(matrix, subset_bound=DEFAULT_SUBSET_BOUND):
+def classify(matrix):
     """Unique verdict among Tiny / Small / Special / Normal / NotDesirable.
 
     The four desirable classes are mutually exclusive: tiny and small are
@@ -457,7 +454,7 @@ def classify(matrix, subset_bound=DEFAULT_SUBSET_BOUND):
         primary = variants[0] if variants else VARIANT_PLAIN
         return MatrixClass(SPECIAL, special_variant=primary,
                            variants=variants, balance=balance)
-    block = _normal_block(matrix, subset_bound)
+    block = _normal_block(matrix)
     if block is not None:
         r = len(block)
         sub = matrix.submatrix(block)
@@ -591,10 +588,10 @@ FILTERS = ("tiny", "small", "special", "very-special", "normal",
            "mininormal", "all")
 
 
-def enumerate_desirable(k, n, filters=("all",), cap=DEFAULT_ENUM_CAP):
+def enumerate_desirable(k, n, filters=("all",)):
     """Yield every desirable k x k matrix with entry sum n matching the
     filter set.  Exhaustive within each filter; graph-level deduplication
-    happens downstream."""
+    happens downstream.  Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
     if k < 1 or n < 0:
         raise PreconditionError("need k >= 1, n >= 0")
     wanted = set(filters)
@@ -603,28 +600,22 @@ def enumerate_desirable(k, n, filters=("all",), cap=DEFAULT_ENUM_CAP):
         raise PreconditionError(f"unknown filters {sorted(unknown)}")
     if "all" in wanted:
         wanted = {"tiny", "small", "special", "normal"}
-
-    count = 0
-
-    def guard(gen):
-        nonlocal count
-        for m in gen:
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(
-                    f"enumerate_desirable exceeded cap {cap}")
-            yield m
-
+    parts = []
     if "tiny" in wanted:
-        yield from guard(_tiny_matrices(k, n))
+        parts.append(_tiny_matrices(k, n))
     if "small" in wanted:
-        yield from guard(_small_matrices(k, n))
+        parts.append(_small_matrices(k, n))
     if "special" in wanted:
-        yield from guard(_special_matrices(k, n))
+        parts.append(_special_matrices(k, n))
     elif "very-special" in wanted:
-        yield from guard(m for m in _special_matrices(k, n)
-                         if special_variants(m))
+        parts.append(m for m in _special_matrices(k, n)
+                     if special_variants(m))
     if "normal" in wanted:
-        yield from guard(_normal_matrices(k, n))
+        parts.append(_normal_matrices(k, n))
     elif "mininormal" in wanted:
-        yield from guard(_mininormal_matrices(k, n))
+        parts.append(_mininormal_matrices(k, n))
+    for count, m in enumerate(chain.from_iterable(parts), 1):
+        if count > DEFAULT_ENUM_CAP:
+            raise ResourceLimitError(
+                f"enumerate_desirable exceeded cap {DEFAULT_ENUM_CAP}")
+        yield m

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from .coloring import (_class_masks, chromatic_number, count_colorings,
                        enumerate_colorings)
 from .errors import PreconditionError, ReconstructionError, ResourceLimitError
-from .graphcore import (build_graph, canonical_form, enumerate_labeled_graphs,
-                        graph_levels, matrix_labels)
+from .graphcore import (ENUMERATION_MAX_N, build_graph, canonical_form,
+                        enumerate_labeled_graphs, graph_levels, matrix_labels)
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
-
-THEOREM1_MAX_N = 8
 
 
 def is_maximal(g, k, d):
@@ -236,16 +234,16 @@ def verify_theorem1(max_n, k_list, use_labeled=False):
     desirable matrix with entry sum n is checked to induce a maximal
     ambiguously k-colorable graph.
     """
-    if max_n > THEOREM1_MAX_N:
+    if max_n > ENUMERATION_MAX_N:       # use_labeled skips graph_levels
         raise ResourceLimitError(
-            f"verify_theorem1 limited to max_n <= {THEOREM1_MAX_N}")
+            f"verify_theorem1 limited to max_n <= {ENUMERATION_MAX_N}")
     if max_n < 1 or not k_list:
         raise PreconditionError(
             "verify_theorem1 needs max_n >= 1 and a non-empty k list")
     if use_labeled:
         levels = ((n, _labeled_classes(n)) for n in range(1, max_n + 1))
     else:
-        levels = graph_levels(max_n, THEOREM1_MAX_N)
+        levels = graph_levels(max_n)
     rows = []
     for n, graphs in levels:
         for k in k_list:

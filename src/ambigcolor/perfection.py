@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 
+from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import build_graph, complement, graph_levels
+from .graphcore import ORACLE_MAX_N, build_graph, complement, graph_levels
 from .maximality import is_maximal_ambiguous
 from .matrix import enumerate_desirable
 
-DEFAULT_PERFECT_MAX_N = 14
+DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
 VERIFY_PERFECTNESS_MAX_N = 12
 
 
@@ -115,14 +116,16 @@ def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
     method="definition" decides the definition by one dynamic program
-    over the vertex subsets; method="holes" searches G and its complement
-    for an induced odd hole (the cross-check).
+    over the vertex subsets, for n <= DEFAULT_PERFECT_MAX_N; method="holes"
+    searches G and its complement for an induced odd hole (the
+    cross-check), for n <= coloring.MAX_N, the reach of maximality.
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
-    if g.n > DEFAULT_PERFECT_MAX_N:
+    limit = DEFAULT_PERFECT_MAX_N if method == "definition" else COLORING_MAX_N
+    if g.n > limit:
         raise ResourceLimitError(
-            f"is_perfect limited to n <= {DEFAULT_PERFECT_MAX_N}")
+            f"is_perfect({method!r}) limited to n <= {limit}")
     if method == "holes":
         return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
     return _chi_equals_omega_everywhere(g.n, g.rows)
@@ -140,7 +143,7 @@ def verify_perfectness(max_n, k_list):
             "verify_perfectness needs max_n >= 1 and a non-empty k list")
     checked = 0
     violations = []
-    for _, level in graph_levels(min(max_n, 7)):
+    for _, level in graph_levels(min(max_n, ORACLE_MAX_N)):
         for g in level:
             for k in k_list:
                 if is_maximal_ambiguous(g, k):

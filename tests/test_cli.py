@@ -180,6 +180,23 @@ def test_input_errors(case, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+MALFORMED_GRAPHS = {
+    "repeated-edge": "3 2\n0 1\n1 0\n",
+    "self-loop": "3 1\n1 1\n",
+    "missing-edge-line": "3 2\n0 1\n",
+    "bad-header": "3\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_graph_input_errors(case, tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text(MALFORMED_GRAPHS[case])
+    for command in ("count", "check-maximal", "reconstruct"):
+        assert main([command, str(path), "-k", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_rejects_bad_k_list():
     assert main(["verify", "--theorem", "1", "--max-n", "3",
                  "--k-list", "x"]) == 2

@@ -54,6 +54,7 @@ def test_negative_orders_rejected():
         brute_force_max_edges(-1, 2)
     assert list(graph_levels(0)) == []
     assert len(enumerate_graphs(0)) == 1
+    assert brute_force_max_edges(0, 2) == (None, [])
 
 
 def test_oracle_agrees_with_formula():

@@ -268,6 +268,8 @@ def test_edge_list_rejects_garbage():
         from_edge_list("3 1\n0 3\n")      # vertex out of range
     with pytest.raises(InputFormatError):
         from_edge_list("not a header\n")
+    with pytest.raises(InputFormatError):
+        from_edge_list("3 2\n0 1\n1 0\n")  # one edge named twice
 
 
 def test_graph6_round_trip():

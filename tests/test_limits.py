@@ -1,0 +1,77 @@
+"""Every size ceiling, pinned one above its module constant.
+
+A search's cost ceiling is a named module constant, checked once in the
+function that runs the search.  Each case reads the constant, calls its
+entry point one above it and expects ResourceLimitError; on the CLI that
+is exit code 3 with nothing on stdout.
+"""
+
+import pytest
+
+from ambigcolor import dfold, extremal, graphcore, matrix, perfection
+from ambigcolor.cli import main
+from ambigcolor.errors import ResourceLimitError
+from ambigcolor.graphcore import empty_graph
+from ambigcolor.maximality import verify_theorem1
+
+CEILINGS = {
+    "canonical_form": (graphcore, "DEFAULT_CANON_MAX_N",
+                       lambda n: graphcore.canonical_form(empty_graph(n))),
+    "are_isomorphic": (graphcore, "DEFAULT_CANON_MAX_N",
+                       lambda n: graphcore.are_isomorphic(empty_graph(n),
+                                                          empty_graph(n))),
+    "clique_number": (graphcore, "DEFAULT_CLIQUE_MAX_N",
+                      lambda n: graphcore.clique_number(empty_graph(n))),
+    "graph_levels": (graphcore, "ENUMERATION_MAX_N",
+                     lambda n: list(graphcore.graph_levels(n))),
+    "enumerate_graphs": (graphcore, "ENUMERATION_MAX_N",
+                         graphcore.enumerate_graphs),
+    "verify_theorem1": (graphcore, "ENUMERATION_MAX_N",
+                        lambda n: verify_theorem1(n, [2])),
+    "verify_theorem1-labeled": (
+        graphcore, "ENUMERATION_MAX_N",
+        lambda n: verify_theorem1(n, [2], use_labeled=True)),
+    "brute_force_max_edges": (
+        graphcore, "ORACLE_MAX_N",
+        lambda n: extremal.brute_force_max_edges(n, 2)),
+    "max_edges_by_order": (
+        graphcore, "ORACLE_MAX_N",
+        lambda n: extremal.max_edges_by_order([(n, 2)])),
+    "verify_turan_theorem": (
+        graphcore, "ORACLE_MAX_N",
+        lambda n: extremal.verify_turan_theorem(n, [2])),
+    "enumerate_extremal-n": (extremal, "EXTREMAL_MAX_N",
+                             lambda n: extremal.enumerate_extremal(n, 2)),
+    "enumerate_extremal-k": (extremal, "EXTREMAL_MAX_K",
+                             lambda k: extremal.enumerate_extremal(k, k)),
+    "is_perfect-definition": (
+        perfection, "DEFAULT_PERFECT_MAX_N",
+        lambda n: perfection.is_perfect(empty_graph(n), "definition")),
+    "verify_perfectness": (perfection, "VERIFY_PERFECTNESS_MAX_N",
+                           lambda n: perfection.verify_perfectness(n, [2])),
+    "count_perfect_matchings": (
+        dfold, "MATCHING_MAX_N",
+        lambda n: dfold.count_perfect_matchings(empty_graph(n))),
+    "is_fully_indecomposable-subset": (
+        matrix, "DEFAULT_SUBSET_BOUND",
+        lambda r: matrix.is_fully_indecomposable([[1] * r] * r,
+                                                 method="subset")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CEILINGS))
+def test_ceiling_raises_one_above_its_constant(case):
+    module, constant, call = CEILINGS[case]
+    with pytest.raises(ResourceLimitError):
+        call(getattr(module, constant) + 1)
+
+
+@pytest.mark.parametrize("theorem, module, constant", [
+    ("1", graphcore, "ENUMERATION_MAX_N"),
+    ("turan", graphcore, "ORACLE_MAX_N"),
+    ("perfect", perfection, "VERIFY_PERFECTNESS_MAX_N"),
+])
+def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
+    max_n = str(getattr(module, constant) + 1)
+    assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 3
+    assert capsys.readouterr().out == ""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ambigcolor.coloring import chromatic_number
+from ambigcolor.coloring import MAX_N as COLORING_MAX_N, chromatic_number
 from ambigcolor.errors import PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (SimpleGraph, build_graph, clique_number,
                                   complement, complete_graph,
@@ -95,9 +95,28 @@ def test_method_validation_and_limits():
     # the method is a precondition, checked before the size limit
     with pytest.raises(PreconditionError):
         is_perfect(empty_graph(20), method="guess")
-    for method in ("definition", "holes"):
-        with pytest.raises(ResourceLimitError):
-            is_perfect(empty_graph(20), method)
+    with pytest.raises(ResourceLimitError):
+        is_perfect(empty_graph(20), "definition")
+    # the hole search needs no 2^n table: it runs to the coloring ceiling
+    assert is_perfect(empty_graph(20), "holes")
+    assert is_perfect(empty_graph(COLORING_MAX_N), "holes")
+    with pytest.raises(ResourceLimitError):
+        is_perfect(empty_graph(COLORING_MAX_N + 1), "holes")
+
+
+def test_hole_search_beyond_the_definition_ceiling():
+    # a C21 planted among 9 clique vertices, in a shuffled vertex order
+    rng = random.Random(21)
+    edges = [(i, (i + 1) % 21) for i in range(21)]
+    edges += [(u, v) for u in range(21, 30) for v in range(u + 1, 30)]
+    perm = list(range(30))
+    rng.shuffle(perm)
+    planted = SimpleGraph(30, [(perm[u], perm[v]) for u, v in edges])
+    assert not is_perfect(planted, "holes")
+    assert not is_perfect(complement(planted), "holes")
+    g = build_graph(ColorMatrix([[6, 1, 0, 0], [1, 6, 0, 0],
+                                 [0, 0, 7, 0], [0, 0, 0, 7]]))
+    assert g.n == 28 and is_perfect(g, "holes")
 
 
 def test_verify_perfectness_no_violations():
