@@ -168,6 +168,8 @@ def max_edges_by_order(pairs):
     each order are enumerated once, for every k wanted at that order."""
     ks_by_n = {}
     for n, k in pairs:
+        if n < 0:
+            raise PreconditionError(f"need a vertex count >= 0, got {n}")
         ks_by_n.setdefault(n, set()).add(k)
     top = max(ks_by_n, default=0)
     if top > ORACLE_MAX_N:

@@ -353,15 +353,19 @@ def graph_levels(max_n):
     """Yield (n, all graphs on n vertices, one per isomorphism class) for
     n = 1..max_n, building each level once from the one before.
 
-    Grown by vertex augmentation: every n-vertex graph arises from some
-    (n-1)-vertex graph by adding one vertex, so extending every class
-    representative by every possible neighborhood and deduplicating on the
-    canonical certificate is exhaustive.  A neighborhood mask is skipped
-    when, for some twin class of the parent, it contains a later member
-    but not an earlier one: swapping the two twins gives a smaller mask
-    with an isomorphic child, and every mask reaches one that skips for
-    no class by such swaps.  The first candidate of each certificate,
-    which is the one stored, is therefore never skipped.
+    Grown by vertex augmentation: every n-vertex graph G has a vertex v
+    of maximum degree, and G - v is isomorphic to some class
+    representative P of the level before, so some neighborhood mask of P
+    yields a child isomorphic to G whose new vertex plays the part of v.
+    Extending every representative only by the masks whose new vertex
+    has maximum degree in the child, and deduplicating on the canonical
+    certificate, is therefore exhaustive.  A mask is also skipped when,
+    for some twin class of the parent, it contains a later member but
+    not an earlier one: swapping the two twins gives a smaller mask with
+    a child isomorphic by a map that fixes the new vertex, so that
+    vertex keeps maximum degree, and every mask reaches one that skips
+    for no class by such swaps.  Each class keeps the first candidate
+    that survives both skips; the level is sorted by certificate.
     """
     if max_n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
@@ -373,7 +377,18 @@ def graph_levels(max_n):
         seen = {}
         for g in level:
             chains = [(1 << a, 1 << b) for a, b in _twin_chains(g.rows)]
+            # the new vertex has maximum degree iff its degree |mask| is
+            # at least every parent degree and above those of the parent
+            # vertices it joins
+            degrees = [r.bit_count() for r in g.rows]
+            top = max(degrees, default=0)
+            of_degree = [0] * (g.n + 1)
+            for v, d in enumerate(degrees):
+                of_degree[d] |= 1 << v
             for mask in range(1 << g.n):
+                deg = mask.bit_count()
+                if deg < top or mask & of_degree[deg]:
+                    continue
                 if any(mask & b and not mask & a for a, b in chains):
                     continue
                 new_rows = [r | (mask >> v & 1) << g.n

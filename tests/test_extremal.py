@@ -12,6 +12,7 @@ from ambigcolor.errors import PreconditionError
 from ambigcolor.extremal import (LemmaBoundInput, ambiguous_max_edges,
                                  brute_force_max_edges, check_lemma_bound,
                                  enumerate_extremal, lemma_bound,
+                                 max_edges_by_order,
                                  turan_number, turan_report_json,
                                  turan_report_tsv, verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
@@ -52,6 +53,8 @@ def test_negative_orders_rejected():
         list(graph_levels(-1))
     with pytest.raises(PreconditionError):
         brute_force_max_edges(-1, 2)
+    with pytest.raises(PreconditionError):
+        max_edges_by_order([(-1, 2), (3, 2)])
     assert list(graph_levels(0)) == []
     assert len(enumerate_graphs(0)) == 1
     assert brute_force_max_edges(0, 2) == (None, [])

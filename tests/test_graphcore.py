@@ -178,13 +178,24 @@ def test_twin_pruned_canonical_form_on_symmetric_graphs(g):
 
 
 def test_twin_pruned_enumeration_matches_oracle():
+    # by class: each level holds one graph per certificate, in certificate
+    # order, though not necessarily the oracle's representative
     levels = dict(graph_levels(7))
     assert sorted(levels) == list(range(1, 8))
     for n in range(8):
-        expected = [g.rows for g in oracle_enumerate_graphs(n)]
-        assert [g.rows for g in enumerate_graphs(n)] == expected
+        expected = [canonical_form(g) for g in oracle_enumerate_graphs(n)]
+        assert [canonical_form(g) for g in enumerate_graphs(n)] == expected
         if n:
-            assert [g.rows for g in levels[n]] == expected
+            assert [canonical_form(g) for g in levels[n]] == expected
+            # the added vertex, the last, has maximum degree
+            assert all(g.degree(n - 1) == max(map(g.degree, range(n)))
+                       for g in levels[n])
+
+
+def test_graph_levels_counts_through_8():
+    # OEIS A000088 up to n = 8
+    assert [len(level) for _, level in graph_levels(8)] == [
+        1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 def test_enumeration_matches_networkx_atlas():
