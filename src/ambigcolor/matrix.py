@@ -17,7 +17,6 @@ from itertools import chain, combinations
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
 MAX_K = 32
-DEFAULT_SUBSET_BOUND = 20       # the subset method's 2^r row subsets
 DEFAULT_ENUM_CAP = 1_000_000    # matrices yielded by enumerate_desirable
 
 
@@ -216,47 +215,73 @@ class WitnessSequence:
 # full indecomposability
 # ---------------------------------------------------------------------------
 
-def is_fully_indecomposable(m_entries, method="subset"):
-    """No s x (r-s) all-zero submatrix for any s in {1, ..., r-1}.
-
-    ``method="subset"`` enumerates all 2^r - 2 proper row subsets (the
-    reference algorithm, up to r = DEFAULT_SUBSET_BOUND);
-    ``method="matching"`` uses the polynomial check that every (i, j)
-    minor has a bipartite support matching.
-    For r = 1 the convention is: true iff the single entry is nonzero.
-    Accepts a ColorMatrix or a nested list of rows.
-    """
+def _row_masks(m_entries):
+    """Bitmask of the nonzero columns of each row of a square matrix given
+    as a ColorMatrix or a nested list of rows."""
     if isinstance(m_entries, ColorMatrix):
         m_entries = m_entries.entries
-    rows = [list(r) for r in m_entries]
-    r = len(rows)
-    if any(len(row) != r for row in rows):
-        raise PreconditionError("matrix must be square")
-    if r == 1:
-        return rows[0][0] != 0
-    if method == "matching":
-        return _fully_indecomposable_matching(rows)
-    if method != "subset":
-        raise PreconditionError(f"unknown method {method!r}")
-    if r > DEFAULT_SUBSET_BOUND:
-        raise ResourceLimitError(
-            f"subset enumeration limited to r <= {DEFAULT_SUBSET_BOUND}; "
-            "use method='matching'")
-    # zero_mask[i]: bitmask of columns j with M(i, j) == 0
-    zero_masks = [sum(1 << j for j in range(r) if rows[i][j] == 0)
-                  for i in range(r)]
-    for subset in range(1, (1 << r) - 1):
-        common = (1 << r) - 1
-        s = 0
-        rest = subset
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            common &= zero_masks[i]
-            s += 1
-            rest &= rest - 1
-        if common.bit_count() >= r - s:
+    r = len(m_entries)
+    masks = []
+    for row in m_entries:
+        if len(row) != r:
+            raise PreconditionError("matrix must be square")
+        mask = 0
+        for j, x in enumerate(row):
+            if x != 0:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def _search(succ, start):
+    """Breadth-first search from `start` in the digraph whose successor
+    sets are the bitmasks `succ`: the predecessor of every reached vertex
+    (None for `start`), successors visited in ascending order."""
+    parent = {start: None}
+    seen = 1 << start
+    queue = [start]
+    for p in queue:
+        new = succ[p] & ~seen
+        seen |= new
+        while new:
+            q = (new & -new).bit_length() - 1
+            new &= new - 1
+            parent[q] = p
+            queue.append(q)
+    return parent
+
+
+def is_fully_indecomposable(m_entries):
+    """No s x (r-s) all-zero submatrix for any s in {1, ..., r-1}, and a
+    nonzero entry if r = 1.
+
+    Frobenius-Konig: an r x r matrix is fully indecomposable iff its
+    support has a perfect matching and, with every column renamed by the
+    row matched to it, the digraph i -> i' (M(i, i') != 0) is strongly
+    connected.  The matching is the diagonal when that is positive and an
+    augmenting-path matching otherwise; strong connectivity is one search
+    forward and one backward from row 0.  Accepts a ColorMatrix or a
+    nested list of rows.
+    """
+    succ = _row_masks(m_entries)
+    r = len(succ)
+    if not r:
+        return True
+    if not all(mask >> i & 1 for i, mask in enumerate(succ)):
+        adj = [[j for j in range(r) if mask >> j & 1] for mask in succ]
+        size, match_right = _bipartite_matching(adj, r, r)
+        if size < r:
             return False
-    return True
+        succ = [sum(1 << match_right[j] for j in row) for row in adj]
+    if len(_search(succ, 0)) < r:
+        return False
+    pred = [0] * r
+    for i, mask in enumerate(succ):
+        while mask:
+            q = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            pred[q] |= 1 << i
+    return len(_search(pred, 0)) == r
 
 
 def _bipartite_matching(adj, n_left, n_right):
@@ -279,60 +304,37 @@ def _bipartite_matching(adj, n_left, n_right):
     return size, match_right
 
 
-def _fully_indecomposable_matching(rows):
-    # Frobenius-Konig: fully indecomposable iff every minor obtained by
-    # deleting one row and one column has a nonzero permanent, i.e. its
-    # bipartite support graph has a perfect matching.
-    r = len(rows)
-    for di in range(r):
-        for dj in range(r):
-            left = [i for i in range(r) if i != di]
-            right = [j for j in range(r) if j != dj]
-            adj = [[jj for jj, j in enumerate(right) if rows[i][j] != 0]
-                   for i in left]
-            size, _ = _bipartite_matching(adj, r - 1, r - 1)
-            if size < r - 1:
-                return False
-    return True
-
-
 def witness_sequence(m_entries, i, j):
     """Closed nonzero walk (i, j, ..., i, j) through a fully indecomposable
     matrix; indices are 1-based.
 
-    Grows the set of endpoints reachable by nonzero-entry walks whose first
-    step is (i, j); full indecomposability forces i to be reached.
-    Accepts a ColorMatrix or a nested list of rows.
+    The walk back from j to i is a shortest one, read off the predecessor
+    map of the search that tests full indecomposability, run from j on
+    the support digraph p -> q (M(p, q) != 0).  Raises PreconditionError
+    when M(i, j) = 0 or no such walk exists; the latter means the matrix
+    is not fully indecomposable.  Accepts a ColorMatrix or a nested list
+    of rows.
     """
-    if isinstance(m_entries, ColorMatrix):
-        m_entries = m_entries.entries
-    rows = [list(r) for r in m_entries]
-    r = len(rows)
+    succ = _row_masks(m_entries)
+    r = len(succ)
     if i == j:
         raise PreconditionError("need i != j")
     if not (1 <= i <= r and 1 <= j <= r):
         raise PreconditionError("indices out of range")
-    if rows[i - 1][j - 1] == 0:
+    if not succ[i - 1] >> (j - 1) & 1:
         raise PreconditionError(f"M({i},{j}) = 0")
-    # BFS over endpoint indices, remembering predecessors
-    parent = {j: None}
-    queue = [j]
-    while queue:
-        p = queue.pop(0)
-        if p == i:
-            break
-        for q in range(1, r + 1):
-            if q != p and rows[p - 1][q - 1] != 0 and q not in parent:
-                parent[q] = p
-                queue.append(q)
-    assert i in parent, "matrix is not fully indecomposable"
-    walk = [i]
-    while walk[-1] != j:
+    parent = _search(succ, j - 1)
+    if i - 1 not in parent:
+        raise PreconditionError(
+            f"no nonzero walk leads from {j} back to {i}: "
+            "the matrix is not fully indecomposable")
+    walk = [i - 1]
+    while walk[-1] != j - 1:
         walk.append(parent[walk[-1]])
-    walk.reverse()                      # j ... i
-    seq = tuple([i] + walk + [j])       # i, j, ..., i, j
+    # i, j, ..., i, j with 1-based indices
+    seq = tuple([i] + [p + 1 for p in reversed(walk)] + [j])
     ws = WitnessSequence(seq)
-    ws.check(rows)
+    ws.check(m_entries)
     return ws
 
 
@@ -368,6 +370,8 @@ def _normal_block(matrix):
     Every row and column of a fully indecomposable block of size >= 2 has
     an off-diagonal nonzero, so the block index set is forced: it must be
     exactly the set of indices incident to some nonzero off-diagonal entry.
+    The diagonal is positive here, so the full indecomposability test
+    takes it as its matching at every block size.
     """
     if matrix.is_diagonal():
         return None
@@ -377,11 +381,9 @@ def _normal_block(matrix):
     for i, j, _ in _off_diagonal_entries(matrix):
         block.add(i)
         block.add(j)
-    r = len(block)
-    if r < 2:
+    if len(block) < 2:
         return None
-    method = "matching" if r > DEFAULT_SUBSET_BOUND else "subset"
-    ok = is_fully_indecomposable(matrix.submatrix(block), method=method)
+    ok = is_fully_indecomposable(matrix.submatrix(block))
     return sorted(block) if ok else None
 
 
@@ -539,20 +541,18 @@ def _special_matrices(k, n):
 
 
 def _normal_matrices(k, n):
+    # each r x r block is tested once, then placed at every block position
     for r in range(2, k + 1):
         d_len = k - r
-        for block in combinations(range(k), r):
-            min_m = 2 * r            # each block row needs diag >= 1 and an off-diag
-            for m_sum in range(min_m, n - d_len + 1):
-                d_sum = n - m_sum
-                if d_sum < d_len:
+        # each block row needs diag >= 1 and an off-diag
+        for m_sum in range(2 * r, n - d_len + 1):
+            d_values = list(_compositions(n - m_sum, d_len, minimum=1))
+            for flat in _compositions(m_sum - r, r * r):
+                m = [[flat[p * r + q] + (1 if p == q else 0)
+                      for q in range(r)] for p in range(r)]
+                if not is_fully_indecomposable(m):
                     continue
-                d_values = list(_compositions(d_sum, d_len, minimum=1))
-                for flat in _compositions(m_sum - r, r * r):
-                    m = [[flat[p * r + q] + (1 if p == q else 0)
-                          for q in range(r)] for p in range(r)]
-                    if not is_fully_indecomposable(m):
-                        continue
+                for block in combinations(range(k), r):
                     rest = [p for p in range(k) if p not in block]
                     for dv in d_values:
                         entries = [[0] * k for _ in range(k)]

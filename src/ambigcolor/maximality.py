@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .coloring import (_class_masks, chromatic_number, count_colorings,
                        enumerate_colorings)
-from .errors import PreconditionError, ReconstructionError, ResourceLimitError
-from .graphcore import (ENUMERATION_MAX_N, build_graph, canonical_form,
-                        enumerate_labeled_graphs, graph_levels, matrix_labels)
+from .errors import PreconditionError, ReconstructionError
+from .graphcore import build_graph, graph_levels, matrix_labels
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
@@ -118,7 +117,8 @@ def reconstruct_matrix(g, k):
     k-colorable or when any internal check fails (the latter cannot happen
     on a maximal ambiguously k-colorable input).
     """
-    if count_colorings(g, k, 2) < 2:
+    cols = enumerate_colorings(g, k, limit=2)
+    if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
 
     if count_colorings(g, k - 1, 1) >= 1:
@@ -132,7 +132,6 @@ def reconstruct_matrix(g, k):
             colorings=(col.class_sets(),), h_edges=[], matching=[],
             r=0, matrix=matrix, relabeling=relabeling)
     else:
-        cols = enumerate_colorings(g, k, limit=2)
         a_classes = [set(c) for c in cols[0].classes()]
         b_classes = [set(c) for c in cols[1].classes()]
         if len(a_classes) != k or len(b_classes) != k:
@@ -215,18 +214,7 @@ def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
 
 
-def _labeled_classes(n):
-    """One graph per isomorphism class on n vertices, found by filtering
-    all labeled graphs (the cross-check of ``graph_levels``)."""
-    seen = {}
-    for g in enumerate_labeled_graphs(n):
-        cert = canonical_form(g)
-        if cert not in seen:
-            seen[cert] = g
-    return [seen[c] for c in sorted(seen)]
-
-
-def verify_theorem1(max_n, k_list, use_labeled=False):
+def verify_theorem1(max_n, k_list):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
@@ -234,18 +222,11 @@ def verify_theorem1(max_n, k_list, use_labeled=False):
     desirable matrix with entry sum n is checked to induce a maximal
     ambiguously k-colorable graph.
     """
-    if max_n > ENUMERATION_MAX_N:       # use_labeled skips graph_levels
-        raise ResourceLimitError(
-            f"verify_theorem1 limited to max_n <= {ENUMERATION_MAX_N}")
     if max_n < 1 or not k_list:
         raise PreconditionError(
             "verify_theorem1 needs max_n >= 1 and a non-empty k list")
-    if use_labeled:
-        levels = ((n, _labeled_classes(n)) for n in range(1, max_n + 1))
-    else:
-        levels = graph_levels(max_n)
     rows = []
-    for n, graphs in levels:
+    for n, graphs in graph_levels(max_n):
         for k in k_list:
             maximal = 0
             matched = 0

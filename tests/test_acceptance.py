@@ -153,7 +153,7 @@ def test_criterion_06_witness_sequence_property_suite():
         r = rng.randint(2, 6)
         m = ColorMatrix([[rng.randint(0, 2) for _ in range(r)]
                          for _ in range(r)])
-        if not is_fully_indecomposable(m, method="matching"):
+        if not is_fully_indecomposable(m):
             continue
         matrices += 1
         for i in range(1, r + 1):

@@ -3,12 +3,16 @@
 A search's cost ceiling is a named module constant, checked once in the
 function that runs the search.  Each case reads the constant, calls its
 entry point one above it and expects ResourceLimitError; on the CLI that
-is exit code 3 with nothing on stdout.
+is exit code 3 with nothing on stdout.  README's Limits table lists every
+ceiling with its module and value, and is checked against the modules.
 """
+
+import importlib
+from pathlib import Path
 
 import pytest
 
-from ambigcolor import dfold, extremal, graphcore, matrix, perfection
+from ambigcolor import dfold, extremal, graphcore, perfection
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
 from ambigcolor.graphcore import empty_graph
@@ -28,9 +32,6 @@ CEILINGS = {
                          graphcore.enumerate_graphs),
     "verify_theorem1": (graphcore, "ENUMERATION_MAX_N",
                         lambda n: verify_theorem1(n, [2])),
-    "verify_theorem1-labeled": (
-        graphcore, "ENUMERATION_MAX_N",
-        lambda n: verify_theorem1(n, [2], use_labeled=True)),
     "brute_force_max_edges": (
         graphcore, "ORACLE_MAX_N",
         lambda n: extremal.brute_force_max_edges(n, 2)),
@@ -52,10 +53,6 @@ CEILINGS = {
     "count_perfect_matchings": (
         dfold, "MATCHING_MAX_N",
         lambda n: dfold.count_perfect_matchings(empty_graph(n))),
-    "is_fully_indecomposable-subset": (
-        matrix, "DEFAULT_SUBSET_BOUND",
-        lambda r: matrix.is_fully_indecomposable([[1] * r] * r,
-                                                 method="subset")),
 }
 
 
@@ -75,3 +72,33 @@ def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
     max_n = str(getattr(module, constant) + 1)
     assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 3
     assert capsys.readouterr().out == ""
+
+
+def limits_table():
+    """(constant, module, value) for every row of README's Limits table;
+    a row may list several constants and values, comma-separated, and a
+    value may be a power such as 10^6."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| Constant | Module | Value | Protects |") + 2
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names, module, values = (
+            cell.strip() for cell in line.split("|")[1:4])
+        for name, value in zip(names.split(", "), values.split(", "),
+                               strict=True):
+            base, _, exponent = value.partition("^")
+            table.append((name.strip("`"), module.strip("`"),
+                          int(base) ** int(exponent or 1)))
+    return table
+
+
+def test_readme_limits_table_matches_the_modules():
+    table = limits_table()
+    for name, module, value in table:
+        assert getattr(importlib.import_module(f"ambigcolor.{module}"),
+                       name) == value, name
+    listed = {(module, name) for name, module, _ in table}
+    for module, constant, _ in CEILINGS.values():
+        assert (module.__name__.rsplit(".", 1)[1], constant) in listed

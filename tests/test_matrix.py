@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -212,14 +213,55 @@ def test_fully_indecomposable_known():
     assert not is_fully_indecomposable(ColorMatrix([[0]]))
 
 
-def test_fully_indecomposable_methods_agree():
+def oracle_is_fully_indecomposable(rows):
+    """Reference: scan all 2^r - 2 proper row subsets for one whose common
+    zero columns number at least r - |subset|; order 1 must be nonzero."""
+    r = len(rows)
+    if r == 1:
+        return rows[0][0] != 0
+    # zero_masks[i]: bitmask of columns j with M(i, j) == 0
+    zero_masks = [sum(1 << j for j in range(r) if rows[i][j] == 0)
+                  for i in range(r)]
+    for subset in range(1, (1 << r) - 1):
+        common = (1 << r) - 1
+        for i in range(r):
+            if subset >> i & 1:
+                common &= zero_masks[i]
+        if common.bit_count() >= r - subset.bit_count():
+            return False
+    return True
+
+
+def test_fully_indecomposable_matches_oracle_on_all_01_matrices():
+    for r in range(1, 5):
+        for bits in range(1 << (r * r)):
+            rows = [[bits >> (i * r + j) & 1 for j in range(r)]
+                    for i in range(r)]
+            assert (is_fully_indecomposable(rows)
+                    == oracle_is_fully_indecomposable(rows)), rows
+
+
+def test_fully_indecomposable_matches_oracle_on_random_matrices():
+    # zero diagonal entries are frequent, so the matching branch runs
     rng = random.Random(5)
-    for _ in range(300):
-        r = rng.randint(1, 5)
-        m = ColorMatrix([[rng.randint(0, 2) for _ in range(r)]
-                         for _ in range(r)])
-        assert (is_fully_indecomposable(m, method="subset")
-                == is_fully_indecomposable(m, method="matching")), m.entries
+    verdicts = set()
+    for _ in range(3000):
+        r = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 1, 2)) for _ in range(r)]
+                for _ in range(r)]
+        fi = is_fully_indecomposable(rows)
+        assert fi == oracle_is_fully_indecomposable(rows), rows
+        verdicts.add((fi, all(rows[i][i] for i in range(r))))
+    assert verdicts == {(True, True), (True, False),
+                        (False, True), (False, False)}
+
+
+def test_classify_large_cyclic_block():
+    for r in (16, 32):
+        m = ColorMatrix([[1 if j in (i, (i + 1) % r) else 0
+                          for j in range(r)] for i in range(r)])
+        v = classify(m)
+        assert v.verdict == NORMAL and v.r == r
 
 
 @st.composite
@@ -231,7 +273,7 @@ def fi_matrices(draw):
             st.lists(st.integers(0, 3), min_size=r, max_size=r),
             min_size=r, max_size=r))
         m = ColorMatrix(rows)
-        if is_fully_indecomposable(m, method="matching"):
+        if is_fully_indecomposable(m):
             return m
     # dense fallback, always fully indecomposable
     return ColorMatrix([[1] * r for _ in range(r)])
@@ -259,6 +301,11 @@ def test_witness_sequence_rejects_zero_entry():
     m = ColorMatrix([[1, 1], [1, 1]])
     with pytest.raises(PreconditionError):
         witness_sequence(m, 1, 1)
+    with pytest.raises(PreconditionError):
+        witness_sequence([[1, 0], [1, 1]], 1, 2)
+    # no nonzero walk leads from 2 back to 1
+    with pytest.raises(PreconditionError):
+        witness_sequence([[1, 1], [0, 1]], 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +320,21 @@ def test_enumerate_desirable_orders_and_filters():
     vs = list(enumerate_desirable(3, 6, filters=("very-special",)))
     assert vs and all(classify(m).verdict == SPECIAL
                       and classify(m).variants for m in vs)
+
+
+def test_enumerate_desirable_is_complete():
+    # every k x k matrix of entry sum n that classify calls desirable
+    for k, max_n in ((1, 7), (2, 7), (3, 7), (4, 5)):
+        for n in range(max_n + 1):
+            desirable = set()
+            # stars and bars: each matrix of entry sum n once
+            for cut in combinations(range(n + k * k - 1), k * k - 1):
+                flat = [b - a - 1 for a, b in
+                        zip((-1,) + cut, cut + (n + k * k - 1,))]
+                m = ColorMatrix([flat[i * k:(i + 1) * k] for i in range(k)])
+                if classify(m).desirable:
+                    desirable.add(m)
+            assert set(enumerate_desirable(k, n)) == desirable, (k, n)
 
 
 def test_enumerate_desirable_no_duplicates():

@@ -212,14 +212,6 @@ def test_verify_theorem1_rejects_vacuous_runs():
         verify_theorem1(4, [])
 
 
-def test_verify_theorem1_labeled_cross_check():
-    rows_canon = verify_theorem1(4, [2, 3])
-    rows_label = verify_theorem1(4, [2, 3], use_labeled=True)
-    for a, b in zip(rows_canon, rows_label):
-        assert (a.graphs, a.maximal_ambiguous, a.matched_by_matrix) \
-            == (b.graphs, b.maximal_ambiguous, b.matched_by_matrix)
-
-
 def test_report_json_schema():
     rows = verify_theorem1(3, [2])
     obj = json.loads(theorem1_report_json(rows))
