@@ -40,11 +40,13 @@ class Coloring:
         return [frozenset(c) for c in self.classes()]
 
     def check_anticliques(self, g):
+        """True, or PreconditionError naming a class with an edge inside."""
         for cls in self.classes():
             for a in range(len(cls)):
                 for b in range(a + 1, len(cls)):
-                    assert not g.has_edge(cls[a], cls[b]), \
-                        f"class {cls} is not an anticlique"
+                    if g.has_edge(cls[a], cls[b]):
+                        raise PreconditionError(
+                            f"class {cls} is not an anticlique")
         return True
 
     def to_text(self):
@@ -102,11 +104,16 @@ def _class_masks(g, k):
         c += 1
 
 
+def _ordered_classes(masks):
+    """The nonzero class bitmasks of a coloring, ordered by smallest vertex
+    (the order of `Coloring.classes`)."""
+    return sorted((m for m in masks if m), key=lambda m: m & -m)
+
+
 def _rgs(masks, n):
     """Restricted-growth string of a partition given by class bitmasks."""
     rgs = [0] * n
-    classes = sorted((m for m in masks if m), key=lambda m: m & -m)
-    for c, m in enumerate(classes):
+    for c, m in enumerate(_ordered_classes(masks)):
         while m:
             rgs[(m & -m).bit_length() - 1] = c
             m &= m - 1

@@ -6,9 +6,11 @@ example whose complement is maximal 3-fold 4-colorable but imperfect.
 from __future__ import annotations
 
 import json
-from itertools import product
+from functools import reduce
+from itertools import islice, product
+from operator import and_
 
-from .coloring import count_colorings, enumerate_colorings
+from .coloring import _class_masks, _ordered_classes, count_colorings
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 from .graphcore import SimpleGraph, graph_from_labels
 from .matrix import load_matrix, nonnegative_ints
@@ -16,6 +18,16 @@ from .maximality import is_maximal
 
 MAX_TENSOR_CELLS = 10 ** 6
 MATCHING_MAX_N = 24
+
+
+def _check_cells(k, d):
+    """Raise ResourceLimitError when a k^d tensor has more than
+    MAX_TENSOR_CELLS cells."""
+    # k >= 2 and 2^d > MAX_TENSOR_CELLS: reject before computing k^d
+    if (k > 1 and d >= MAX_TENSOR_CELLS.bit_length()
+            or k ** d > MAX_TENSOR_CELLS):
+        raise ResourceLimitError(
+            f"k^d exceeds {MAX_TENSOR_CELLS} cells (k = {k}, d = {d})")
 
 
 class ColorTensor:
@@ -27,11 +39,7 @@ class ColorTensor:
         k, d = nonnegative_ints((k, d))
         if k < 1 or d < 2:
             raise InputFormatError("need k >= 1 and d >= 2")
-        # k >= 2 and 2^d > MAX_TENSOR_CELLS: reject before computing k^d
-        if (k > 1 and d >= MAX_TENSOR_CELLS.bit_length()
-                or k ** d > MAX_TENSOR_CELLS):
-            raise ResourceLimitError(
-                f"k^d exceeds {MAX_TENSOR_CELLS} cells (k = {k}, d = {d})")
+        _check_cells(k, d)
         flat = nonnegative_ints(entries_flat)
         if len(flat) != k ** d:
             raise InputFormatError(
@@ -105,44 +113,22 @@ def is_maximal_dfold(g, d, k):
 
 def recover_tensor(g, d, k):
     """Tensor with A(i_1, ..., i_d) = |C^1_{i_1} n ... n C^d_{i_d}| from
-    the first d colorings in enumeration order.
+    the first d colorings in search order, the classes of each ordered by
+    smallest vertex and padded with empty classes up to k.
 
-    Classes of coloring 1 keep their enumeration order; classes of each
-    later coloring are aligned to it greedily by largest intersection
-    (ties by smallest vertex), then padded with empty classes up to k.
+    Reordering the classes of one coloring permutes the index values of one
+    coordinate, which leaves G(A) unchanged up to isomorphism, so no
+    alignment between the colorings is needed.
     """
-    cols = enumerate_colorings(g, k, limit=d)
+    if d < 1 or k < 0:
+        raise PreconditionError("need d >= 1 and k >= 0")
+    _check_cells(k, d)
+    cols = [_ordered_classes(masks)
+            for masks in islice(_class_masks(g, k), d)]
     if len(cols) < d:
         raise PreconditionError(f"graph has fewer than {d} {k}-colorings")
-    base = [set(c) for c in cols[0].classes()]
-    base += [set() for _ in range(k - len(base))]
-    aligned = [base]
-    for col in cols[1:]:
-        classes = [set(c) for c in col.classes()]
-        slots = [None] * k
-        free = set(range(len(classes)))
-        pairs = sorted(
-            ((len(base[i] & classes[j]), i, j)
-             for i in range(k) for j in range(len(classes))),
-            key=lambda t: (-t[0], min(classes[t[2]], default=-1), t[1]))
-        used_slots = set()
-        for _, i, j in pairs:
-            if i in used_slots or j not in free:
-                continue
-            slots[i] = classes[j]
-            used_slots.add(i)
-            free.discard(j)
-        leftovers = sorted(free, key=lambda j: min(classes[j]))
-        for i in range(k):
-            if slots[i] is None:
-                slots[i] = classes[leftovers.pop(0)] if leftovers else set()
-        aligned.append(slots)
-    flat = []
-    for idx in product(range(k), repeat=d):
-        common = aligned[0][idx[0]]
-        for p in range(1, d):
-            common = common & aligned[p][idx[p]]
-        flat.append(len(common))
+    padded = [c + [0] * (k - len(c)) for c in cols]
+    flat = [reduce(and_, cell).bit_count() for cell in product(*padded)]
     return ColorTensor(k, d, flat)
 
 

@@ -66,7 +66,7 @@ class LemmaBoundInput:
 
 
 def lemma_bound(bound_input, g):
-    """Right-hand side of the bound; the caller may assert |E(G)| <= it.
+    """Right-hand side of the bound, which |E(G)| never exceeds.
 
     bound = ex(n, K_{k+1}) - (2 * (alpha * r - |V(H)|) - r_0) - d,
     with H the induced subgraph on the selected classes, d the number of
@@ -87,6 +87,10 @@ def lemma_bound(bound_input, g):
                     raise PreconditionError(
                         f"class {cls} is not an anticlique")
     alpha = n // k
+    if (len(set(bound_input.selected)) != len(bound_input.selected)
+            or any(not 0 <= i < k for i in bound_input.selected)):
+        raise PreconditionError(
+            f"selected indices must be distinct and in 0..{k - 1}")
     selected = [partition[i] for i in bound_input.selected]
     if any(len(c) > alpha for c in selected):
         raise PreconditionError("selected classes must have size <= alpha")
@@ -102,14 +106,6 @@ def lemma_bound(bound_input, g):
                         d += 1
     r0 = sum(1 for c in selected if len(c) <= alpha - 1)
     return turan_number(n, k) - (2 * (alpha * r - m_h) - r0) - d
-
-
-def check_lemma_bound(bound_input, g):
-    """(edge count, bound) pair with the inequality asserted."""
-    bound = lemma_bound(bound_input, g)
-    edges = g.m
-    assert edges <= bound, f"|E(G)| = {edges} exceeds bound {bound}"
-    return edges, bound
 
 
 # ---------------------------------------------------------------------------

@@ -200,15 +200,19 @@ class WitnessSequence:
         return len(self.indices) - 1
 
     def check(self, m_entries):
-        """Assert the three defining invariants against a matrix."""
+        """Check the defining invariants against a matrix (l >= 3 holds by
+        construction); raise PreconditionError naming the first that
+        fails."""
         if isinstance(m_entries, ColorMatrix):
             m_entries = m_entries.entries
         f = self.indices
-        assert self.length >= 3
         for h in range(1, len(f)):
-            assert f[h - 1] != f[h], "consecutive indices equal"
-            assert m_entries[f[h - 1] - 1][f[h] - 1] != 0, "zero entry step"
-        assert (f[0], f[1]) == (f[-2], f[-1]), "endpoints do not repeat start"
+            if f[h - 1] == f[h]:
+                raise PreconditionError("consecutive indices equal")
+            if m_entries[f[h - 1] - 1][f[h] - 1] == 0:
+                raise PreconditionError("zero entry step")
+        if (f[0], f[1]) != (f[-2], f[-1]):
+            raise PreconditionError("endpoints do not repeat start")
 
 
 # ---------------------------------------------------------------------------

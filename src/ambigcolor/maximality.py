@@ -1,21 +1,21 @@
 """Maximal (ambiguous) k-colorability, certificate-matrix reconstruction,
 and the exhaustive characterization-theorem harness.
 
-Reconstruction follows the necessity argument: a (k-1)-colorable input is
-complete multipartite up to one near-clique and yields a tiny or small
-diagonal certificate; otherwise two distinct k-colorings are intersected,
-a perfect matching of the class-intersection bipartite graph fixes the
-pairing, and the entry counts |A_i n B_j| form the certificate, which is
-special or normal.
+Reconstruction follows the necessity argument and reads the first two
+k-colorings as class bitmasks.  When the first has fewer than k classes, a
+maximal input is complete multipartite, with a tiny or small diagonal
+certificate; otherwise a perfect matching of the class-intersection
+bipartite graph of the two colorings fixes the pairing, and the entry
+counts |A_i n B_j| form the certificate, which is special or normal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
-from .coloring import (_class_masks, chromatic_number, count_colorings,
-                       enumerate_colorings)
+from .coloring import _class_masks, _ordered_classes
 from .errors import PreconditionError, ReconstructionError
 from .graphcore import build_graph, graph_levels, matrix_labels
 from .matrix import (ColorMatrix, _bipartite_matching, classify,
@@ -73,7 +73,7 @@ def is_maximal_colorable(g, k):
 @dataclass
 class ReconstructionTrace:
     """Audit trail of the necessity-direction reconstruction."""
-    colorings: tuple                  # the two k-colorings used (class sets)
+    colorings: tuple                  # k-colorings used (class sets)
     h_edges: list                     # bipartite graph on class pairs
     matching: list                    # matching[i] = matched B-class of A-class i
     r: int                            # labels with A_j != B_j
@@ -81,15 +81,29 @@ class ReconstructionTrace:
     relabeling: dict                  # vertex -> (i, j, t) label in G(A)
 
 
-def _diagonal_certificate(k, coloring):
-    """Diagonal certificate of the classes sorted by size, descending, and
-    the relabeling that sends class i to the labels (i+1, i+1, t)."""
-    classes = sorted(coloring.classes(), key=len, reverse=True)
-    diag = [len(c) for c in classes] + [0] * (k - len(classes))
-    entries = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    relabeling = {v: (i + 1, i + 1, t)
-                  for i, cls in enumerate(classes)
-                  for t, v in enumerate(cls, start=1)}
+def _vertices(mask):
+    """Vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _class_sets(classes):
+    """Class bitmasks as vertex sets, the form of `Coloring.class_sets`."""
+    return [frozenset(_vertices(m)) for m in classes]
+
+
+def _certificate(a_ord, b_ord):
+    """Matrix of the entries |A_i n B_j| of two equally long lists of class
+    bitmasks, and the relabeling that sends the vertices of A_i n B_j,
+    ascending, to the labels (i+1, j+1, t)."""
+    entries = [[(a & b).bit_count() for b in b_ord] for a in a_ord]
+    relabeling = {v: (i, j, t)
+                  for i, a in enumerate(a_ord, start=1)
+                  for j, b in enumerate(b_ord, start=1)
+                  for t, v in enumerate(_vertices(a & b), start=1)}
     return ColorMatrix(entries), relabeling
 
 
@@ -117,30 +131,25 @@ def reconstruct_matrix(g, k):
     k-colorable or when any internal check fails (the latter cannot happen
     on a maximal ambiguously k-colorable input).
     """
-    cols = enumerate_colorings(g, k, limit=2)
+    cols = [_ordered_classes(masks)
+            for masks in islice(_class_masks(g, k), 2)]
     if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
-
-    if count_colorings(g, k - 1, 1) >= 1:
-        # tiny / small route: an optimal coloring of a maximal ambiguous
-        # (k-1)-colorable graph has classes of size <= 2, exactly one of
-        # size 2, padded with zero diagonal entries
-        chi = chromatic_number(g)
-        col = enumerate_colorings(g, chi, limit=1)[0]
-        matrix, relabeling = _diagonal_certificate(k, col)
+    a, b = cols
+    if len(a) < k:
+        # tiny / small route: the certificate is diagonal, and the first
+        # coloring is the greedy one, whose classes on a complete
+        # multipartite graph are its parts in any vertex order; any other
+        # graph fails the isomorphism check below
+        parts = sorted(a, key=int.bit_count, reverse=True)
+        parts += [0] * (k - len(parts))
+        matrix, relabeling = _certificate(parts, parts)
         trace = ReconstructionTrace(
-            colorings=(col.class_sets(),), h_edges=[], matching=[],
+            colorings=(_class_sets(a),), h_edges=[], matching=[],
             r=0, matrix=matrix, relabeling=relabeling)
     else:
-        a_classes = [set(c) for c in cols[0].classes()]
-        b_classes = [set(c) for c in cols[1].classes()]
-        if len(a_classes) != k or len(b_classes) != k:
-            raise ReconstructionError(
-                "k-colorings of a non-(k-1)-colorable graph must have "
-                "exactly k classes")
-        adj = [[j for j in range(k) if a_classes[i] & b_classes[j]]
-               for i in range(k)]
-        size, match_right = _bipartite_matching(adj, k, k)
+        adj = [[j for j in range(len(b)) if a[i] & b[j]] for i in range(k)]
+        size, match_right = _bipartite_matching(adj, k, len(b))
         if size < k:
             raise ReconstructionError(
                 "Hall condition failed on the class-intersection graph")
@@ -148,28 +157,16 @@ def reconstruct_matrix(g, k):
         for j, i in enumerate(match_right):
             match[i] = j
         # labels with A != B first, each group ascending by class minimum
-        pairs = [(i, match[i]) for i in range(k)]
-        differ = [p for p in pairs if a_classes[p[0]] != b_classes[p[1]]]
-        equal = [p for p in pairs if a_classes[p[0]] == b_classes[p[1]]]
-        differ.sort(key=lambda p: min(a_classes[p[0]]))
-        equal.sort(key=lambda p: min(a_classes[p[0]]))
-        order = differ + equal
-        r = len(differ)
+        order = sorted(range(k), key=lambda i: (a[i] == b[match[i]],
+                                                a[i] & -a[i]))
+        r = sum(a[i] != b[match[i]] for i in range(k))
         if r < 2:
             raise ReconstructionError("matched colorings coincide")
-        a_ord = [a_classes[p[0]] for p in order]
-        b_ord = [b_classes[p[1]] for p in order]
-        entries = [[len(a_ord[i] & b_ord[j]) for j in range(k)]
-                   for i in range(k)]
-        matrix = ColorMatrix(entries)
-        relabeling = {}
-        for i in range(k):
-            for j in range(k):
-                for t, v in enumerate(sorted(a_ord[i] & b_ord[j]), start=1):
-                    relabeling[v] = (i + 1, j + 1, t)
+        matrix, relabeling = _certificate([a[i] for i in order],
+                                          [b[match[i]] for i in order])
         h_edges = [(i, j) for i in range(k) for j in adj[i]]
         trace = ReconstructionTrace(
-            colorings=(cols[0].class_sets(), cols[1].class_sets()),
+            colorings=(_class_sets(a), _class_sets(b)),
             h_edges=h_edges, matching=match, r=r, matrix=matrix,
             relabeling=relabeling)
 
@@ -181,7 +178,7 @@ def reconstruct_matrix(g, k):
         raise ReconstructionError("entry sum does not match vertex count")
     # G is a spanning subgraph of the graph the relabeling carries onto
     # G(A), so G is isomorphic to G(A) iff the relabeling is an isomorphism
-    if not _is_isomorphism(g, matrix, trace.relabeling):
+    if not _is_isomorphism(g, matrix, relabeling):
         raise ReconstructionError("G(A) is not isomorphic to the input")
     return matrix, trace
 

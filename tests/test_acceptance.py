@@ -14,7 +14,7 @@ from ambigcolor.coloring import (chromatic_number, count_colorings,
 from ambigcolor.dfold import (count_perfect_matchings, is_dfold_colorable,
                               is_maximal_dfold, join, seymour_example)
 from ambigcolor.extremal import (LemmaBoundInput, brute_force_max_edges,
-                                 check_lemma_bound, turan_number,
+                                 lemma_bound, turan_number,
                                  verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   canonical_form, clique_number, complement,
@@ -133,15 +133,13 @@ def test_criterion_05_edge_bound_property_suite():
         alpha = n // k
         eligible = [i for i, c in enumerate(partition) if len(c) <= alpha]
         selected = rng.sample(eligible, rng.randint(0, len(eligible)))
-        m, bound = check_lemma_bound(LemmaBoundInput(partition, selected), g)
-        assert m <= bound
+        assert g.m <= lemma_bound(LemmaBoundInput(partition, selected), g)
         checked += 1
     # equality instance: the mininormal certificate at (n, k) = (6, 3)
     g = build_graph(ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
     col = enumerate_colorings(g, 3, limit=1)[0]
     partition = [sorted(c) for c in col.classes()]
-    m, bound = check_lemma_bound(LemmaBoundInput(partition, [0, 1, 2]), g)
-    assert m == bound == 10
+    assert g.m == lemma_bound(LemmaBoundInput(partition, [0, 1, 2]), g) == 10
     report(5, "1000 random instances satisfy the bound; mininormal "
               "instance tight at 10")
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigcolor.coloring import (MAX_N, chromatic_number, count_colorings,
-                                 enumerate_colorings, is_ambiguously_colorable,
+from ambigcolor.coloring import (MAX_N, Coloring, _class_masks,
+                                 _ordered_classes, chromatic_number,
+                                 count_colorings, enumerate_colorings,
+                                 is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
 from ambigcolor.dfold import is_dfold_colorable, is_maximal_dfold, recover_tensor
-from ambigcolor.errors import ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, complete_graph, cycle_graph,
+from ambigcolor.errors import PreconditionError, ResourceLimitError
+from ambigcolor.graphcore import (SimpleGraph, complete_graph,
+                                  complete_multipartite, cycle_graph,
                                   empty_graph, path_graph)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    is_maximal_colorable, reconstruct_matrix)
@@ -62,6 +65,8 @@ def test_coloring_object():
         assert c.num_classes <= 2
     # classes are reported with vertex 0's class first
     assert all(0 in c.classes()[0] for c in cols)
+    with pytest.raises(PreconditionError):
+        Coloring((0, 0, 1)).check_anticliques(g)     # edge 01 inside a class
 
 
 def test_known_counts():
@@ -157,6 +162,25 @@ def test_count_matches_iteration_under_shuffled_orders():
                 assert len(list(iter_colorings(h, k))) == total
                 for cap in (1, 2, 3, 7, 10 ** 6):
                     assert count_colorings(h, k, cap) == min(cap, total)
+
+
+def test_first_coloring_of_complete_multipartite_is_its_parts():
+    # reconstruct_matrix's diagonal route rests on this: the first coloring
+    # the search finds is greedy, so its classes are the parts
+    rng = random.Random(5)
+    for _ in range(200):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+        g = complete_multipartite(sizes)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.permuted(perm)
+        part_of = [p for p, s in enumerate(sizes) for _ in range(s)]
+        parts = [0] * len(sizes)
+        for v, old in enumerate(perm):
+            parts[part_of[old]] |= 1 << v
+        for k in range(len(sizes), len(sizes) + 3):
+            first = next(_class_masks(h, k))
+            assert _ordered_classes(first) == _ordered_classes(parts)
 
 
 def test_one_ceiling_for_every_coloring_entry_point():

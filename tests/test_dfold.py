@@ -12,9 +12,9 @@ from ambigcolor.dfold import (ColorTensor, build_graph_d,
 from ambigcolor.errors import InputFormatError, PreconditionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   clique_number, complement, complete_graph,
-                                  cycle_graph, path_graph)
+                                  cycle_graph, enumerate_graphs, path_graph)
 from ambigcolor.matrix import ColorMatrix
-from ambigcolor.maximality import is_maximal_ambiguous
+from ambigcolor.maximality import is_maximal, is_maximal_ambiguous
 
 
 def test_tensor_container():
@@ -94,11 +94,18 @@ def test_maximal_dfold_vs_maximal_ambiguous():
 
 
 def test_recover_tensor_round_trip():
-    m = ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])
-    g = build_graph(m)
-    t = recover_tensor(g, 2, 3)
-    g2 = build_graph_d(t)
-    assert are_isomorphic(g, g2)
+    # every maximal d-fold k-colorable graph G with n <= 7 is isomorphic
+    # to G(T) for the tensor T of its first d colorings
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for k in (2, 3, 4):
+                for d in (2, 3, 4):
+                    if is_maximal(g, k, d):
+                        t = recover_tensor(g, d, k)
+                        assert are_isomorphic(g, build_graph_d(t))
+                        checked += 1
+    assert checked == 244
     with pytest.raises(PreconditionError):
         recover_tensor(complete_graph(3), 2, 3)   # only one coloring
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ambigcolor.coloring import enumerate_colorings
 from ambigcolor.errors import PreconditionError
 from ambigcolor.extremal import (LemmaBoundInput, ambiguous_max_edges,
-                                 brute_force_max_edges, check_lemma_bound,
+                                 brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
                                  max_edges_by_order,
                                  turan_number, turan_report_json,
@@ -139,8 +139,7 @@ def test_lemma_bound_random_instances():
         n = rng.randint(2, 10)
         k = rng.randint(2, min(4, n))
         bound_input, g = spanning_subgraph_instance(rng, n, k)
-        edges, bound = check_lemma_bound(bound_input, g)
-        assert edges <= bound
+        assert g.m <= lemma_bound(bound_input, g)
         done += 1
 
 
@@ -153,8 +152,7 @@ def test_lemma_bound_equality_at_mininormal():
     col = enumerate_colorings(g, 3, limit=1)[0]
     partition = [sorted(c) for c in col.classes()]
     bound_input = LemmaBoundInput(partition, [0, 1, 2])
-    edges, bound = check_lemma_bound(bound_input, g)
-    assert edges == bound == 10
+    assert g.m == lemma_bound(bound_input, g) == 10
 
 
 def test_lemma_bound_validates_input():
@@ -170,6 +168,12 @@ def test_lemma_bound_validates_input():
             LemmaBoundInput([[0, 1, 2], [3], [4], [5]],
                             [0]),
             SimpleGraph(6, [(0, 3), (1, 4), (2, 5)]))
+    partition = [[0, 1], [2, 3], [4, 5]]
+    # a repeated index counted class 0 twice (bound 8 < 12 edges), -1
+    # aliased class 2, and 3 raised IndexError
+    for selected in ([0, 0], [-1], [3]):
+        with pytest.raises(PreconditionError):
+            lemma_bound(LemmaBoundInput(partition, selected), g)
 
 
 def test_lemma_bound_turan_graph_tightness():
@@ -187,5 +191,4 @@ def test_lemma_bound_property(seed):
     n = rng.randint(2, 10)
     k = rng.randint(2, min(4, n))
     bound_input, g = spanning_subgraph_instance(rng, n, k)
-    edges, bound = check_lemma_bound(bound_input, g)
-    assert edges <= bound
+    assert g.m <= lemma_bound(bound_input, g)

@@ -1,4 +1,6 @@
-"""Every name a package module imports is referenced in that module."""
+"""Every name a package module imports is referenced in that module, and
+no module checks anything with an assert statement (python -O strips
+them)."""
 
 import ast
 from pathlib import Path
@@ -28,3 +30,12 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(ambigcolor.__file__)],
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert at lines {lines}"

@@ -8,6 +8,7 @@ ceiling with its module and value, and is checked against the modules.
 """
 
 import importlib
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from ambigcolor import dfold, extremal, graphcore, perfection
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
-from ambigcolor.graphcore import empty_graph
+from ambigcolor.graphcore import SimpleGraph, empty_graph
 from ambigcolor.maximality import verify_theorem1
 
 CEILINGS = {
@@ -61,6 +62,16 @@ def test_ceiling_raises_one_above_its_constant(case):
     module, constant, call = CEILINGS[case]
     with pytest.raises(ResourceLimitError):
         call(getattr(module, constant) + 1)
+
+
+def test_recover_tensor_checks_cells_before_counting():
+    # 10^7 cells from 7 of the 15 colorings of four isolated vertices with
+    # 10 colors: counting them before the ceiling check takes about 10 s
+    assert 10 ** 7 > dfold.MAX_TENSOR_CELLS
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        dfold.recover_tensor(SimpleGraph(4), 7, 10)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("theorem, module, constant", [

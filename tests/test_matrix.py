@@ -1,20 +1,26 @@
 """Matrix parsing, classification, full indecomposability, witness walks."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ambigcolor
 from ambigcolor.errors import InputFormatError, PreconditionError
 from ambigcolor.matrix import (NORMAL, NOT_DESIRABLE, SMALL, SPECIAL, TINY,
                                VARIANT_A, VARIANT_B, VARIANT_C, VARIANT_PLAIN,
-                               ColorMatrix, balance_flags, classify,
-                               enumerate_desirable, is_fully_indecomposable,
-                               is_mininormal, load_matrix, special_variant,
-                               special_variants, witness_sequence)
+                               ColorMatrix, WitnessSequence, balance_flags,
+                               classify, enumerate_desirable,
+                               is_fully_indecomposable, is_mininormal,
+                               load_matrix, special_variant, special_variants,
+                               witness_sequence)
 
 
 def diag(*entries):
@@ -306,6 +312,28 @@ def test_witness_sequence_rejects_zero_entry():
     # no nonzero walk leads from 2 back to 1
     with pytest.raises(PreconditionError):
         witness_sequence([[1, 1], [0, 1]], 1, 2)
+
+
+def test_witness_sequence_check_raises_under_optimization():
+    # the invariants are checked by raising, not by assert, so they still
+    # hold when Python runs with -O
+    code = ("from ambigcolor.errors import PreconditionError\n"
+            "from ambigcolor.matrix import WitnessSequence\n"
+            "try:\n"
+            "    WitnessSequence((1, 2, 1, 1)).check([[1, 0], [0, 1]])\n"
+            "except PreconditionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(ambigcolor.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0
+    ones = [[1, 1], [1, 1]]
+    WitnessSequence((1, 2, 1, 2)).check(ones)
+    for bad in ((1, 1, 2, 1, 1), (1, 2, 1, 2, 1)):
+        with pytest.raises(PreconditionError):
+            WitnessSequence(bad).check(ones)
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,18 @@ def test_reconstruct_trace_is_consistent():
 
 
 def test_round_trip_families_sample():
+    # each G(A) in its built vertex order and in a seeded shuffled one
+    rnd = random.Random(17)
     for k in (2, 3):
         for n in range(2, 8):
             for mat in enumerate_desirable(k, n):
-                g = build_graph(mat)
-                out, _ = reconstruct_matrix(g, k)
-                assert are_isomorphic(build_graph(out), g)
-                assert classify(out).desirable
+                built = build_graph(mat)
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                for g in (built, built.permuted(perm)):
+                    out, _ = reconstruct_matrix(g, k)
+                    assert are_isomorphic(build_graph(out), g)
+                    assert classify(out).desirable
 
 
 def test_verify_theorem1_small():
