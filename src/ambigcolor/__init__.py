@@ -4,13 +4,13 @@ from .coloring import (Coloring, chromatic_number, count_colorings,
                        enumerate_colorings, is_ambiguously_colorable,
                        is_uniquely_colorable)
 from .dfold import (ColorTensor, build_graph_d, count_perfect_matchings,
-                    is_dfold_colorable, is_maximal_dfold, join,
-                    recover_tensor, seymour_example)
+                    is_dfold_colorable, join, recover_tensor,
+                    seymour_example)
 from .errors import (AmbigcolorError, InputFormatError, PreconditionError,
                      ReconstructionError, ResourceLimitError)
-from .extremal import (ExtremalReport, LemmaBoundInput, ambiguous_max_edges,
-                       brute_force_max_edges, enumerate_extremal,
-                       lemma_bound, turan_number, verify_turan_theorem)
+from .extremal import (ExtremalReport, ambiguous_max_edges,
+                       brute_force_max_edges, enumerate_extremal, lemma_bound,
+                       turan_number, verify_turan_theorem)
 from .graphcore import (SimpleGraph, are_isomorphic, build_graph,
                         canonical_form, clique_number, complement,
                         complete_multipartite, enumerate_graphs,
@@ -18,11 +18,10 @@ from .graphcore import (SimpleGraph, are_isomorphic, build_graph,
                         turan_graph)
 from .matrix import (ColorMatrix, MatrixClass, WitnessSequence, balance_flags,
                      classify, enumerate_desirable, is_fully_indecomposable,
-                     is_mininormal, load_matrix, special_variant,
-                     special_variants, witness_sequence)
+                     load_matrix, special_variants, witness_sequence)
 from .maximality import (ReconstructionTrace, is_maximal,
-                         is_maximal_ambiguous, is_maximal_colorable,
-                         reconstruct_matrix, verify_theorem1)
+                         is_maximal_ambiguous, reconstruct_matrix,
+                         verify_theorem1)
 from .perfection import is_perfect, verify_perfectness
 
 __version__ = "0.1.0"

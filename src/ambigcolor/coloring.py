@@ -40,13 +40,9 @@ class Coloring:
         return [frozenset(c) for c in self.classes()]
 
     def check_anticliques(self, g):
-        """True, or PreconditionError naming a class with an edge inside."""
-        for cls in self.classes():
-            for a in range(len(cls)):
-                for b in range(a + 1, len(cls)):
-                    if g.has_edge(cls[a], cls[b]):
-                        raise PreconditionError(
-                            f"class {cls} is not an anticlique")
+        """True, or PreconditionError when the classes do not partition the
+        vertices of g or a class has an edge inside."""
+        _check_partition(g, self.classes())
         return True
 
     def to_text(self):
@@ -54,6 +50,20 @@ class Coloring:
         smallest member."""
         return "\n".join(" ".join(str(v) for v in cls)
                          for cls in self.classes()) + "\n"
+
+
+def _check_partition(g, classes):
+    """Raise PreconditionError unless the vertex lists `classes` are
+    nonempty, cover the vertices 0..n-1 of g once each, and are
+    anticliques."""
+    if (not all(classes)
+            or sorted(v for c in classes for v in c) != list(range(g.n))):
+        raise PreconditionError(
+            "partition must cover the vertex set with nonempty classes")
+    for cls in classes:
+        mask = sum(1 << v for v in cls)
+        if any(g.rows[v] & mask for v in cls):
+            raise PreconditionError(f"class {cls} is not an anticlique")
 
 
 def _class_masks(g, k):

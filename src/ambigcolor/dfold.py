@@ -14,7 +14,6 @@ from .coloring import _class_masks, _ordered_classes, count_colorings
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 from .graphcore import SimpleGraph, graph_from_labels
 from .matrix import load_matrix, nonnegative_ints
-from .maximality import is_maximal
 
 MAX_TENSOR_CELLS = 10 ** 6
 MATCHING_MAX_N = 24
@@ -104,11 +103,6 @@ def build_graph_d(tensor):
 def is_dfold_colorable(g, d, k):
     """At least d pairwise distinct k-colorings."""
     return count_colorings(g, k, d) >= d
-
-
-def is_maximal_dfold(g, d, k):
-    """d-fold k-colorable, and every single-edge addition is not."""
-    return is_maximal(g, k, d)
 
 
 def recover_tensor(g, d, k):

@@ -14,13 +14,13 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .coloring import count_colorings
+from .coloring import _check_partition, count_colorings
 from .errors import PreconditionError, ResourceLimitError
 from .graphcore import (ORACLE_MAX_N, SimpleGraph, build_graph,
                         canonical_form, graph_levels, turan_graph)
-from .matrix import enumerate_desirable
+from .matrix import (_mininormal_matrices, _small_matrices,
+                     _special_matrices, _tiny_matrices, special_variants)
 
-EXTREMAL_FAMILIES = ("tiny", "small", "very-special", "mininormal")
 EXTREMAL_MAX_N = 12
 EXTREMAL_MAX_K = 5
 
@@ -53,45 +53,27 @@ def ambiguous_max_edges(n, k):
 # the edge-count lemma
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LemmaBoundInput:
-    """Inputs of the edge-count bound for spanning subgraphs of a complete
-    multipartite graph.
-
-    partition: list of vertex lists (the k classes); selected: indices of
-    the chosen classes of size <= alpha = floor(n/k).
-    """
-    partition: list
-    selected: list
-
-
-def lemma_bound(bound_input, g):
-    """Right-hand side of the bound, which |E(G)| never exceeds.
+def lemma_bound(g, partition, selected):
+    """Right-hand side of the bound, which |E(G)| never exceeds, for g a
+    spanning subgraph of the complete multipartite graph on `partition`
+    (the k classes, as vertex lists) and `selected` the indices of chosen
+    classes of size <= alpha = floor(n/k).
 
     bound = ex(n, K_{k+1}) - (2 * (alpha * r - |V(H)|) - r_0) - d,
     with H the induced subgraph on the selected classes, d the number of
     missing complete-multipartite edges inside H, and r_0 the number of
     selected classes of size <= alpha - 1.
     """
-    partition = [sorted(c) for c in bound_input.partition]
+    partition = [sorted(c) for c in partition]
+    _check_partition(g, partition)
     k = len(partition)
     n = g.n
-    flat = sorted(v for c in partition for v in c)
-    if flat != list(range(n)) or any(not c for c in partition):
-        raise PreconditionError(
-            "partition must cover the vertex set with nonempty classes")
-    for cls in partition:
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                if g.has_edge(cls[a], cls[b]):
-                    raise PreconditionError(
-                        f"class {cls} is not an anticlique")
     alpha = n // k
-    if (len(set(bound_input.selected)) != len(bound_input.selected)
-            or any(not 0 <= i < k for i in bound_input.selected)):
+    if (len(set(selected)) != len(selected)
+            or any(not 0 <= i < k for i in selected)):
         raise PreconditionError(
             f"selected indices must be distinct and in 0..{k - 1}")
-    selected = [partition[i] for i in bound_input.selected]
+    selected = [partition[i] for i in selected]
     if any(len(c) > alpha for c in selected):
         raise PreconditionError("selected classes must have size <= alpha")
     r = len(selected)
@@ -123,9 +105,15 @@ def enumerate_extremal(n, k):
             f"enumerate_extremal limited to n <= {EXTREMAL_MAX_N}, "
             f"k <= {EXTREMAL_MAX_K}")
     target = ambiguous_max_edges(n, k)
+    families = (
+        ("tiny", _tiny_matrices(k, n)),
+        ("small", _small_matrices(k, n)),
+        ("very-special",
+         (m for m in _special_matrices(k, n) if special_variants(m))),
+        ("mininormal", _mininormal_matrices(k, n)))
     out = {}
-    for family in EXTREMAL_FAMILIES:
-        for mat in enumerate_desirable(k, n, filters=(family,)):
+    for family, matrices in families:
+        for mat in matrices:
             g = build_graph(mat)
             if g.m != target:
                 continue

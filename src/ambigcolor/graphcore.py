@@ -304,12 +304,6 @@ def canonical_form(g):
     if n == 0:
         g._cert = (0, 0)
         return g._cert
-    m2 = sum(r.bit_count() for r in rows)
-    if m2 == 0 or m2 == n * (n - 1):
-        # empty / complete: any ordering is canonical
-        g._cert = (n, _cert_bits(rows, list(range(n))))
-        return g._cert
-
     twin_of = list(range(n))
     for first, later in _twin_chains(rows):
         twin_of[later] = twin_of[first]

@@ -201,11 +201,15 @@ class WitnessSequence:
 
     def check(self, m_entries):
         """Check the defining invariants against a matrix (l >= 3 holds by
-        construction); raise PreconditionError naming the first that
-        fails."""
+        construction): indices in 1..r, no index repeated in consecutive
+        places, every step on a nonzero entry, and the walk ending as it
+        starts; raise PreconditionError naming the first that fails."""
         if isinstance(m_entries, ColorMatrix):
             m_entries = m_entries.entries
         f = self.indices
+        r = len(m_entries)
+        if not all(1 <= i <= r for i in f):
+            raise PreconditionError(f"indices must lie in 1..{r}")
         for h in range(1, len(f)):
             if f[h - 1] == f[h]:
                 raise PreconditionError("consecutive indices equal")
@@ -391,13 +395,6 @@ def _normal_block(matrix):
     return sorted(block) if ok else None
 
 
-def special_variant(matrix):
-    """Primary variant letter for a special matrix ((a) before (b) before
-    (c)); VARIANT_PLAIN if none applies."""
-    variants = special_variants(matrix)
-    return variants[0] if variants else VARIANT_PLAIN
-
-
 def special_variants(matrix):
     """All of (a)/(b)/(c) that a special matrix meets, in that order."""
     if not _is_special(matrix):
@@ -476,10 +473,6 @@ def classify(matrix):
         reason = ("off-diagonal support does not form a fully "
                   "indecomposable block")
     return MatrixClass(NOT_DESIRABLE, balance=balance, witness=reason)
-
-
-def is_mininormal(matrix):
-    return classify(matrix).mininormal
 
 
 # ---------------------------------------------------------------------------
@@ -588,36 +581,14 @@ def _mininormal_matrices(k, n):
                 yield m
 
 
-FILTERS = ("tiny", "small", "special", "very-special", "normal",
-           "mininormal", "all")
-
-
-def enumerate_desirable(k, n, filters=("all",)):
-    """Yield every desirable k x k matrix with entry sum n matching the
-    filter set.  Exhaustive within each filter; graph-level deduplication
-    happens downstream.  Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
+def enumerate_desirable(k, n):
+    """Yield every desirable k x k matrix with entry sum n: the tiny, then
+    the small, special and normal ones.  Graph-level deduplication happens
+    downstream.  Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
     if k < 1 or n < 0:
         raise PreconditionError("need k >= 1, n >= 0")
-    wanted = set(filters)
-    unknown = wanted - set(FILTERS)
-    if unknown:
-        raise PreconditionError(f"unknown filters {sorted(unknown)}")
-    if "all" in wanted:
-        wanted = {"tiny", "small", "special", "normal"}
-    parts = []
-    if "tiny" in wanted:
-        parts.append(_tiny_matrices(k, n))
-    if "small" in wanted:
-        parts.append(_small_matrices(k, n))
-    if "special" in wanted:
-        parts.append(_special_matrices(k, n))
-    elif "very-special" in wanted:
-        parts.append(m for m in _special_matrices(k, n)
-                     if special_variants(m))
-    if "normal" in wanted:
-        parts.append(_normal_matrices(k, n))
-    elif "mininormal" in wanted:
-        parts.append(_mininormal_matrices(k, n))
+    parts = (_tiny_matrices(k, n), _small_matrices(k, n),
+             _special_matrices(k, n), _normal_matrices(k, n))
     for count, m in enumerate(chain.from_iterable(parts), 1):
         if count > DEFAULT_ENUM_CAP:
             raise ResourceLimitError(

@@ -65,19 +65,10 @@ def is_maximal_ambiguous(g, k):
     return is_maximal(g, k, 2)
 
 
-def is_maximal_colorable(g, k):
-    """k-colorable, and every single-edge addition is not."""
-    return is_maximal(g, k, 1)
-
-
 @dataclass
 class ReconstructionTrace:
-    """Audit trail of the necessity-direction reconstruction."""
-    colorings: tuple                  # k-colorings used (class sets)
-    h_edges: list                     # bipartite graph on class pairs
-    matching: list                    # matching[i] = matched B-class of A-class i
+    """What the reconstruction found besides the matrix."""
     r: int                            # labels with A_j != B_j
-    matrix: ColorMatrix
     relabeling: dict                  # vertex -> (i, j, t) label in G(A)
 
 
@@ -88,11 +79,6 @@ def _vertices(mask):
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
-
-
-def _class_sets(classes):
-    """Class bitmasks as vertex sets, the form of `Coloring.class_sets`."""
-    return [frozenset(_vertices(m)) for m in classes]
 
 
 def _certificate(a_ord, b_ord):
@@ -144,9 +130,7 @@ def reconstruct_matrix(g, k):
         parts = sorted(a, key=int.bit_count, reverse=True)
         parts += [0] * (k - len(parts))
         matrix, relabeling = _certificate(parts, parts)
-        trace = ReconstructionTrace(
-            colorings=(_class_sets(a),), h_edges=[], matching=[],
-            r=0, matrix=matrix, relabeling=relabeling)
+        r = 0
     else:
         adj = [[j for j in range(len(b)) if a[i] & b[j]] for i in range(k)]
         size, match_right = _bipartite_matching(adj, k, len(b))
@@ -164,11 +148,6 @@ def reconstruct_matrix(g, k):
             raise ReconstructionError("matched colorings coincide")
         matrix, relabeling = _certificate([a[i] for i in order],
                                           [b[match[i]] for i in order])
-        h_edges = [(i, j) for i in range(k) for j in adj[i]]
-        trace = ReconstructionTrace(
-            colorings=(_class_sets(a), _class_sets(b)),
-            h_edges=h_edges, matching=match, r=r, matrix=matrix,
-            relabeling=relabeling)
 
     verdict = classify(matrix)
     if not verdict.desirable:
@@ -180,7 +159,7 @@ def reconstruct_matrix(g, k):
     # G(A), so G is isomorphic to G(A) iff the relabeling is an isomorphism
     if not _is_isomorphism(g, matrix, relabeling):
         raise ReconstructionError("G(A) is not isomorphic to the input")
-    return matrix, trace
+    return matrix, ReconstructionTrace(r, relabeling)
 
 
 # ---------------------------------------------------------------------------

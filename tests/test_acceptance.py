@@ -12,17 +12,16 @@ from itertools import combinations
 from ambigcolor.coloring import (chromatic_number, count_colorings,
                                  enumerate_colorings, iter_colorings)
 from ambigcolor.dfold import (count_perfect_matchings, is_dfold_colorable,
-                              is_maximal_dfold, join, seymour_example)
-from ambigcolor.extremal import (LemmaBoundInput, brute_force_max_edges,
-                                 lemma_bound, turan_number,
-                                 verify_turan_theorem)
+                              join, seymour_example)
+from ambigcolor.extremal import (brute_force_max_edges, lemma_bound,
+                                 turan_number, verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   canonical_form, clique_number, complement,
                                   cycle_graph, enumerate_graphs, path_graph)
 from ambigcolor.matrix import (ColorMatrix, classify, enumerate_desirable,
                                is_fully_indecomposable, witness_sequence)
-from ambigcolor.maximality import (is_maximal_ambiguous, reconstruct_matrix,
-                                   verify_theorem1)
+from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
+                                   reconstruct_matrix, verify_theorem1)
 from ambigcolor.perfection import is_perfect
 
 K_LIST = (2, 3, 4)
@@ -133,13 +132,13 @@ def test_criterion_05_edge_bound_property_suite():
         alpha = n // k
         eligible = [i for i, c in enumerate(partition) if len(c) <= alpha]
         selected = rng.sample(eligible, rng.randint(0, len(eligible)))
-        assert g.m <= lemma_bound(LemmaBoundInput(partition, selected), g)
+        assert g.m <= lemma_bound(g, partition, selected)
         checked += 1
     # equality instance: the mininormal certificate at (n, k) = (6, 3)
     g = build_graph(ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
     col = enumerate_colorings(g, 3, limit=1)[0]
     partition = [sorted(c) for c in col.classes()]
-    assert g.m == lemma_bound(LemmaBoundInput(partition, [0, 1, 2]), g) == 10
+    assert g.m == lemma_bound(g, partition, [0, 1, 2]) == 10
     report(5, "1000 random instances satisfy the bound; mininormal "
               "instance tight at 10")
 
@@ -205,7 +204,7 @@ def test_criterion_09_matching_critical_example():
     comp = complement(g)
     assert clique_number(comp) == 3                   # no anticlique of 4
     assert chromatic_number(comp) == 4
-    assert is_maximal_dfold(comp, 3, 4)
+    assert is_maximal(comp, 4, 3)
     report(9, "subdivided-K4 example: 3 perfect matchings, deletion-"
               "critical, complement chi=4 omega=3 maximal 3-fold")
 
@@ -215,8 +214,8 @@ def test_criterion_10_join_construction():
     assert is_maximal_ambiguous(paw, 3) and chromatic_number(paw) == 3
     g = join(paw, paw)
     assert count_colorings(g, 6, 10) == 4
-    assert is_maximal_dfold(g, 3, 6)
-    assert is_maximal_dfold(g, 4, 6)
+    assert is_maximal(g, 6, 3)
+    assert is_maximal(g, 6, 4)
     assert not is_dfold_colorable(g, 5, 6)
     report(10, "join of two maximal ambiguous chi=3 pieces: exactly 4 "
                "6-colorings, maximal 3-fold and 4-fold")

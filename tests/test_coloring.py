@@ -12,13 +12,13 @@ from ambigcolor.coloring import (MAX_N, Coloring, _class_masks,
                                  count_colorings, enumerate_colorings,
                                  is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
-from ambigcolor.dfold import is_dfold_colorable, is_maximal_dfold, recover_tensor
+from ambigcolor.dfold import is_dfold_colorable, recover_tensor
 from ambigcolor.errors import PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (SimpleGraph, complete_graph,
                                   complete_multipartite, cycle_graph,
                                   empty_graph, path_graph)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
-                                   is_maximal_colorable, reconstruct_matrix)
+                                   reconstruct_matrix)
 
 
 def random_graph(rng, n, p=0.5):
@@ -67,6 +67,10 @@ def test_coloring_object():
     assert all(0 in c.classes()[0] for c in cols)
     with pytest.raises(PreconditionError):
         Coloring((0, 0, 1)).check_anticliques(g)     # edge 01 inside a class
+    # a coloring must cover exactly the vertices of g
+    for rgs in ((0, 1), (0, 1, 0, 1)):
+        with pytest.raises(PreconditionError, match="cover"):
+            Coloring(rgs).check_anticliques(g)
 
 
 def test_known_counts():
@@ -196,9 +200,8 @@ def test_one_ceiling_for_every_coloring_entry_point():
         lambda g: is_uniquely_colorable(g, 2),
         lambda g: is_maximal(g, 2, 3),
         lambda g: is_maximal_ambiguous(g, 2),
-        lambda g: is_maximal_colorable(g, 2),
+        lambda g: is_maximal(g, 2, 1),
         lambda g: is_dfold_colorable(g, 3, 2),
-        lambda g: is_maximal_dfold(g, 3, 2),
         lambda g: reconstruct_matrix(g, 2),
         lambda g: recover_tensor(g, 3, 2),
     ]

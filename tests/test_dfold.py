@@ -7,8 +7,8 @@ import pytest
 from ambigcolor.coloring import chromatic_number, count_colorings
 from ambigcolor.dfold import (ColorTensor, build_graph_d,
                               count_perfect_matchings, is_dfold_colorable,
-                              is_maximal_dfold, join, load_tensor,
-                              recover_tensor, seymour_example)
+                              join, load_tensor, recover_tensor,
+                              seymour_example)
 from ambigcolor.errors import InputFormatError, PreconditionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   clique_number, complement, complete_graph,
@@ -90,7 +90,7 @@ def test_dfold_colorability():
 
 def test_maximal_dfold_vs_maximal_ambiguous():
     for g in (cycle_graph(4), path_graph(3)):
-        assert is_maximal_dfold(g, 2, 3) == is_maximal_ambiguous(g, 3)
+        assert is_maximal(g, 3, 2) == is_maximal_ambiguous(g, 3)
 
 
 def test_recover_tensor_round_trip():
@@ -128,9 +128,9 @@ def test_join_of_maximal_ambiguous_pieces():
     g = join(paw, paw)
     assert count_colorings(g, 6, 10) == 4
     # not maximal 2-fold: an added edge can keep 2 of the 4 colorings alive
-    assert not is_maximal_dfold(g, 2, 6)
-    assert is_maximal_dfold(g, 3, 6)
-    assert is_maximal_dfold(g, 4, 6)
+    assert not is_maximal(g, 6, 2)
+    assert is_maximal(g, 6, 3)
+    assert is_maximal(g, 6, 4)
     assert not is_dfold_colorable(g, 5, 6)
 
 
@@ -156,4 +156,4 @@ def test_seymour_example_properties():
     assert clique_number(complement(g)) == 3
     comp = complement(g)
     assert chromatic_number(comp) == 4
-    assert is_maximal_dfold(comp, 3, 4)
+    assert is_maximal(comp, 4, 3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ambigcolor.coloring import enumerate_colorings
 from ambigcolor.errors import PreconditionError
-from ambigcolor.extremal import (LemmaBoundInput, ambiguous_max_edges,
+from ambigcolor.extremal import (ambiguous_max_edges,
                                  brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
                                  max_edges_by_order,
@@ -129,7 +129,7 @@ def spanning_subgraph_instance(rng, n, k):
     alpha = n // k
     eligible = [i for i, c in enumerate(partition) if len(c) <= alpha]
     selected = rng.sample(eligible, rng.randint(0, len(eligible)))
-    return LemmaBoundInput(partition, selected), g
+    return g, partition, selected
 
 
 def test_lemma_bound_random_instances():
@@ -138,8 +138,8 @@ def test_lemma_bound_random_instances():
     while done < 1000:
         n = rng.randint(2, 10)
         k = rng.randint(2, min(4, n))
-        bound_input, g = spanning_subgraph_instance(rng, n, k)
-        assert g.m <= lemma_bound(bound_input, g)
+        g, partition, selected = spanning_subgraph_instance(rng, n, k)
+        assert g.m <= lemma_bound(g, partition, selected)
         done += 1
 
 
@@ -151,36 +151,33 @@ def test_lemma_bound_equality_at_mininormal():
     assert g.m == 10
     col = enumerate_colorings(g, 3, limit=1)[0]
     partition = [sorted(c) for c in col.classes()]
-    bound_input = LemmaBoundInput(partition, [0, 1, 2])
-    assert g.m == lemma_bound(bound_input, g) == 10
+    assert g.m == lemma_bound(g, partition, [0, 1, 2]) == 10
 
 
 def test_lemma_bound_validates_input():
     g = turan_graph(6, 3)
     with pytest.raises(PreconditionError):
-        lemma_bound(LemmaBoundInput([[0, 1], [2, 3]], []), g)   # not a cover
+        lemma_bound(g, [[0, 1], [2, 3]], [])   # not a cover
     with pytest.raises(PreconditionError):
         # class {0, 2} is not an anticlique in T(6, 3)
-        lemma_bound(LemmaBoundInput([[0, 2], [1, 3], [4, 5]], []), g)
+        lemma_bound(g, [[0, 2], [1, 3], [4, 5]], [])
     with pytest.raises(PreconditionError):
         # selected class larger than alpha
-        lemma_bound(
-            LemmaBoundInput([[0, 1, 2], [3], [4], [5]],
-                            [0]),
-            SimpleGraph(6, [(0, 3), (1, 4), (2, 5)]))
+        lemma_bound(SimpleGraph(6, [(0, 3), (1, 4), (2, 5)]),
+                    [[0, 1, 2], [3], [4], [5]], [0])
     partition = [[0, 1], [2, 3], [4, 5]]
     # a repeated index counted class 0 twice (bound 8 < 12 edges), -1
     # aliased class 2, and 3 raised IndexError
     for selected in ([0, 0], [-1], [3]):
         with pytest.raises(PreconditionError):
-            lemma_bound(LemmaBoundInput(partition, selected), g)
+            lemma_bound(g, partition, selected)
 
 
 def test_lemma_bound_turan_graph_tightness():
     # selecting nothing reduces the bound to the plain Turan number
     g = turan_graph(6, 3)
     partition = [[0, 1], [2, 3], [4, 5]]
-    assert lemma_bound(LemmaBoundInput(partition, []), g) == turan_number(6, 3)
+    assert lemma_bound(g, partition, []) == turan_number(6, 3)
     assert g.m == turan_number(6, 3)
 
 
@@ -190,5 +187,5 @@ def test_lemma_bound_property(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 10)
     k = rng.randint(2, min(4, n))
-    bound_input, g = spanning_subgraph_instance(rng, n, k)
-    assert g.m <= lemma_bound(bound_input, g)
+    g, partition, selected = spanning_subgraph_instance(rng, n, k)
+    assert g.m <= lemma_bound(g, partition, selected)

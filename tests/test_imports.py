@@ -1,8 +1,10 @@
-"""Every name a package module imports is referenced in that module, and
-no module checks anything with an assert statement (python -O strips
-them)."""
+"""Every name a package module imports is referenced in that module, no
+module checks anything with an assert statement (python -O strips them),
+and every function the benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,20 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert at lines {lines}"
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these by name; read its table without
+    # importing it, so the check needs nothing from the benchmark at run time
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    traced, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "TRACED"
+                       for t in node.targets))
+    missing = [f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns
+               if not callable(getattr(importlib.import_module(
+                   f"ambigcolor.{mod}"), fn, None))]
+    assert not missing, f"traced names missing from ambigcolor: {missing}"
+    assert "method" in inspect.signature(
+        ambigcolor.perfection.is_perfect).parameters

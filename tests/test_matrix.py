@@ -16,10 +16,12 @@ import ambigcolor
 from ambigcolor.errors import InputFormatError, PreconditionError
 from ambigcolor.matrix import (NORMAL, NOT_DESIRABLE, SMALL, SPECIAL, TINY,
                                VARIANT_A, VARIANT_B, VARIANT_C, VARIANT_PLAIN,
-                               ColorMatrix, WitnessSequence, balance_flags,
-                               classify, enumerate_desirable,
-                               is_fully_indecomposable, is_mininormal,
-                               load_matrix, special_variant, special_variants,
+                               ColorMatrix, WitnessSequence,
+                               _mininormal_matrices, _normal_matrices,
+                               _small_matrices, _special_matrices,
+                               _tiny_matrices, balance_flags, classify,
+                               enumerate_desirable, is_fully_indecomposable,
+                               load_matrix, special_variants,
                                witness_sequence)
 
 
@@ -136,7 +138,7 @@ def test_variant_a_and_b():
     # upper-triangular 2x2 all-ones: n = 3, alpha = 1; both readings hold
     m = ColorMatrix([[1, 1], [0, 1]])
     assert special_variants(m) == (VARIANT_A, VARIANT_B)
-    assert special_variant(m) == VARIANT_A
+    assert classify(m).special_variant == VARIANT_A
 
 
 def test_variant_a_only():
@@ -162,7 +164,7 @@ def test_variant_plain():
     # diagonal not of (c) shape
     m = ColorMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])
     assert classify(m).verdict == SPECIAL
-    assert special_variant(m) == VARIANT_PLAIN
+    assert classify(m).special_variant == VARIANT_PLAIN
 
 
 def test_variant_c_existence_window():
@@ -172,7 +174,7 @@ def test_variant_c_existence_window():
         for n in range(0, 16):
             found = any(
                 VARIANT_C in classify(m).variants
-                for m in enumerate_desirable(k, n, filters=("special",)))
+                for m in _special_matrices(k, n))
             expect = n >= 2 * k >= 6 and n % k <= k - 3
             assert found == expect, (k, n)
 
@@ -186,13 +188,15 @@ def test_balance_flags():
 
 def test_mininormal_window():
     # balanced all-ones 2x2 block and 2k <= n < 3k
-    assert is_mininormal(ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
+    assert classify(ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])).mininormal
     # block must be exactly all-ones 2x2
-    assert not is_mininormal(ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]]))
+    assert not classify(
+        ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])).mininormal
     # n = 3k is excluded from the window
-    assert not is_mininormal(ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 5]]))
+    assert not classify(
+        ColorMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 5]])).mininormal
     for k in range(2, 5):
-        ns = {m.order for m in enumerate_desirable(k, 3 * k, filters=("mininormal",))}
+        ns = {m.order for m in _mininormal_matrices(k, 3 * k)}
         assert not ns          # n = 3k excluded
 
 
@@ -312,6 +316,10 @@ def test_witness_sequence_rejects_zero_entry():
     # no nonzero walk leads from 2 back to 1
     with pytest.raises(PreconditionError):
         witness_sequence([[1, 1], [0, 1]], 1, 2)
+    # indices outside 1..r: 0 read row -1, 3 raised IndexError
+    for bad in ((0, 1, 0, 1), (1, 3, 1, 3)):
+        with pytest.raises(PreconditionError):
+            WitnessSequence(bad).check([[1, 1], [1, 1]])
 
 
 def test_witness_sequence_check_raises_under_optimization():
@@ -340,14 +348,23 @@ def test_witness_sequence_check_raises_under_optimization():
 # exhaustive generation
 # ---------------------------------------------------------------------------
 
-def test_enumerate_desirable_orders_and_filters():
-    for m in enumerate_desirable(3, 6):
-        assert m.order == 6 and classify(m).desirable
-    tiny = list(enumerate_desirable(3, 2, filters=("tiny",)))
-    assert all(classify(m).verdict == TINY for m in tiny) and tiny
-    vs = list(enumerate_desirable(3, 6, filters=("very-special",)))
-    assert vs and all(classify(m).verdict == SPECIAL
-                      and classify(m).variants for m in vs)
+def test_family_generators_match_classify():
+    # each family generator yields exactly the matrices of
+    # enumerate_desirable whose classify verdict or flag names that family
+    families = ((_tiny_matrices, lambda v: v.verdict == TINY),
+                (_small_matrices, lambda v: v.verdict == SMALL),
+                (_special_matrices, lambda v: v.verdict == SPECIAL),
+                (_normal_matrices, lambda v: v.verdict == NORMAL),
+                (_mininormal_matrices, lambda v: v.mininormal))
+    for k in range(1, 5):
+        for n in range(10):
+            verdicts = {m: classify(m) for m in enumerate_desirable(k, n)}
+            assert all(m.order == n and v.desirable
+                       for m, v in verdicts.items())
+            for family, named in families:
+                assert set(family(k, n)) == {
+                    m for m, v in verdicts.items() if named(v)}, \
+                    (family.__name__, k, n)
 
 
 def test_enumerate_desirable_is_complete():

@@ -13,8 +13,8 @@ from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
 from ambigcolor.matrix import (NORMAL, SMALL, SPECIAL, TINY, ColorMatrix,
                                classify, enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
-                                   is_maximal_colorable, reconstruct_matrix,
-                                   theorem1_report_json, verify_theorem1)
+                                   reconstruct_matrix, theorem1_report_json,
+                                   verify_theorem1)
 
 FIG_MATRIX = ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])
 
@@ -97,13 +97,13 @@ def test_is_maximal_ambiguous_known():
 
 
 def test_is_maximal_colorable():
-    # maximal k-colorable graphs are the complete multipartite graphs with
-    # exactly k classes
-    assert is_maximal_colorable(complete_graph(4), 4)
-    assert is_maximal_colorable(cycle_graph(4), 2)     # K_{2,2}
-    assert is_maximal_colorable(path_graph(3), 2)       # P3 = K_{1,2}
-    assert not is_maximal_colorable(path_graph(4), 2)
-    assert not is_maximal_colorable(cycle_graph(5), 2)  # not even colorable
+    # maximal k-colorable (d = 1) graphs are the complete multipartite
+    # graphs with exactly k classes
+    assert is_maximal(complete_graph(4), 4, 1)
+    assert is_maximal(cycle_graph(4), 2, 1)         # K_{2,2}
+    assert is_maximal(path_graph(3), 2, 1)          # P3 = K_{1,2}
+    assert not is_maximal(path_graph(4), 2, 1)
+    assert not is_maximal(cycle_graph(5), 2, 1)     # not even colorable
 
 
 def test_figure_graph_reproduction():
@@ -125,7 +125,7 @@ def test_reconstruct_tiny_route():
     mat, trace = reconstruct_matrix(path_graph(3), 3)
     assert classify(mat).verdict == SMALL
     assert sorted(mat.diagonal(), reverse=True) == [2, 1, 0]
-    assert trace.r == 0 and trace.matching == []
+    assert trace.r == 0
     # at k = 4 the same graph pads with a second zero and lands in tiny
     assert_relabeling_is_isomorphism(path_graph(3), mat, trace.relabeling)
     mat4, trace4 = reconstruct_matrix(path_graph(3), 4)
