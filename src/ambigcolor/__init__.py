@@ -10,15 +10,16 @@ from .errors import (AmbigcolorError, InputFormatError, PreconditionError,
                      ReconstructionError, ResourceLimitError)
 from .extremal import (ExtremalReport, ambiguous_max_edges,
                        brute_force_max_edges, enumerate_extremal, lemma_bound,
-                       turan_number, verify_turan_theorem)
+                       max_edges_by_class, turan_number, verify_turan_theorem)
 from .graphcore import (SimpleGraph, are_isomorphic, build_graph,
                         canonical_form, clique_number, complement,
                         complete_multipartite, enumerate_graphs,
                         from_edge_list, from_graph6, to_edge_list, to_graph6,
                         turan_graph)
 from .matrix import (ColorMatrix, MatrixClass, WitnessSequence, balance_flags,
-                     classify, enumerate_desirable, is_fully_indecomposable,
-                     load_matrix, special_variants, witness_sequence)
+                     class_key, classify, enumerate_desirable,
+                     is_fully_indecomposable, load_matrix, matrix_classes,
+                     special_variants, witness_sequence)
 from .maximality import (ReconstructionTrace, is_maximal,
                          is_maximal_ambiguous, reconstruct_matrix,
                          verify_theorem1)

@@ -137,8 +137,13 @@ def cmd_verify(args):
             print(f"counterexample_total={bad}")
         return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
     if args.theorem == "turan":
-        reports = extremal.verify_turan_theorem(args.max_n, k_list)
-        ok = all(r.formula_agrees and r.certificates_agree for r in reports)
+        try:
+            reports = extremal.verify_turan_theorem(args.max_n, k_list)
+        except ReconstructionError as exc:
+            print(f"extremal graph without a certificate: {exc}",
+                  file=sys.stderr)
+            return EXIT_COUNTEREXAMPLE
+        ok = all(r.agrees for r in reports)
         if args.format == "json":
             print(extremal.turan_report_json(reports))
         else:
@@ -165,7 +170,7 @@ def cmd_table(args):
     if not cells:
         raise PreconditionError(
             "table has no (n, k) cell: it needs max_k >= 2 and max_n >= 2")
-    oracle = extremal.max_edges_by_order(cells) if args.oracle else {}
+    oracle = extremal.max_edges_by_class(cells) if args.oracle else {}
     for n, k in cells:
         row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]
         if args.oracle:

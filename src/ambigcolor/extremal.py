@@ -1,11 +1,16 @@
 """Turan numbers and the extremal edge count of ambiguously k-colorable
 graphs.
 
-The closed-form value is ex(n, K_{k+1}) - max(1, floor(n/k)); the
-brute-force oracle recomputes it from scratch over all graphs up to
-isomorphism using coloring counts only, and the extremal graphs are
-cross-checked against the tiny / small / very-special / mininormal matrix
-families.
+The closed-form value is ex(n, K_{k+1}) - max(1, floor(n/k)).  The oracle
+that checks it does not rely on the characterization theorem: every
+ambiguously k-colorable G with colorings P != Q is a spanning subgraph of
+the graph joining the pairs both separate, which is G(M) for the k x k
+matrix M of the class intersections.  So the maximum is the largest edge
+count of a G(M) with two k-colorings, over the matrix classes M of entry
+sum n.  Its extremal graphs, keyed by the class of their reconstructed
+certificate, are cross-checked against the tiny / small / very-special /
+mininormal matrix families.  The brute-force oracle over all graphs up to
+isomorphism stays as the small-n check of that route.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ from .coloring import _check_partition, count_colorings
 from .errors import PreconditionError, ResourceLimitError
 from .graphcore import (ORACLE_MAX_N, SimpleGraph, build_graph,
                         canonical_form, graph_levels, turan_graph)
-from .matrix import (_mininormal_matrices, _small_matrices,
-                     _special_matrices, _tiny_matrices, special_variants)
+from .matrix import (ColorMatrix, _margin_classes, _margin_pairs,
+                     _mininormal_matrices, _pairs, _small_matrices,
+                     _special_matrices, _tiny_matrices, class_key,
+                     special_variants)
+from .maximality import reconstruct_matrix
 
-EXTREMAL_MAX_N = 12
+EXTREMAL_MAX_N = 24
 EXTREMAL_MAX_K = 5
 
 
@@ -67,6 +75,8 @@ def lemma_bound(g, partition, selected):
     partition = [sorted(c) for c in partition]
     _check_partition(g, partition)
     k = len(partition)
+    if k == 0:
+        raise PreconditionError("need a partition with at least one class")
     n = g.n
     alpha = n // k
     if (len(set(selected)) != len(selected)
@@ -91,36 +101,103 @@ def lemma_bound(g, partition, selected):
 
 
 # ---------------------------------------------------------------------------
-# extremal graph enumeration and the independent oracle
+# extremal graphs: the matrix families and the class-route oracle
 # ---------------------------------------------------------------------------
 
-def enumerate_extremal(n, k):
-    """Extremal graphs from the four matrix families, up to isomorphism.
-
-    Returns {canonical cert: sorted family tags}; only graphs with exactly
-    ambiguous_max_edges(n, k) edges are kept.
-    """
-    if n > EXTREMAL_MAX_N or k > EXTREMAL_MAX_K:
+def _check_extremal_limits(max_n, max_k):
+    if max_n > EXTREMAL_MAX_N or max_k > EXTREMAL_MAX_K:
         raise ResourceLimitError(
-            f"enumerate_extremal limited to n <= {EXTREMAL_MAX_N}, "
-            f"k <= {EXTREMAL_MAX_K}")
+            f"the extremal oracle and families are limited to "
+            f"n <= {EXTREMAL_MAX_N}, k <= {EXTREMAL_MAX_K}")
+
+
+def _edge_count(entries):
+    """e(G(M)) from the entries alone: C(n,2) - sum C(r_i,2) -
+    sum C(c_j,2) + sum C(m_ij,2), since two vertices are non-adjacent iff
+    they share a row or a column."""
+    rows = [sum(row) for row in entries]
+    cols = [sum(col) for col in zip(*entries)]
+    return (_pairs([sum(rows)]) - _pairs(rows) - _pairs(cols)
+            + _pairs(chain.from_iterable(entries)))
+
+
+def enumerate_extremal(n, k):
+    """Extremal matrices of the four families, by class.
+
+    Returns {class key: sorted family tags} over the family matrices
+    whose G(A) has exactly ambiguous_max_edges(n, k) edges, counted from
+    the entries without building G(A).
+    """
+    _check_extremal_limits(n, k)
     target = ambiguous_max_edges(n, k)
     families = (
         ("tiny", _tiny_matrices(k, n)),
         ("small", _small_matrices(k, n)),
         ("very-special",
-         (m for m in _special_matrices(k, n) if special_variants(m))),
+         (m for m in _special_matrices(k, n)
+          if _edge_count(m.entries) == target and special_variants(m))),
         ("mininormal", _mininormal_matrices(k, n)))
     out = {}
     for family, matrices in families:
         for mat in matrices:
-            g = build_graph(mat)
-            if g.m != target:
-                continue
-            cert = canonical_form(g)
-            out.setdefault(cert, set()).add(family)
-    return {cert: sorted(tags) for cert, tags in sorted(out.items())}
+            if _edge_count(mat.entries) == target:
+                out.setdefault(class_key(mat), set()).add(family)
+    return {key: sorted(tags) for key, tags in sorted(out.items())}
 
+
+def _class_route(n, k):
+    """(max edge count, sorted extremal keys, classes scanned) over the
+    ambiguously k-colorable graphs on n >= 2 vertices, by matrix classes.
+
+    e(G(M)) is base + sum C(m_ij, 2), with base = C(n,2) - R - C for the
+    margin sums R = sum C(r_i,2) and C = sum C(c_j,2), and the entries of
+    a row sum to r_i, so C(n,2) - max(R, C) bounds the edge count of a
+    margin pair's classes.  Edge counts are scanned from the top down;
+    for each, every margin pair whose bound reaches it yields the classes
+    with exactly that count, and the scan stops at the first count with a
+    G(M) that has two k-colorings.  Each such G(M) is keyed by the class
+    of its reconstructed certificate.
+    """
+    top = _pairs([n])
+    margins = []
+    for r, c in _margin_pairs(k, n):
+        rs, cs = _pairs(r), _pairs(c)
+        margins.append((top - max(rs, cs), top - rs - cs, r, c))
+    scanned = 0
+    for edges in range(top, -1, -1):
+        found = []
+        for bound, base, r, c in margins:
+            if bound < edges:
+                continue
+            for rows in _margin_classes(r, c, edges - base):
+                scanned += 1
+                g = build_graph(ColorMatrix(rows))
+                if count_colorings(g, k, 2) >= 2:
+                    found.append(g)
+        if found:
+            keys = {class_key(reconstruct_matrix(g, k)[0]) for g in found}
+            return edges, sorted(keys), scanned
+    return None, [], scanned
+
+
+def max_edges_by_class(pairs):
+    """The class-route oracle for every (n, k) in `pairs`, n >= 2 and
+    k >= 2, as {(n, k): (max edge count, sorted extremal class keys,
+    classes scanned)}.  Raises ResourceLimitError past EXTREMAL_MAX_N or
+    EXTREMAL_MAX_K before any cell is computed, and ReconstructionError
+    if an extremal graph has no certificate (a counterexample to the
+    characterization theorem)."""
+    pairs = list(pairs)
+    if any(n < 2 or k < 2 for n, k in pairs):
+        raise PreconditionError("the extremal oracle needs n >= 2, k >= 2")
+    _check_extremal_limits(max((n for n, _ in pairs), default=0),
+                           max((k for _, k in pairs), default=0))
+    return {(n, k): _class_route(n, k) for n, k in pairs}
+
+
+# ---------------------------------------------------------------------------
+# the graph-corpus oracle, the small-n check of the class route
+# ---------------------------------------------------------------------------
 
 def _max_edges_by_k(graphs, k_list):
     """{k: (max edge count, sorted extremal certs)} over the ambiguously
@@ -165,71 +242,88 @@ def max_edges_by_order(pairs):
     return out
 
 
+def _key_text(key):
+    """A class key as text: rows separated by ';', entries by ','."""
+    return ";".join(",".join(map(str, row)) for row in key)
+
+
 @dataclass
 class ExtremalReport:
     n: int
     k: int
     formula_value: int
     oracle_value: int | None = None
-    certificates: list = field(default_factory=list)  # (family tags, cert)
+    classes_scanned: int = 0
+    certificates: list = field(default_factory=list)  # (family tags, key)
     oracle_certificates: list = field(default_factory=list)
     formula_agrees: bool | None = None
     certificates_agree: bool | None = None
+
+    @property
+    def agrees(self):
+        """Formula and extremal sets agree, and the oracle scanned at
+        least one class (a row that checked nothing fails)."""
+        return bool(self.formula_agrees and self.certificates_agree
+                    and self.classes_scanned > 0)
 
     def to_json(self):
         return {
             "n": self.n, "k": self.k,
             "formula_value": self.formula_value,
             "oracle_value": self.oracle_value,
+            "classes_scanned": self.classes_scanned,
             "certificates": [
-                {"families": fams, "cert": f"{cert[0]}:{cert[1]:x}"}
-                for fams, cert in self.certificates],
+                {"families": fams, "cert": _key_text(key)}
+                for fams, key in self.certificates],
             "oracle_certificates": [
-                f"{c[0]}:{c[1]:x}" for c in self.oracle_certificates],
+                _key_text(key) for key in self.oracle_certificates],
             "formula_agrees": self.formula_agrees,
             "certificates_agree": self.certificates_agree,
         }
 
 
 def verify_turan_theorem(max_n, k_list):
-    """For each (n, k) with k <= n <= max_n: formula value vs. oracle, and
-    oracle extremal set vs. matrix-family extremal set.  The oracle
-    enumerates the graphs of each order once, for every k at that order."""
+    """For each (n, k) with k <= n <= max_n: formula value vs. the
+    class-route oracle, and the oracle's extremal class keys vs. those of
+    the matrix families.  The ceilings are checked before any cell runs."""
     if not k_list or max_n < max(2, min(k_list)):
         raise PreconditionError(
             "verify_turan_theorem checks nothing: it needs a non-empty k "
             "list and max_n >= max(2, min k)")
+    _check_extremal_limits(max_n, max(k for k in k_list if k <= max_n))
     cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
              for n in range(max(2, k), max_n + 1)]
-    oracle = max_edges_by_order([(n, k) for n, k, _ in cells])
+    oracle = max_edges_by_class((n, k) for n, k, _ in cells)
     reports = []
     for n, k, formula in cells:
-        value, oracle_certs = oracle[n, k]
+        value, oracle_keys, scanned = oracle[n, k]
         fam = enumerate_extremal(n, k)
         reports.append(ExtremalReport(
             n=n, k=k, formula_value=formula, oracle_value=value,
-            certificates=[(tags, cert) for cert, tags in fam.items()],
-            oracle_certificates=oracle_certs,
+            classes_scanned=scanned,
+            certificates=[(tags, key) for key, tags in fam.items()],
+            oracle_certificates=oracle_keys,
             formula_agrees=(formula == value),
-            certificates_agree=(sorted(fam) == oracle_certs),
+            certificates_agree=(list(fam) == oracle_keys),
         ))
     return reports
 
 
 def turan_report_json(reports):
-    ok = all(r.formula_agrees and r.certificates_agree for r in reports)
     return json.dumps(
-        {"schema_version": 1, "theorem": "turan-type",
-         "rows": [r.to_json() for r in reports], "all_agree": ok},
+        {"schema_version": 2, "theorem": "turan-type",
+         "rows": [r.to_json() for r in reports],
+         "all_agree": all(r.agrees for r in reports)},
         indent=2, sort_keys=True)
 
 
 def turan_report_tsv(reports):
-    lines = ["n\tk\tformula\toracle\tn_extremal\tfamilies"]
+    lines = ["n\tk\tformula\toracle\tclasses_scanned\tn_extremal\tfamilies"]
     for r in reports:
         families = sorted({f for fams, _ in r.certificates for f in fams})
         lines.append("\t".join([
             str(r.n), str(r.k), str(r.formula_value),
             str(r.oracle_value if r.oracle_value is not None else "-"),
-            str(len(r.certificates)), ",".join(families) or "-"]))
+            str(r.classes_scanned), str(len(r.certificates)),
+            ",".join(families) or "-"]))
     return "\n".join(lines) + "\n"

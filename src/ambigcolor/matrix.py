@@ -5,14 +5,16 @@ vocabulary for maximal ambiguous k-colorability; "desirable" means
 belonging to one of them.  This module also houses full indecomposability,
 the nonzero-walk witness sequence, the balance flags and special variants
 used by the extremal machinery, and the exhaustive generator of desirable
-matrices with a prescribed entry sum.
+matrices with a prescribed entry sum.  Last, it enumerates the classes of
+k x k matrices with a given entry sum under independent row and column
+permutations and transpose, and gives any matrix the key of its class.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -594,3 +596,155 @@ def enumerate_desirable(k, n):
             raise ResourceLimitError(
                 f"enumerate_desirable exceeded cap {DEFAULT_ENUM_CAP}")
         yield m
+
+
+# ---------------------------------------------------------------------------
+# matrix classes: orbits under row and column permutations and transpose
+# ---------------------------------------------------------------------------
+
+def _pairs(sizes):
+    """Sum of C(x, 2) over the sizes: the pairs inside parts of those
+    sizes."""
+    return sum(x * (x - 1) // 2 for x in sizes)
+
+
+def _partitions(total, parts, largest):
+    """Nonincreasing tuples of `parts` ints in 0..largest summing to
+    `total`, in descending lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, largest), -1, -1):
+        if first * parts < total:
+            return
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _runs(sums):
+    """(start, stop) of each run of equal values in a sorted tuple."""
+    starts = [i for i in range(len(sums)) if i == 0 or sums[i] != sums[i - 1]]
+    return list(zip(starts, starts[1:] + [len(sums)]))
+
+
+def _row_orders(sums):
+    """Every row order that permutes rows only within runs of equal sums."""
+    return [tuple(chain.from_iterable(parts)) for parts in
+            product(*(permutations(range(a, b)) for a, b in _runs(sums)))]
+
+
+def _keys(rows, row_orders, col_runs):
+    """The column sequence of the table `rows` under each row order given,
+    with the columns sorted descending within each run of `col_runs`;
+    the largest is the table's key under those symmetries."""
+    for order in row_orders:
+        cols = list(zip(*(rows[i] for i in order)))
+        yield tuple(chain.from_iterable(sorted(cols[a:b], reverse=True)
+                                        for a, b in col_runs))
+
+
+def _margin_pairs(k, n):
+    """Every pair (r, c) of nonincreasing k-part row and column sums with
+    total n and c <= r lexicographically; c > r is the transpose."""
+    sums = list(_partitions(n, k, n))
+    for i, r in enumerate(sums):
+        for c in sums[i:]:
+            yield r, c
+
+
+def _bounded_rows(total, cap, tied, j=0, prev=0):
+    """Rows from position j on with entries summing to `total`, entry j at
+    most cap[j], and at most the entry before it where tied[j]."""
+    if j == len(cap):
+        if total == 0:
+            yield ()
+        return
+    top = min(total, cap[j], prev if tied[j] else total)
+    for x in range(top, -1, -1):
+        if total - x > sum(cap[j + 1:]):
+            return
+        for rest in _bounded_rows(total - x, cap, tied, j + 1, x):
+            yield (x,) + rest
+
+
+def _margin_classes(r, c, inner=None):
+    """One table per class with row sums r and column sums c, as a tuple
+    of rows (see matrix_classes); when `inner` is given, only the tables
+    whose entries m have sum C(m, 2) = inner."""
+    k = len(r)
+    row_orders = _row_orders(r)
+    col_runs = _runs(c)
+    # the most that rows i.. can add to sum C(m, 2): C(r_i, 2) each
+    rest = [_pairs(r[i:]) for i in range(k)]
+    # the columns of a kept table are nonincreasing within each run of
+    # equal c; tied[j]: column j equals column j - 1 on the rows so far
+    start = [False] + [c[j] == c[j - 1] for j in range(1, k)]
+
+    def fill(i, cap, tied, rows, got):
+        if inner is not None and not got <= inner <= got + rest[i]:
+            return
+        if i == k - 1:
+            last = tuple(cap)
+            if any(tied[j] and last[j] > last[j - 1] for j in range(k)):
+                return
+            if inner is None or got + _pairs(last) == inner:
+                yield rows + (last,)
+            return
+        for row in _bounded_rows(r[i], cap, tied):
+            step = 0 if inner is None else _pairs(row)
+            yield from fill(i + 1, [a - x for a, x in zip(cap, row)],
+                            [t and row[j] == row[j - 1]
+                             for j, t in enumerate(tied)], rows + (row,),
+                            got + step)
+
+    for rows in fill(0, list(c), start, (), 0):
+        cols = tuple(zip(*rows))
+        if any(key > cols for key in _keys(rows, row_orders, col_runs)):
+            continue
+        if r == c and any(key > cols
+                          for key in _keys(cols, row_orders, col_runs)):
+            continue
+        yield rows
+
+
+def matrix_classes(k, n):
+    """One k x k matrix with entry sum n per class, where a class is an
+    orbit under independent row and column permutations and transpose.
+
+    Margin-based: for each nonincreasing row-sum vector r and each
+    nonincreasing column-sum vector c <= r (lexicographically), the
+    tables with margins (r, c) are filled row by row, the last row
+    forced.  A table T is kept iff its column sequence equals its key:
+    the largest, over the row permutations that fix r, of T's columns
+    sorted descending within each run of equal c.  When r = c the key
+    of T must also be at least that of its transpose.  Each matrix
+    yielded is its own `class_key`.
+    """
+    if k < 1 or n < 0:
+        raise PreconditionError("need k >= 1, n >= 0")
+    for r, c in _margin_pairs(k, n):
+        for rows in _margin_classes(r, c):
+            yield ColorMatrix(rows)
+
+
+def class_key(m):
+    """The canonical key of m's class under independent row and column
+    permutations and transpose: the rows, as a tuple of tuples, of the one
+    matrix that `matrix_classes` yields for that class.  Two matrices have
+    the same key iff they lie in the same class, and then their graphs
+    G(A) are isomorphic."""
+    best = None
+    for rows in (m.entries, tuple(zip(*m.entries))):
+        r = [sum(row) for row in rows]
+        c = [sum(col) for col in zip(*rows)]
+        by_r = sorted(range(m.k), key=r.__getitem__, reverse=True)
+        by_c = sorted(range(m.k), key=c.__getitem__, reverse=True)
+        rs, cs = tuple(r[i] for i in by_r), tuple(c[j] for j in by_c)
+        if cs > rs:
+            continue
+        table = [tuple(rows[i][j] for j in by_c) for i in by_r]
+        key = max(_keys(table, _row_orders(rs), _runs(cs)))
+        if best is None or key > best:
+            best = key
+    return tuple(zip(*best))

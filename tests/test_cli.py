@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ambigcolor import extremal
 from ambigcolor.cli import main
 
 FIG_TEXT = "3\n1 2 0\n1 3 1\n1 1 1\n"
@@ -149,11 +150,20 @@ def test_table_rejects_empty_range(capsys):
     assert captured.out == "" and "no (n, k) cell" in captured.err
 
 
-def test_table_oracle_limited_to_order_7(capsys):
-    assert main(["table", "--max-n", "8", "--max-k", "4"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "oracle limited" in captured.err
-    assert main(["table", "--max-n", "8", "--max-k", "4", "--no-oracle"]) == 0
+def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
+    max_n, max_k = extremal.EXTREMAL_MAX_N, extremal.EXTREMAL_MAX_K
+    for n, k in ((max_n + 1, 2), (max_k + 1, max_k + 1)):
+        assert main(["table", "--max-n", str(n), "--max-k", str(k)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limited to" in captured.err
+    assert main(["table", "--max-n", str(max_n + 1), "--max-k", "4",
+                 "--no-oracle"]) == 0
+    capsys.readouterr()
+    # the class route reaches past the graph corpus's order 7
+    assert main(["table", "--max-n", "12", "--max-k", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 11 + 10 + 9
+    assert all(line.split("\t")[2] == line.split("\t")[3] for line in lines)
 
 
 MALFORMED_INPUTS = {

@@ -1,4 +1,5 @@
-"""Turan numbers, the extremal edge-count formula, and the edge bound."""
+"""Turan numbers, the extremal edge-count formula, its class-route and
+graph-corpus oracles, and the edge bound."""
 
 import json
 import random
@@ -7,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambigcolor import extremal
+from ambigcolor.cli import main
 from ambigcolor.coloring import enumerate_colorings
-from ambigcolor.errors import PreconditionError
-from ambigcolor.extremal import (ambiguous_max_edges,
-                                 brute_force_max_edges,
+from ambigcolor.errors import PreconditionError, ReconstructionError
+from ambigcolor.extremal import (ExtremalReport, _edge_count,
+                                 ambiguous_max_edges, brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
-                                 max_edges_by_order,
+                                 max_edges_by_class, max_edges_by_order,
                                  turan_number, turan_report_json,
                                  turan_report_tsv, verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
                                   cycle_graph, enumerate_graphs, graph_levels,
                                   path_graph, turan_graph)
-from ambigcolor.matrix import ColorMatrix
+from ambigcolor.matrix import ColorMatrix, matrix_classes
 
 
 def test_turan_number_known():
@@ -82,25 +85,102 @@ def test_extremal_spot_values():
     assert v34 == 2 and certs34 == [canonical_form(path_graph(3))]
 
 
+def graph_certs(keys):
+    """The canonical forms of the graphs G(M) of a list of class keys,
+    which must be pairwise non-isomorphic."""
+    certs = [canonical_form(build_graph(ColorMatrix(key))) for key in keys]
+    assert len(set(certs)) == len(certs)
+    return sorted(certs)
+
+
 def test_extremal_family_enumeration_matches_oracle():
     for k in (2, 3, 4):
         for n in range(max(2, k), 7):
             fam = enumerate_extremal(n, k)
             _, oracle_certs = brute_force_max_edges(n, k)
-            assert sorted(fam) == oracle_certs, (n, k)
+            assert graph_certs(fam) == oracle_certs, (n, k)
+
+
+def test_class_route_matches_graph_corpus_oracle():
+    cells = [(n, k) for k in (2, 3, 4) for n in range(max(2, k), 8)]
+    by_class = max_edges_by_class(cells)
+    by_graph = max_edges_by_order(cells)
+    for cell in cells:
+        value, keys, scanned = by_class[cell]
+        graph_value, certs = by_graph[cell]
+        assert value == graph_value and scanned > 0, cell
+        # one key per extremal graph, and every extremal graph keyed
+        assert graph_certs(keys) == certs, cell
+
+
+def test_class_route_matches_formula_past_the_graph_corpus():
+    cells = ([(n, 2) for n in range(8, 21)]
+             + [(n, 3) for n in range(8, 13)])
+    for (n, k), (value, keys, scanned) in max_edges_by_class(cells).items():
+        assert value == ambiguous_max_edges(n, k), (n, k)
+        assert keys and scanned > 0
+    with pytest.raises(PreconditionError):
+        max_edges_by_class([(1, 2)])
+    with pytest.raises(PreconditionError):
+        max_edges_by_class([(4, 1)])
+
+
+def test_edge_count_from_entries():
+    for k, n in ((2, 5), (3, 6), (4, 5)):
+        for m in matrix_classes(k, n):
+            assert _edge_count(m.entries) == build_graph(m).m, m
 
 
 def test_verify_turan_theorem_report():
     reports = verify_turan_theorem(6, [2, 3])
-    assert all(r.formula_agrees and r.certificates_agree for r in reports)
+    assert all(r.agrees and r.classes_scanned > 0 for r in reports)
     obj = json.loads(turan_report_json(reports))
-    assert obj["all_agree"] is True and obj["schema_version"] == 1
+    assert obj["all_agree"] is True and obj["schema_version"] == 2
+    row = obj["rows"][0]
+    assert (row["n"], row["k"]) == (2, 2)
+    assert row["oracle_certificates"] == ["2,0;0,0"]
+    assert row["certificates"] == [{"families": ["small"], "cert": "2,0;0,0"}]
     tsv = turan_report_tsv(reports)
     assert tsv.splitlines()[0].startswith("n\tk")
     assert len(tsv.splitlines()) == len(reports) + 1
     for max_n, k_list in ((1, [2]), (3, [4]), (5, [])):
         with pytest.raises(PreconditionError):
             verify_turan_theorem(max_n, k_list)
+
+
+def test_verify_turan_theorem_reaches_order_12():
+    reports = verify_turan_theorem(12, [2, 3, 4])
+    assert len(reports) == 11 + 10 + 9
+    assert all(r.agrees for r in reports)
+
+
+def test_row_that_scanned_no_class_fails(monkeypatch, capsys):
+    report = ExtremalReport(n=4, k=2, formula_value=2, oracle_value=2,
+                            formula_agrees=True, certificates_agree=True)
+    assert report.classes_scanned == 0 and not report.agrees
+    assert json.loads(turan_report_json([report]))["all_agree"] is False
+
+    def scans_nothing(n, k):
+        value, keys, _ = route(n, k)
+        return value, keys, 0
+
+    route = extremal._class_route
+    monkeypatch.setattr(extremal, "_class_route", scans_nothing)
+    assert main(["verify", "--theorem", "turan", "--max-n", "4",
+                 "--k-list", "2", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_agree"] is False
+
+
+def test_extremal_graph_without_certificate_is_a_counterexample(
+        monkeypatch, capsys):
+    def fails(g, k):
+        raise ReconstructionError("no certificate")
+
+    monkeypatch.setattr(extremal, "reconstruct_matrix", fails)
+    assert main(["verify", "--theorem", "turan", "--max-n", "4",
+                 "--k-list", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "without a certificate" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +251,9 @@ def test_lemma_bound_validates_input():
     for selected in ([0, 0], [-1], [3]):
         with pytest.raises(PreconditionError):
             lemma_bound(g, partition, selected)
+    # no classes: alpha = n // k divided by zero
+    with pytest.raises(PreconditionError):
+        lemma_bound(SimpleGraph(0), [], [])
 
 
 def test_lemma_bound_turan_graph_tightness():

@@ -39,9 +39,18 @@ CEILINGS = {
     "max_edges_by_order": (
         graphcore, "ORACLE_MAX_N",
         lambda n: extremal.max_edges_by_order([(n, 2)])),
+    "max_edges_by_class-n": (
+        extremal, "EXTREMAL_MAX_N",
+        lambda n: extremal.max_edges_by_class([(n, 2)])),
+    "max_edges_by_class-k": (
+        extremal, "EXTREMAL_MAX_K",
+        lambda k: extremal.max_edges_by_class([(k, k)])),
     "verify_turan_theorem": (
-        graphcore, "ORACLE_MAX_N",
+        extremal, "EXTREMAL_MAX_N",
         lambda n: extremal.verify_turan_theorem(n, [2])),
+    "verify_turan_theorem-k": (
+        extremal, "EXTREMAL_MAX_K",
+        lambda k: extremal.verify_turan_theorem(k, [k])),
     "enumerate_extremal-n": (extremal, "EXTREMAL_MAX_N",
                              lambda n: extremal.enumerate_extremal(n, 2)),
     "enumerate_extremal-k": (extremal, "EXTREMAL_MAX_K",
@@ -76,13 +85,28 @@ def test_recover_tensor_checks_cells_before_counting():
 
 @pytest.mark.parametrize("theorem, module, constant", [
     ("1", graphcore, "ENUMERATION_MAX_N"),
-    ("turan", graphcore, "ORACLE_MAX_N"),
+    ("turan", extremal, "EXTREMAL_MAX_N"),
     ("perfect", perfection, "VERIFY_PERFECTNESS_MAX_N"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
     max_n = str(getattr(module, constant) + 1)
     assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_turan_ceiling_is_checked_before_any_cell(monkeypatch, capsys):
+    # neither the formula nor the oracle may run a cell, not even one of
+    # k = 2 listed before a k past the ceiling, or of an order within it
+    def no_cell(n, k):
+        raise AssertionError("a cell ran before the ceiling check")
+
+    monkeypatch.setattr(extremal, "_class_route", no_cell)
+    monkeypatch.setattr(extremal, "ambiguous_max_edges", no_cell)
+    for max_n, k_list in (("7", f"2,{extremal.EXTREMAL_MAX_K + 1}"),
+                          ("100000", "2")):
+        assert main(["verify", "--theorem", "turan", "--max-n", max_n,
+                     "--k-list", k_list]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def limits_table():

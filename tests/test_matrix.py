@@ -1,11 +1,12 @@
-"""Matrix parsing, classification, full indecomposability, witness walks."""
+"""Matrix parsing, classification, full indecomposability, witness walks,
+and matrix classes under row and column permutations and transpose."""
 
 import json
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,10 @@ from ambigcolor.matrix import (NORMAL, NOT_DESIRABLE, SMALL, SPECIAL, TINY,
                                ColorMatrix, WitnessSequence,
                                _mininormal_matrices, _normal_matrices,
                                _small_matrices, _special_matrices,
-                               _tiny_matrices, balance_flags, classify,
-                               enumerate_desirable, is_fully_indecomposable,
-                               load_matrix, special_variants,
+                               _tiny_matrices, balance_flags, class_key,
+                               classify, enumerate_desirable,
+                               is_fully_indecomposable, load_matrix,
+                               matrix_classes, special_variants,
                                witness_sequence)
 
 
@@ -387,3 +389,85 @@ def test_enumerate_desirable_no_duplicates():
         for n in range(0, 9):
             mats = [tuple(m.entries) for m in enumerate_desirable(k, n)]
             assert len(mats) == len(set(mats))
+
+
+# ---------------------------------------------------------------------------
+# matrix classes
+# ---------------------------------------------------------------------------
+
+def labeled_matrices(k, n):
+    """Every k x k matrix with entry sum n, as a tuple of rows."""
+    def flat(total, cells):
+        if cells == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in flat(total - first, cells - 1):
+                yield (first,) + rest
+    for entries in flat(n, k * k):
+        yield tuple(entries[i * k:(i + 1) * k] for i in range(k))
+
+
+def orbit(rows):
+    """The images of a table under row and column permutations and
+    transpose."""
+    k = len(rows)
+    out = set()
+    for table in (rows, tuple(zip(*rows))):
+        for sigma in permutations(range(k)):
+            for tau in permutations(range(k)):
+                out.add(tuple(tuple(table[i][j] for j in tau)
+                              for i in sigma))
+    return out
+
+
+def brute_force_classes(k, n):
+    """{labeled matrix: the smallest member of its orbit}."""
+    rep = {}
+    for rows in labeled_matrices(k, n):
+        if rows not in rep:
+            members = orbit(rows)
+            low = min(members)
+            for m in members:
+                rep[m] = low
+    return rep
+
+
+@pytest.mark.parametrize("k, max_n", [(1, 7), (2, 7), (3, 7), (4, 5)])
+def test_matrix_classes_match_brute_force_deduplication(k, max_n):
+    for n in range(max_n + 1):
+        rep = brute_force_classes(k, n)
+        classes = list(matrix_classes(k, n))
+        # one matrix per class, and every class met
+        assert sorted(rep[m.entries] for m in classes) == sorted(
+            set(rep.values())), (k, n)
+        keys = {rep[m.entries]: m.entries for m in classes}
+        for m in classes:
+            assert class_key(m) == m.entries
+        for rows, low in rep.items():
+            assert class_key(ColorMatrix(rows)) == keys[low], rows
+
+
+def test_matrix_class_counts_pinned():
+    assert [sum(1 for _ in matrix_classes(3, n)) for n in range(3, 9)] == [
+        7, 16, 32, 68, 126, 238]
+    with pytest.raises(PreconditionError):
+        next(matrix_classes(0, 3))
+    with pytest.raises(PreconditionError):
+        next(matrix_classes(3, -1))
+
+
+def test_class_key_invariant_under_permutations_and_transpose():
+    rng = random.Random(13)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(k)]
+                for _ in range(k)]
+        sigma = rng.sample(range(k), k)
+        tau = rng.sample(range(k), k)
+        image = [[rows[i][j] for j in tau] for i in sigma]
+        if rng.random() < 0.5:
+            image = [list(col) for col in zip(*image)]
+        key = class_key(ColorMatrix(rows))
+        assert class_key(ColorMatrix(image)) == key
+        assert ColorMatrix(key).order == ColorMatrix(rows).order
