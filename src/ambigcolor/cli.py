@@ -25,7 +25,7 @@ def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -76,8 +76,11 @@ def cmd_build(args):
     g = dfold.build_graph_d(dfold.load_tensor(_read(args.input)))
     text = graphcore.to_edge_list(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -154,7 +157,7 @@ def cmd_verify(args):
         if args.format == "json":
             print(perfection.perfectness_report_json(report))
         else:
-            print(f"graphs_checked={report['graphs_checked']} "
+            print(f"classes_checked={report['classes_checked']} "
                   f"violations={len(report['violations'])}")
         return EXIT_OK if not report["violations"] else EXIT_COUNTEREXAMPLE
     raise InputFormatError(f"unknown theorem {args.theorem!r}")

@@ -67,8 +67,9 @@ def _check_partition(g, classes):
 
 
 def _class_masks(g, k):
-    """Yield every k-coloring of g once, as a list of k class bitmasks
-    (empty classes are 0).  The list is reused between yields.
+    """Yield every k-coloring of g once, as a list of min(k, n) class
+    bitmasks (empty classes are 0; n vertices fill at most n classes, so
+    the list does not grow with k).  The list is reused between yields.
 
     Backtracks over one static vertex order, degree descending with ties
     by lower index; the vertex at depth i joins a class already opened or
@@ -80,7 +81,7 @@ def _class_masks(g, k):
         raise ResourceLimitError(f"coloring search limited to n <= {MAX_N}")
     if k < 0:
         raise PreconditionError("need k >= 0")
-    masks = [0] * k
+    masks = [0] * min(k, n)
     if n == 0:
         yield masks
         return

@@ -21,8 +21,8 @@ from itertools import chain
 
 from .coloring import _check_partition, count_colorings
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import (ORACLE_MAX_N, SimpleGraph, build_graph,
-                        canonical_form, graph_levels, turan_graph)
+from .graphcore import (build_graph, canonical_form, enumerate_graphs,
+                        turan_graph)
 from .matrix import (ColorMatrix, _margin_classes, _margin_pairs,
                      _mininormal_matrices, _pairs, _small_matrices,
                      _special_matrices, _tiny_matrices, class_key,
@@ -199,47 +199,20 @@ def max_edges_by_class(pairs):
 # the graph-corpus oracle, the small-n check of the class route
 # ---------------------------------------------------------------------------
 
-def _max_edges_by_k(graphs, k_list):
-    """{k: (max edge count, sorted extremal certs)} over the ambiguously
-    k-colorable graphs among `graphs`, (None, []) for a k with none."""
-    best = {k: (-1, []) for k in k_list}
-    for g in graphs:
-        edges = g.m
-        for k, (m, certs) in best.items():
-            if edges < m or count_colorings(g, k, 2) < 2:
-                continue
-            if edges > m:
-                best[k] = (edges, [canonical_form(g)])
-            else:
-                certs.append(canonical_form(g))
-    return {k: (m, sorted(certs)) if m >= 0 else (None, [])
-            for k, (m, certs) in best.items()}
-
-
 def brute_force_max_edges(n, k):
-    """Independent oracle: (max edge count, extremal certs) over all
-    ambiguously k-colorable graphs on n vertices, using coloring counts
-    and edge counts only."""
-    return max_edges_by_order([(n, k)])[n, k]
-
-
-def max_edges_by_order(pairs):
-    """The oracle of `brute_force_max_edges` for every (n, k) in `pairs`,
-    as {(n, k): (max edge count, sorted extremal certs)}.  The graphs of
-    each order are enumerated once, for every k wanted at that order."""
-    ks_by_n = {}
-    for n, k in pairs:
-        if n < 0:
-            raise PreconditionError(f"need a vertex count >= 0, got {n}")
-        ks_by_n.setdefault(n, set()).add(k)
-    top = max(ks_by_n, default=0)
-    if top > ORACLE_MAX_N:
-        raise ResourceLimitError(f"oracle limited to n <= {ORACLE_MAX_N}")
-    out = {}
-    for n, level in chain([(0, [SimpleGraph(0)])], graph_levels(top)):
-        for k, value in _max_edges_by_k(level, ks_by_n.get(n, ())).items():
-            out[n, k] = value
-    return out
+    """Independent oracle: (max edge count, sorted extremal certs) over all
+    ambiguously k-colorable graphs on n vertices, (None, []) when there
+    are none, using coloring counts and edge counts only.  The graphs
+    come from enumerate_graphs, so n is limited to ENUMERATION_MAX_N."""
+    best, certs = None, []
+    for g in enumerate_graphs(n):
+        if (best is not None and g.m < best
+                or count_colorings(g, k, 2) < 2):
+            continue
+        if best is None or g.m > best:
+            best, certs = g.m, []
+        certs.append(canonical_form(g))
+    return best, sorted(certs)
 
 
 def _key_text(key):

@@ -19,7 +19,6 @@ MAX_VERTICES = 64
 DEFAULT_CANON_MAX_N = 16
 DEFAULT_CLIQUE_MAX_N = 32
 ENUMERATION_MAX_N = 8       # graphs up to isomorphism, by graph_levels
-ORACLE_MAX_N = 7            # the exhaustive corpus of the oracle harnesses
 
 
 class SimpleGraph:

@@ -18,7 +18,7 @@ from itertools import islice
 from .coloring import _class_masks, _ordered_classes
 from .errors import PreconditionError, ReconstructionError
 from .graphcore import build_graph, graph_levels, matrix_labels
-from .matrix import (ColorMatrix, _bipartite_matching, classify,
+from .matrix import (MAX_K, ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
 
@@ -115,8 +115,12 @@ def reconstruct_matrix(g, k):
 
     Raises ReconstructionError when the input is not ambiguously
     k-colorable or when any internal check fails (the latter cannot happen
-    on a maximal ambiguously k-colorable input).
+    on a maximal ambiguously k-colorable input), and PreconditionError
+    for k > matrix.MAX_K before any search.
     """
+    if k > MAX_K:
+        raise PreconditionError(f"certificate dimension k = {k} exceeds "
+                                f"limit {MAX_K}")
     cols = [_ordered_classes(masks)
             for masks in islice(_class_masks(g, k), 2)]
     if len(cols) < 2:

@@ -17,12 +17,10 @@ import json
 
 from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import ORACLE_MAX_N, build_graph, complement, graph_levels
-from .maximality import is_maximal_ambiguous
-from .matrix import enumerate_desirable
+from .graphcore import build_graph, complement
+from .matrix import MAX_K, matrix_classes
 
 DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
-VERIFY_PERFECTNESS_MAX_N = 12
 
 
 def _has_odd_hole(g):
@@ -132,36 +130,33 @@ def is_perfect(g, method="definition"):
 
 
 def verify_perfectness(max_n, k_list):
-    """Assert perfectness of every maximal ambiguously k-colorable graph
-    in the exhaustive corpus and of every family graph G(A) with n <=
-    max_n; report violations (must be none)."""
-    if max_n > VERIFY_PERFECTNESS_MAX_N:
-        raise ResourceLimitError("verify_perfectness limited to max_n <= "
-                                 f"{VERIFY_PERFECTNESS_MAX_N}")
-    if max_n < 1 or not k_list:
-        raise PreconditionError(
-            "verify_perfectness needs max_n >= 1 and a non-empty k list")
+    """Check G(M) perfect by the hole search for every k x k matrix class
+    M of entry sum 1..max_n, for each k in k_list; report the classes
+    checked and each violating class as its matrix JSON (must be none).
+
+    A maximal ambiguously k-colorable G with colorings P != Q is the graph
+    joining the pairs both separate, which is G(M) for the k x k matrix M
+    of the class intersections, so this covers every such graph with
+    n <= max_n.  The ceiling is the hole search's, coloring.MAX_N, and is
+    checked before any class is generated.
+    """
+    if max_n > COLORING_MAX_N:
+        raise ResourceLimitError(
+            f"verify_perfectness limited to max_n <= {COLORING_MAX_N}")
+    if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
+        raise PreconditionError("verify_perfectness needs max_n >= 1 and a "
+                                f"non-empty list of k in 1..{MAX_K}")
     checked = 0
     violations = []
-    for _, level in graph_levels(min(max_n, ORACLE_MAX_N)):
-        for g in level:
-            for k in k_list:
-                if is_maximal_ambiguous(g, k):
-                    checked += 1
-                    if not is_perfect(g):
-                        violations.append(g.edges())
-                    break
     for k in k_list:
-        for n in range(0, max_n + 1):
-            for mat in enumerate_desirable(k, n):
-                g = build_graph(mat)
+        for n in range(1, max_n + 1):
+            for mat in matrix_classes(k, n):
                 checked += 1
-                if not is_perfect(g):
-                    violations.append(g.edges())
-    return {"graphs_checked": checked,
-            "violations": [[f"{u} {v}" for u, v in e] for e in violations]}
+                if not is_perfect(build_graph(mat), "holes"):
+                    violations.append(mat.to_json())
+    return {"classes_checked": checked, "violations": violations}
 
 
 def perfectness_report_json(report):
-    return json.dumps({"schema_version": 1, "theorem": "perfectness",
+    return json.dumps({"schema_version": 2, "theorem": "perfectness",
                        **report}, indent=2, sort_keys=True)

@@ -62,6 +62,14 @@ def test_build_and_count(fig_matrix, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_build_out_to_a_missing_directory(fig_matrix, tmp_path, capsys):
+    out = tmp_path / "missing" / "g.txt"
+    assert main(["build", fig_matrix, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not out.exists()
+
+
 def test_build_to_stdout(tmp_path, capsys):
     p = tmp_path / "m.txt"
     p.write_text("3\n2 0 0\n0 2 0\n0 0 0\n")
@@ -204,6 +212,27 @@ def test_graph_input_errors(case, tmp_path, capsys):
     path.write_text(MALFORMED_GRAPHS[case])
     for command in ("count", "check-maximal", "reconstruct"):
         assert main([command, str(path), "-k", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe2\n1 0\n0 1\n")
+    assert main(["classify", str(path)]) == 2
+    assert main(["count", str(path), "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 2
+
+
+def test_count_and_reconstruct_with_a_huge_k(tmp_path, capsys):
+    # [0] * 2**62 fails its size check at once, so a search that allocates
+    # one class per color raises MemoryError here instead of allocating
+    path = tmp_path / "two.txt"
+    path.write_text("2 0\n")
+    k = str(2 ** 62)
+    assert main(["count", str(path), "-k", k]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert main(["reconstruct", str(path), "-k", k]) == 2
     assert capsys.readouterr().out == ""
 
 

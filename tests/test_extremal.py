@@ -15,9 +15,9 @@ from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.extremal import (ExtremalReport, _edge_count,
                                  ambiguous_max_edges, brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
-                                 max_edges_by_class, max_edges_by_order,
-                                 turan_number, turan_report_json,
-                                 turan_report_tsv, verify_turan_theorem)
+                                 max_edges_by_class, turan_number,
+                                 turan_report_json, turan_report_tsv,
+                                 verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
                                   cycle_graph, enumerate_graphs, graph_levels,
                                   path_graph, turan_graph)
@@ -56,8 +56,6 @@ def test_negative_orders_rejected():
         list(graph_levels(-1))
     with pytest.raises(PreconditionError):
         brute_force_max_edges(-1, 2)
-    with pytest.raises(PreconditionError):
-        max_edges_by_order([(-1, 2), (3, 2)])
     assert list(graph_levels(0)) == []
     assert len(enumerate_graphs(0)) == 1
     assert brute_force_max_edges(0, 2) == (None, [])
@@ -104,10 +102,9 @@ def test_extremal_family_enumeration_matches_oracle():
 def test_class_route_matches_graph_corpus_oracle():
     cells = [(n, k) for k in (2, 3, 4) for n in range(max(2, k), 8)]
     by_class = max_edges_by_class(cells)
-    by_graph = max_edges_by_order(cells)
     for cell in cells:
         value, keys, scanned = by_class[cell]
-        graph_value, certs = by_graph[cell]
+        graph_value, certs = brute_force_max_edges(*cell)
         assert value == graph_value and scanned > 0, cell
         # one key per extremal graph, and every extremal graph keyed
         assert graph_certs(keys) == certs, cell

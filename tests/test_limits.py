@@ -7,13 +7,14 @@ is exit code 3 with nothing on stdout.  README's Limits table lists every
 ceiling with its module and value, and is checked against the modules.
 """
 
+import ast
 import importlib
 import time
 from pathlib import Path
 
 import pytest
 
-from ambigcolor import dfold, extremal, graphcore, perfection
+from ambigcolor import coloring, dfold, extremal, graphcore, perfection
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
 from ambigcolor.graphcore import SimpleGraph, empty_graph
@@ -34,11 +35,8 @@ CEILINGS = {
     "verify_theorem1": (graphcore, "ENUMERATION_MAX_N",
                         lambda n: verify_theorem1(n, [2])),
     "brute_force_max_edges": (
-        graphcore, "ORACLE_MAX_N",
+        graphcore, "ENUMERATION_MAX_N",
         lambda n: extremal.brute_force_max_edges(n, 2)),
-    "max_edges_by_order": (
-        graphcore, "ORACLE_MAX_N",
-        lambda n: extremal.max_edges_by_order([(n, 2)])),
     "max_edges_by_class-n": (
         extremal, "EXTREMAL_MAX_N",
         lambda n: extremal.max_edges_by_class([(n, 2)])),
@@ -58,7 +56,7 @@ CEILINGS = {
     "is_perfect-definition": (
         perfection, "DEFAULT_PERFECT_MAX_N",
         lambda n: perfection.is_perfect(empty_graph(n), "definition")),
-    "verify_perfectness": (perfection, "VERIFY_PERFECTNESS_MAX_N",
+    "verify_perfectness": (coloring, "MAX_N",
                            lambda n: perfection.verify_perfectness(n, [2])),
     "count_perfect_matchings": (
         dfold, "MATCHING_MAX_N",
@@ -86,7 +84,7 @@ def test_recover_tensor_checks_cells_before_counting():
 @pytest.mark.parametrize("theorem, module, constant", [
     ("1", graphcore, "ENUMERATION_MAX_N"),
     ("turan", extremal, "EXTREMAL_MAX_N"),
-    ("perfect", perfection, "VERIFY_PERFECTNESS_MAX_N"),
+    ("perfect", coloring, "MAX_N"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
     max_n = str(getattr(module, constant) + 1)
@@ -107,6 +105,17 @@ def test_turan_ceiling_is_checked_before_any_cell(monkeypatch, capsys):
         assert main(["verify", "--theorem", "turan", "--max-n", max_n,
                      "--k-list", k_list]) == 3
         assert capsys.readouterr().out == ""
+
+
+def test_perfectness_ceiling_is_checked_before_any_class(monkeypatch,
+                                                         capsys):
+    def no_class(k, n):
+        raise AssertionError("a class was generated before the ceiling check")
+
+    monkeypatch.setattr(perfection, "matrix_classes", no_class)
+    max_n = str(coloring.MAX_N + 1)
+    assert main(["verify", "--theorem", "perfect", "--max-n", max_n]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def limits_table():
@@ -137,3 +146,22 @@ def test_readme_limits_table_matches_the_modules():
     listed = {(module, name) for name, module, _ in table}
     for module, constant, _ in CEILINGS.values():
         assert (module.__name__.rsplit(".", 1)[1], constant) in listed
+    # and the reverse: every ceiling a module defines is listed, so a
+    # deleted one cannot linger in the table nor a new one go unlisted
+    assert module_ceilings() <= listed
+
+
+def module_ceilings():
+    """(module, name) for every int constant assigned at the top level of
+    a package module whose name contains MAX or CAP (imported aliases such
+    as perfection's COLORING_MAX_N are not assignments)."""
+    out = set()
+    for path in Path(graphcore.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"ambigcolor.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for target in getattr(node, "targets", ()):
+                name = getattr(target, "id", "")
+                if (("MAX" in name or "CAP" in name)
+                        and isinstance(getattr(module, name), int)):
+                    out.add((path.stem, name))
+    return out

@@ -169,6 +169,16 @@ def test_reconstruct_rejects_non_ambiguous():
         reconstruct_matrix(cycle_graph(5), 2)
 
 
+def test_huge_k_on_two_isolated_vertices():
+    # two 2**62-colorings, and one class per vertex at most: no search
+    # allocates per color, and reconstruction stops at matrix.MAX_K first
+    g, k = SimpleGraph(2), 2 ** 62
+    assert count_colorings(g, k, 10) == 2
+    assert is_maximal_ambiguous(g, k)
+    with pytest.raises(PreconditionError):
+        reconstruct_matrix(g, k)
+
+
 def test_reconstruct_trace_is_consistent():
     g = build_graph(FIG_MATRIX)
     mat, trace = reconstruct_matrix(g, 3)

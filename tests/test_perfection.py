@@ -1,16 +1,22 @@
-"""Perfectness checking: definition method vs. odd-hole search."""
+"""Perfectness checking: definition method vs. odd-hole search, and the
+harness over matrix classes."""
 
+import json
 import random
 
 import pytest
 
+from ambigcolor import perfection
+from ambigcolor.cli import main
 from ambigcolor.coloring import MAX_N as COLORING_MAX_N, chromatic_number
 from ambigcolor.errors import PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, build_graph, clique_number,
-                                  complement, complete_graph,
+from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
+                                  clique_number, complement, complete_graph,
                                   complete_multipartite, cycle_graph,
-                                  empty_graph, enumerate_graphs, path_graph)
-from ambigcolor.matrix import ColorMatrix
+                                  empty_graph, enumerate_graphs, graph_levels,
+                                  path_graph)
+from ambigcolor.matrix import MAX_K, ColorMatrix, matrix_classes
+from ambigcolor.maximality import is_maximal_ambiguous
 from ambigcolor.perfection import (_has_odd_hole, is_perfect,
                                    perfectness_report_json,
                                    verify_perfectness)
@@ -122,12 +128,65 @@ def test_hole_search_beyond_the_definition_ceiling():
 def test_verify_perfectness_no_violations():
     report = verify_perfectness(6, [2, 3])
     assert report["violations"] == []
-    assert report["graphs_checked"] > 100
-    js = perfectness_report_json(report)
-    assert '"schema_version": 1' in js
-    for max_n, k_list in ((0, [2]), (4, [])):
+    # every class of every order 1..max_n is checked, none twice
+    assert report["classes_checked"] == sum(
+        len(list(matrix_classes(k, n))) for k in (2, 3) for n in range(1, 7))
+    obj = json.loads(perfectness_report_json(report))
+    assert obj["schema_version"] == 2
+    assert obj["classes_checked"] == report["classes_checked"]
+    for max_n, k_list in ((0, [2]), (4, []), (4, [0]), (4, [MAX_K + 1])):
         with pytest.raises(PreconditionError):
             verify_perfectness(max_n, k_list)
+
+
+def test_imperfect_verdict_is_reported_as_its_matrix(monkeypatch, tmp_path,
+                                                     capsys):
+    def is_perfect(g, method):
+        assert method == "holes"
+        return g.m != 1
+
+    monkeypatch.setattr(perfection, "is_perfect", is_perfect)
+    assert main(["verify", "--theorem", "perfect", "--max-n", "3",
+                 "--k-list", "2", "--format", "json"]) == 1
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations and violations == [
+        m.to_json() for n in (1, 2, 3) for m in matrix_classes(2, n)
+        if build_graph(m).m == 1]
+    # each witness is input to `ambigcolor build`, which rebuilds G(M)
+    path = tmp_path / "witness.json"
+    for witness in violations:
+        path.write_text(json.dumps(witness))
+        assert main(["build", str(path)]) == 0
+        assert capsys.readouterr().out.split()[1] == "1"
+
+
+def test_every_small_maximal_graph_is_the_graph_of_a_class():
+    # the lemma the harness rests on: a maximal ambiguously k-colorable
+    # graph on n vertices is G(M) for a k x k matrix class M of entry sum n
+    maximal = 0
+    for n, graphs in graph_levels(7):
+        for k in (2, 3, 4):
+            by_class = {canonical_form(build_graph(m))
+                        for m in matrix_classes(k, n)}
+            for g in graphs:
+                if is_maximal_ambiguous(g, k):
+                    maximal += 1
+                    assert canonical_form(g) in by_class, (n, k, g.edges())
+    assert maximal == 63
+
+
+def test_methods_agree_on_every_small_class():
+    # the definition method is the hole search's oracle on the harness's
+    # own inputs: 1846 classes with k <= 4 and n <= 8
+    checked = 0
+    for k in (2, 3, 4):
+        for n in range(1, 9):
+            for m in matrix_classes(k, n):
+                g = build_graph(m)
+                assert is_perfect(g, "definition"), m
+                assert is_perfect(g, "holes"), m
+                checked += 1
+    assert checked == 1846
 
 
 def test_definition_matches_oracle_on_all_small_graphs():
