@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .coloring import MAX_N as COLORING_MAX_N
 from .coloring import _check_partition, count_colorings
 from .errors import PreconditionError, ResourceLimitError
 from .graphcore import (build_graph, canonical_form, enumerate_graphs,
@@ -29,7 +30,6 @@ from .matrix import (ColorMatrix, _margin_classes, _margin_pairs,
                      special_variants)
 from .maximality import reconstruct_matrix
 
-EXTREMAL_MAX_N = 24
 EXTREMAL_MAX_K = 5
 
 
@@ -105,10 +105,10 @@ def lemma_bound(g, partition, selected):
 # ---------------------------------------------------------------------------
 
 def _check_extremal_limits(max_n, max_k):
-    if max_n > EXTREMAL_MAX_N or max_k > EXTREMAL_MAX_K:
+    if max_n > COLORING_MAX_N or max_k > EXTREMAL_MAX_K:
         raise ResourceLimitError(
             f"the extremal oracle and families are limited to "
-            f"n <= {EXTREMAL_MAX_N}, k <= {EXTREMAL_MAX_K}")
+            f"n <= {COLORING_MAX_N}, k <= {EXTREMAL_MAX_K}")
 
 
 def _edge_count(entries):
@@ -183,7 +183,7 @@ def _class_route(n, k):
 def max_edges_by_class(pairs):
     """The class-route oracle for every (n, k) in `pairs`, n >= 2 and
     k >= 2, as {(n, k): (max edge count, sorted extremal class keys,
-    classes scanned)}.  Raises ResourceLimitError past EXTREMAL_MAX_N or
+    classes scanned)}.  Raises ResourceLimitError past coloring.MAX_N or
     EXTREMAL_MAX_K before any cell is computed, and ReconstructionError
     if an extremal graph has no certificate (a counterexample to the
     characterization theorem)."""

@@ -477,6 +477,9 @@ def from_edge_list(text):
         n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise InputFormatError(f"bad header line: {lines[0]!r}") from exc
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"graph file has {n} > {MAX_VERTICES} vertices")
     if len(lines) - 1 != m:
         raise InputFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

@@ -4,9 +4,9 @@ The four matrix classes (tiny, small, special, normal) are the certificate
 vocabulary for maximal ambiguous k-colorability; "desirable" means
 belonging to one of them.  This module also houses full indecomposability,
 the nonzero-walk witness sequence, the balance flags and special variants
-used by the extremal machinery, and the exhaustive generator of desirable
-matrices with a prescribed entry sum.  Last, it enumerates the classes of
-k x k matrices with a given entry sum under independent row and column
+used by the extremal machinery, and the generator of the desirable
+matrices of one entry sum, one per relabeling.  Last, it enumerates the
+matrix classes of one entry sum under independent row and column
 permutations and transpose, and gives any matrix the key of its class.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -481,86 +481,70 @@ def classify(matrix):
 # exhaustive generation
 # ---------------------------------------------------------------------------
 
-def _compositions(total, parts, minimum=0):
-    """All tuples of `parts` ints >= minimum summing to `total`."""
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def _diag_matrix(k, diag):
-    return ColorMatrix([[diag[i] if i == j else 0 for j in range(k)]
-                        for i in range(k)])
+def _positive_parts(total, parts):
+    """Nonincreasing tuples of `parts` positive ints summing to `total`."""
+    for p in _partitions(total - parts, parts, total):
+        yield tuple(x + 1 for x in p)
+
+
+def _placed(block, diag):
+    """The matrix with the square `block` on the leading indices and the
+    entries of `diag` on the rest of the diagonal."""
+    r, k = len(block), len(block) + len(diag)
+    entries = [list(row) + [0] * (k - r) for row in block]
+    entries += [[0] * (r + i) + [x] + [0] * (k - r - i - 1)
+                for i, x in enumerate(diag)]
+    return ColorMatrix(entries)
 
 
 def _tiny_matrices(k, n):
-    # diagonal: one 2, (n - 2) ones, rest zeros; need >= 2 zeros
-    ones = n - 2
-    if ones < 0 or k - 1 - ones < 2:
-        return
-    for pos2 in range(k):
-        rest = [p for p in range(k) if p != pos2]
-        for one_pos in combinations(rest, ones):
-            diag = [0] * k
-            diag[pos2] = 2
-            for p in one_pos:
-                diag[p] = 1
-            yield _diag_matrix(k, diag)
+    # the diagonal (2, 1, ..., 1, 0, ..., 0): n - 2 ones, >= 2 zeros
+    if 2 <= n <= k - 1:
+        yield _placed((), (2,) + (1,) * (n - 2) + (0,) * (k - n + 1))
 
 
 def _small_matrices(k, n):
-    # diagonal: entries in {1, 2} except exactly one 0, at least one 2
-    for zero_pos in range(k):
-        rest = [p for p in range(k) if p != zero_pos]
-        for values in _compositions(n, k - 1, minimum=1):
-            if max(values, default=0) > 2 or 2 not in values:
-                continue
-            diag = [0] * k
-            for p, v in zip(rest, values):
-                diag[p] = v
-            yield _diag_matrix(k, diag)
+    # the diagonal (2, ..., 2, 1, ..., 1, 0): n - k + 1 twos, one zero
+    twos = n - k + 1
+    if 1 <= twos <= k - 1:
+        yield _placed((), (2,) * twos + (1,) * (k - 1 - twos) + (0,))
 
 
 def _special_matrices(k, n):
-    if k < 2 or n < k + 1:
+    # the off-diagonal 1 at (1, 2); A(1,1) and A(2,2) free, the rest of
+    # the diagonal nonincreasing
+    if k < 2:
         return
-    for diag in _compositions(n - 1, k, minimum=1):
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                entries = [[diag[p] if p == q else 0 for q in range(k)]
-                           for p in range(k)]
-                entries[i][j] = 1
-                yield ColorMatrix(entries)
+    for a in range(1, n):
+        for b in range(1, n - a):
+            for diag in _positive_parts(n - 1 - a - b, k - 2):
+                yield _placed(((a, 1), (0, b)), diag)
 
 
 def _normal_matrices(k, n):
-    # each r x r block is tested once, then placed at every block position
+    # each fully indecomposable r x r block, tested once, on the leading
+    # indices; the rest of the diagonal nonincreasing
     for r in range(2, k + 1):
-        d_len = k - r
         # each block row needs diag >= 1 and an off-diag
-        for m_sum in range(2 * r, n - d_len + 1):
-            d_values = list(_compositions(n - m_sum, d_len, minimum=1))
+        for m_sum in range(2 * r, n - (k - r) + 1):
+            diags = list(_positive_parts(n - m_sum, k - r))
             for flat in _compositions(m_sum - r, r * r):
                 m = [[flat[p * r + q] + (1 if p == q else 0)
                       for q in range(r)] for p in range(r)]
-                if not is_fully_indecomposable(m):
-                    continue
-                for block in combinations(range(k), r):
-                    rest = [p for p in range(k) if p not in block]
-                    for dv in d_values:
-                        entries = [[0] * k for _ in range(k)]
-                        for pi, bi in enumerate(block):
-                            for qi, bj in enumerate(block):
-                                entries[bi][bj] = m[pi][qi]
-                        for p, v in zip(rest, dv):
-                            entries[p][p] = v
-                        yield ColorMatrix(entries)
+                if is_fully_indecomposable(m):
+                    for diag in diags:
+                        yield _placed(m, diag)
 
 
 def _mininormal_matrices(k, n):
@@ -568,25 +552,20 @@ def _mininormal_matrices(k, n):
     # window are re-checked through classify
     if not 2 * k <= n < 3 * k or k < 2:
         return
-    d_len = k - 2
-    for block in combinations(range(k), 2):
-        rest = [p for p in range(k) if p not in block]
-        for dv in _compositions(n - 4, d_len, minimum=1):
-            entries = [[0] * k for _ in range(k)]
-            bi, bj = block
-            entries[bi][bi] = entries[bi][bj] = 1
-            entries[bj][bi] = entries[bj][bj] = 1
-            for p, v in zip(rest, dv):
-                entries[p][p] = v
-            m = ColorMatrix(entries)
-            if classify(m).mininormal:
-                yield m
+    for diag in _positive_parts(n - 4, k - 2):
+        m = _placed(((1, 1), (1, 1)), diag)
+        if classify(m).mininormal:
+            yield m
 
 
 def enumerate_desirable(k, n):
-    """Yield every desirable k x k matrix with entry sum n: the tiny, then
-    the small, special and normal ones.  Graph-level deduplication happens
-    downstream.  Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
+    """Yield the desirable k x k matrices with entry sum n, one per orbit
+    under simultaneous row and column permutation PAP^T (a relabeling of
+    G(A), which keeps classify's verdict): the tiny, then the small,
+    special and normal ones.  The normal block sits on the leading
+    indices but stays labeled, so a normal orbit with an r x r block may
+    appear up to r! times; graph-level deduplication happens downstream.
+    Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
     if k < 1 or n < 0:
         raise PreconditionError("need k >= 1, n >= 0")
     parts = (_tiny_matrices(k, n), _small_matrices(k, n),

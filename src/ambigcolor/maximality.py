@@ -198,9 +198,10 @@ def verify_theorem1(max_n, k_list):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
-    tested for maximal ambiguity and for reconstructability, and every
-    desirable matrix with entry sum n is checked to induce a maximal
-    ambiguously k-colorable graph.
+    tested for maximal ambiguity and for reconstructability, and the
+    desirable matrices with entry sum n, one per relabeling orbit (see
+    enumerate_desirable), are checked to induce maximal ambiguously
+    k-colorable graphs; `family_graphs` counts them.
     """
     if max_n < 1 or not k_list:
         raise PreconditionError(

@@ -14,6 +14,7 @@ used as a cross-check rather than assumed.
 from __future__ import annotations
 
 import json
+from math import comb, factorial
 
 from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
@@ -21,6 +22,7 @@ from .graphcore import build_graph, complement
 from .matrix import MAX_K, matrix_classes
 
 DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
+PERFECT_MAX_CLASSES = 200_000  # classes verify_perfectness may check
 
 
 def _has_odd_hole(g):
@@ -129,6 +131,14 @@ def is_perfect(g, method="definition"):
     return _chi_equals_omega_everywhere(g.n, g.rows)
 
 
+def min_classes(max_n, k_list):
+    """A lower bound on the k x k matrix classes of entry sum 1..max_n,
+    summed over k in k_list: a class holds at most 2 (k!)^2 of the
+    C(n + k^2 - 1, n) matrices of entry sum n."""
+    return sum(-(-comb(n + k * k - 1, n) // (2 * factorial(k) ** 2))
+               for k in k_list for n in range(1, max_n + 1))
+
+
 def verify_perfectness(max_n, k_list):
     """Check G(M) perfect by the hole search for every k x k matrix class
     M of entry sum 1..max_n, for each k in k_list; report the classes
@@ -137,8 +147,9 @@ def verify_perfectness(max_n, k_list):
     A maximal ambiguously k-colorable G with colorings P != Q is the graph
     joining the pairs both separate, which is G(M) for the k x k matrix M
     of the class intersections, so this covers every such graph with
-    n <= max_n.  The ceiling is the hole search's, coloring.MAX_N, and is
-    checked before any class is generated.
+    n <= max_n.  Two ceilings are checked before any class is generated:
+    the hole search's, coloring.MAX_N, and PERFECT_MAX_CLASSES on
+    min_classes(max_n, k_list).
     """
     if max_n > COLORING_MAX_N:
         raise ResourceLimitError(
@@ -146,6 +157,10 @@ def verify_perfectness(max_n, k_list):
     if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
         raise PreconditionError("verify_perfectness needs max_n >= 1 and a "
                                 f"non-empty list of k in 1..{MAX_K}")
+    if min_classes(max_n, k_list) > PERFECT_MAX_CLASSES:
+        raise ResourceLimitError(
+            f"verify_perfectness would check more than {PERFECT_MAX_CLASSES}"
+            " classes")
     checked = 0
     violations = []
     for k in k_list:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ambigcolor import extremal
+from ambigcolor import coloring, extremal, graphcore
 from ambigcolor.cli import main
 
 FIG_TEXT = "3\n1 2 0\n1 3 1\n1 1 1\n"
@@ -159,7 +159,7 @@ def test_table_rejects_empty_range(capsys):
 
 
 def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
-    max_n, max_k = extremal.EXTREMAL_MAX_N, extremal.EXTREMAL_MAX_K
+    max_n, max_k = coloring.MAX_N, extremal.EXTREMAL_MAX_K
     for n, k in ((max_n + 1, 2), (max_k + 1, max_k + 1)):
         assert main(["table", "--max-n", str(n), "--max-k", str(k)]) == 3
         captured = capsys.readouterr()
@@ -247,6 +247,17 @@ def test_coloring_commands_limited_to_32_vertices(tmp_path, capsys):
     for command in ("count", "check-maximal", "reconstruct"):
         assert main([command, str(big), "-k", "2"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_graph_files_limited_to_max_vertices(tmp_path, capsys):
+    # the header's vertex count is refused before any row is allocated
+    big = tmp_path / "huge.txt"
+    for n in (2 ** 62, graphcore.MAX_VERTICES + 1):
+        big.write_text(f"{n} 0\n")
+        for command in ("count", "check-maximal", "reconstruct"):
+            assert main([command, str(big), "-k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "graph file" in captured.err
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):

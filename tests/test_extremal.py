@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ambigcolor import extremal
 from ambigcolor.cli import main
-from ambigcolor.coloring import enumerate_colorings
+from ambigcolor.coloring import MAX_N as COLORING_MAX_N, enumerate_colorings
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.extremal import (ExtremalReport, _edge_count,
                                  ambiguous_max_edges, brute_force_max_edges,
@@ -148,6 +148,12 @@ def test_verify_turan_theorem_report():
 def test_verify_turan_theorem_reaches_order_12():
     reports = verify_turan_theorem(12, [2, 3, 4])
     assert len(reports) == 11 + 10 + 9
+    assert all(r.agrees for r in reports)
+
+
+def test_verify_turan_theorem_reaches_the_coloring_cap():
+    reports = verify_turan_theorem(COLORING_MAX_N, [2])
+    assert len(reports) == COLORING_MAX_N - 1
     assert all(r.agrees for r in reports)
 
 

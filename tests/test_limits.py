@@ -38,18 +38,18 @@ CEILINGS = {
         graphcore, "ENUMERATION_MAX_N",
         lambda n: extremal.brute_force_max_edges(n, 2)),
     "max_edges_by_class-n": (
-        extremal, "EXTREMAL_MAX_N",
+        coloring, "MAX_N",
         lambda n: extremal.max_edges_by_class([(n, 2)])),
     "max_edges_by_class-k": (
         extremal, "EXTREMAL_MAX_K",
         lambda k: extremal.max_edges_by_class([(k, k)])),
     "verify_turan_theorem": (
-        extremal, "EXTREMAL_MAX_N",
+        coloring, "MAX_N",
         lambda n: extremal.verify_turan_theorem(n, [2])),
     "verify_turan_theorem-k": (
         extremal, "EXTREMAL_MAX_K",
         lambda k: extremal.verify_turan_theorem(k, [k])),
-    "enumerate_extremal-n": (extremal, "EXTREMAL_MAX_N",
+    "enumerate_extremal-n": (coloring, "MAX_N",
                              lambda n: extremal.enumerate_extremal(n, 2)),
     "enumerate_extremal-k": (extremal, "EXTREMAL_MAX_K",
                              lambda k: extremal.enumerate_extremal(k, k)),
@@ -58,6 +58,13 @@ CEILINGS = {
         lambda n: perfection.is_perfect(empty_graph(n), "definition")),
     "verify_perfectness": (coloring, "MAX_N",
                            lambda n: perfection.verify_perfectness(n, [2])),
+    "verify_perfectness-classes": (
+        perfection, "PERFECT_MAX_CLASSES",
+        lambda classes: perfection.verify_perfectness(
+            next(n for n in range(1, coloring.MAX_N + 1)
+                 if perfection.min_classes(n, [3]) >= classes), [3])),
+    "from_edge_list": (graphcore, "MAX_VERTICES",
+                       lambda n: graphcore.from_edge_list(f"{n} 0\n")),
     "count_perfect_matchings": (
         dfold, "MATCHING_MAX_N",
         lambda n: dfold.count_perfect_matchings(empty_graph(n))),
@@ -83,7 +90,7 @@ def test_recover_tensor_checks_cells_before_counting():
 
 @pytest.mark.parametrize("theorem, module, constant", [
     ("1", graphcore, "ENUMERATION_MAX_N"),
-    ("turan", extremal, "EXTREMAL_MAX_N"),
+    ("turan", coloring, "MAX_N"),
     ("perfect", coloring, "MAX_N"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
@@ -113,9 +120,13 @@ def test_perfectness_ceiling_is_checked_before_any_class(monkeypatch,
         raise AssertionError("a class was generated before the ceiling check")
 
     monkeypatch.setattr(perfection, "matrix_classes", no_class)
-    max_n = str(coloring.MAX_N + 1)
-    assert main(["verify", "--theorem", "perfect", "--max-n", max_n]) == 3
-    assert capsys.readouterr().out == ""
+    # past the order ceiling, then past the class ceiling, even with a
+    # k = 2 listed first whose classes alone are within it
+    for max_n, k_list in ((str(coloring.MAX_N + 1), "2,3,4"), ("13", "6"),
+                          ("32", "2,6")):
+        assert main(["verify", "--theorem", "perfect", "--max-n", max_n,
+                     "--k-list", k_list]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def limits_table():

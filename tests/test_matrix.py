@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ambigcolor
-from ambigcolor.errors import InputFormatError, PreconditionError
+from ambigcolor import matrix
+from ambigcolor.errors import (InputFormatError, PreconditionError,
+                               ResourceLimitError)
 from ambigcolor.matrix import (NORMAL, NOT_DESIRABLE, SMALL, SPECIAL, TINY,
                                VARIANT_A, VARIANT_B, VARIANT_C, VARIANT_PLAIN,
                                ColorMatrix, WitnessSequence,
@@ -369,8 +371,17 @@ def test_family_generators_match_classify():
                     (family.__name__, k, n)
 
 
+def relabeling_orbit(m):
+    """The smallest of the k! images P A P^T of a matrix under one
+    permutation P of its rows and columns alike."""
+    k = m.k
+    return min(tuple(tuple(m.entries[i][j] for j in p) for i in p)
+               for p in permutations(range(k)))
+
+
 def test_enumerate_desirable_is_complete():
-    # every k x k matrix of entry sum n that classify calls desirable
+    # every relabeling orbit of the k x k matrices of entry sum n that
+    # classify calls desirable, and no other
     for k, max_n in ((1, 7), (2, 7), (3, 7), (4, 5)):
         for n in range(max_n + 1):
             desirable = set()
@@ -380,8 +391,41 @@ def test_enumerate_desirable_is_complete():
                         zip((-1,) + cut, cut + (n + k * k - 1,))]
                 m = ColorMatrix([flat[i * k:(i + 1) * k] for i in range(k)])
                 if classify(m).desirable:
-                    desirable.add(m)
-            assert set(enumerate_desirable(k, n)) == desirable, (k, n)
+                    desirable.add(relabeling_orbit(m))
+            assert set(map(relabeling_orbit, enumerate_desirable(k, n))) \
+                == desirable, (k, n)
+
+
+def test_family_generators_yield_one_matrix_per_orbit():
+    # the normal block stays labeled, so only the normal family repeats
+    for family in (_tiny_matrices, _small_matrices, _special_matrices,
+                   _mininormal_matrices):
+        for k in range(1, 5):
+            for n in range(11):
+                orbits = [relabeling_orbit(m) for m in family(k, n)]
+                assert len(orbits) == len(set(orbits)), (family.__name__,
+                                                         k, n)
+
+
+def test_classify_is_invariant_under_relabeling():
+    rng = random.Random(29)
+    for k in range(1, 5):
+        for n in range(8):
+            for m in enumerate_desirable(k, n):
+                p = rng.sample(range(k), k)
+                image = ColorMatrix([[m.entries[i][j] for j in p]
+                                     for i in p])
+                a, b = classify(m), classify(image)
+                assert (a.verdict, a.variants, a.r, a.mininormal,
+                        a.balance) == (b.verdict, b.variants, b.r,
+                                       b.mininormal, b.balance), m
+
+
+def test_enumerate_desirable_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(matrix, "DEFAULT_ENUM_CAP", 3)
+    assert len(list(enumerate_desirable(3, 4))) <= 3
+    with pytest.raises(ResourceLimitError):
+        list(enumerate_desirable(3, 6))
 
 
 def test_enumerate_desirable_no_duplicates():

@@ -17,7 +17,8 @@ from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
                                   path_graph)
 from ambigcolor.matrix import MAX_K, ColorMatrix, matrix_classes
 from ambigcolor.maximality import is_maximal_ambiguous
-from ambigcolor.perfection import (_has_odd_hole, is_perfect,
+from ambigcolor.perfection import (PERFECT_MAX_CLASSES, _has_odd_hole,
+                                   is_perfect, min_classes,
                                    perfectness_report_json,
                                    verify_perfectness)
 
@@ -137,6 +138,23 @@ def test_verify_perfectness_no_violations():
     for max_n, k_list in ((0, [2]), (4, []), (4, [0]), (4, [MAX_K + 1])):
         with pytest.raises(PreconditionError):
             verify_perfectness(max_n, k_list)
+
+
+def test_class_bound_is_a_lower_bound():
+    for k in (1, 2, 3):
+        for max_n in range(1, 9):
+            assert min_classes(max_n, [k]) <= sum(
+                len(list(matrix_classes(k, n))) for n in range(1, max_n + 1))
+
+
+def test_class_ceiling_admits_the_reach_targets():
+    admitted = {(12, (2, 3, 4)): 30734, (32, (2,)): 7374, (20, (3,)): 139106,
+                (13, (4,)): 58917, (10, (5,)): 6382}
+    rejected = {(24, (3,)): 535665, (13, (6,)): 253284}
+    for (max_n, k_list), bound in admitted.items():
+        assert min_classes(max_n, k_list) == bound <= PERFECT_MAX_CLASSES
+    for (max_n, k_list), bound in rejected.items():
+        assert min_classes(max_n, k_list) == bound > PERFECT_MAX_CLASSES
 
 
 def test_imperfect_verdict_is_reported_as_its_matrix(monkeypatch, tmp_path,
