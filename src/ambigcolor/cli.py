@@ -1,14 +1,15 @@
 """Command-line frontend.
 
 Subcommands wrap the library operations and verification harnesses.
-Exit codes: 0 success, 1 counterexample found, 2 input error, 3 resource
-bound exceeded.
+Exit codes: 0 success, 1 counterexample found or standard output closed
+early, 2 input error, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import coloring, dfold, extremal, graphcore, maximality, matrix, perfection
@@ -246,7 +247,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (as in `ambigcolor ... | head`); point stdout at
+        # devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_COUNTEREXAMPLE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -11,6 +11,7 @@ file formats.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, islice
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
@@ -230,27 +231,57 @@ def path_graph(n):
 # canonical labeling / isomorphism
 # ---------------------------------------------------------------------------
 
-def _refine(rows, cells):
-    """Equitable refinement: split cells by neighbor counts into all cells."""
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        new_cells = []
-        changed = False
+def _refine(rows, cells, queue=None):
+    """Equitable refinement of an ordered partition into bitmask cells.
+
+    Splitter-queue refinement (McKay 1981): a FIFO queue holds splitter
+    masks, by default the cells themselves.  Each splitter w splits every
+    non-singleton cell by the count (rows[v] & w).bit_count(); the
+    fragments replace the cell in place, ascending by count, and each
+    joins the queue.  The result is the coarsest equitable refinement,
+    in an order that depends only on the graph and the input order, so
+    relabeling the vertices relabels the result.  A partition that is
+    equitable apart from one individualized vertex v needs only the
+    queue [1 << v].
+    """
+    n = len(rows)
+    cells = list(cells)
+    queue = deque(cells if queue is None else queue)
+    while queue and len(cells) < n:
+        w = queue.popleft()
+        out = []
+        if not w & (w - 1):
+            # one splitter vertex: counts 0 and 1 split c into c - N(w)
+            # and c & N(w)
+            nbr = rows[w.bit_length() - 1]
+            for c in cells:
+                hit = c & nbr
+                if hit and hit != c:
+                    out += (c ^ hit, hit)
+                    queue += (c ^ hit, hit)
+                else:
+                    out.append(c)
+            cells = out
+            continue
         for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
+            if not c & (c - 1):
+                out.append(c)
                 continue
             groups = {}
-            for v in c:
-                key = tuple((rows[v] & m).bit_count() for m in masks)
-                groups.setdefault(key, []).append(v)
-            if len(groups) > 1:
-                changed = True
+            rest = c
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key = (rows[low.bit_length() - 1] & w).bit_count()
+                groups[key] = groups.get(key, 0) | low
+            if len(groups) == 1:
+                out.append(c)
+                continue
             for key in sorted(groups):
-                new_cells.append(groups[key])
-        cells = new_cells
-        if not changed:
-            return cells
+                out.append(groups[key])
+                queue.append(groups[key])
+        cells = out
+    return cells
 
 
 def _cert_bits(rows, order):
@@ -309,27 +340,26 @@ def canonical_form(g):
     best = [None]
 
     def search(cells):
-        cells = _refine(rows, cells)
-        target = None
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                target = i
-                break
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
-            cert = _cert_bits(rows, [c[0] for c in cells])
+            cert = _cert_bits(rows, [c.bit_length() - 1 for c in cells])
             if best[0] is None or cert < best[0]:
                 best[0] = cert
             return
         cell = cells[target]
         tried = set()
-        for v in cell:
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             if twin_of[v] in tried:
                 continue
             tried.add(twin_of[v])
-            rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
+            search(_refine(rows, cells[:target] + [low, cell ^ low]
+                           + cells[target + 1:], [low]))
 
-    search([list(range(n))])
+    search(_refine(rows, [(1 << n) - 1]))
     g._cert = (n, best[0])
     return g._cert
 

@@ -608,9 +608,13 @@ def _runs(sums):
 
 
 def _row_orders(sums):
-    """Every row order that permutes rows only within runs of equal sums."""
+    """Every row order that permutes rows only within runs of equal sums.
+    A run of sum 0 holds only zero rows, which are all equal, so it keeps
+    its identity order."""
     return [tuple(chain.from_iterable(parts)) for parts in
-            product(*(permutations(range(a, b)) for a, b in _runs(sums)))]
+            product(*([range(a, b)] if sums[a] == 0
+                      else permutations(range(a, b))
+                      for a, b in _runs(sums)))]
 
 
 def _keys(rows, row_orders, col_runs):

@@ -110,13 +110,37 @@ def _is_isomorphism(g, matrix, relabeling):
                for v, (i, j, _) in relabeling.items())
 
 
+def _joins_separated_pairs(g, a_ord, b_ord):
+    """The paper's lemma for two colorings of a maximal graph, as class
+    bitmask lists of equal length: G joins exactly the pairs that both
+    separate, so every v in A_i n B_j has N(v) = V - (A_i u B_j)."""
+    full = (1 << g.n) - 1
+    rows = g.rows
+    for a in a_ord:
+        for b in b_ord:
+            common = a & b
+            if not common:
+                continue
+            nbrs = full & ~(a | b)
+            while common:
+                low = common & -common
+                common ^= low
+                if rows[low.bit_length() - 1] != nbrs:
+                    return False
+    return True
+
+
 def reconstruct_matrix(g, k):
     """Desirable certificate matrix A with G isomorphic to G(A), plus trace.
 
-    Raises ReconstructionError when the input is not ambiguously
-    k-colorable or when any internal check fails (the latter cannot happen
-    on a maximal ambiguously k-colorable input), and PreconditionError
-    for k > matrix.MAX_K before any search.
+    Once the two ordered class lists are fixed, the lemma that G joins
+    exactly the pairs both colorings separate (`_joins_separated_pairs`)
+    is checked first, so the certificate matrix, the relabeling and
+    `classify` are built only for graphs that are G(A).  Raises
+    ReconstructionError when the input is not ambiguously k-colorable or
+    when any check fails (the later checks cannot fail on a maximal
+    ambiguously k-colorable input), and PreconditionError for
+    k > matrix.MAX_K before any search.
     """
     if k > MAX_K:
         raise PreconditionError(f"certificate dimension k = {k} exceeds "
@@ -130,10 +154,10 @@ def reconstruct_matrix(g, k):
         # tiny / small route: the certificate is diagonal, and the first
         # coloring is the greedy one, whose classes on a complete
         # multipartite graph are its parts in any vertex order; any other
-        # graph fails the isomorphism check below
+        # graph fails the lemma check below
         parts = sorted(a, key=int.bit_count, reverse=True)
         parts += [0] * (k - len(parts))
-        matrix, relabeling = _certificate(parts, parts)
+        a_ord = b_ord = parts
         r = 0
     else:
         adj = [[j for j in range(len(b)) if a[i] & b[j]] for i in range(k)]
@@ -150,9 +174,12 @@ def reconstruct_matrix(g, k):
         r = sum(a[i] != b[match[i]] for i in range(k))
         if r < 2:
             raise ReconstructionError("matched colorings coincide")
-        matrix, relabeling = _certificate([a[i] for i in order],
-                                          [b[match[i]] for i in order])
+        a_ord = [a[i] for i in order]
+        b_ord = [b[match[i]] for i in order]
+    if not _joins_separated_pairs(g, a_ord, b_ord):
+        raise ReconstructionError("G(A) is not isomorphic to the input")
 
+    matrix, relabeling = _certificate(a_ord, b_ord)
     verdict = classify(matrix)
     if not verdict.desirable:
         raise ReconstructionError(

@@ -1,9 +1,14 @@
 """End-to-end command-line tests (golden outputs, exit codes)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ambigcolor
 from ambigcolor import coloring, extremal, graphcore
 from ambigcolor.cli import main
 
@@ -267,3 +272,23 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     for d in (20, 20000):
         big.write_text(json.dumps({"k": 2, "d": d, "entries_flat": []}))
         assert main(["build", str(big)]) == 3
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader is gone before the first write, as with `| head` once
+    # head has exited
+    src = str(Path(ambigcolor.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ambigcolor.cli import main; sys.exit(main())",
+             "verify", "--theorem", "1", "--max-n", "6", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == ""

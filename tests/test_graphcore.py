@@ -110,7 +110,7 @@ def test_enumeration_consistent_with_labeled_filter():
 
 def oracle_canonical_form(g):
     """Reference: the search without twin pruning, branching on every
-    vertex of each target cell."""
+    vertex of each target cell, refining against every cell."""
     n, rows = g.n, g.rows
     if n == 0:
         return (0, 0)
@@ -118,19 +118,49 @@ def oracle_canonical_form(g):
 
     def search(cells):
         cells = _refine(rows, cells)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
-            cert = _cert_bits(rows, [c[0] for c in cells])
+            cert = _cert_bits(rows, [c.bit_length() - 1 for c in cells])
             if best[0] is None or cert < best[0]:
                 best[0] = cert
             return
         cell = cells[target]
-        for v in cell:
-            rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
+        for v in range(n):
+            if cell >> v & 1:
+                search(cells[:target] + [1 << v, cell ^ 1 << v]
+                       + cells[target + 1:])
 
-    search([list(range(n))])
+    search([(1 << n) - 1])
     return (n, best[0])
+
+
+def oracle_refine(rows, cells):
+    """Reference: equitable refinement on vertex lists that splits every
+    cell by its neighbour counts into all cells, pass after pass."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        new_cells = []
+        changed = False
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            groups = {}
+            for v in c:
+                key = tuple((rows[v] & m).bit_count() for m in masks)
+                groups.setdefault(key, []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for key in sorted(groups):
+                new_cells.append(groups[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def mask_set(cells):
+    """The cells of a vertex-list partition as a set of bitmasks."""
+    return {sum(1 << v for v in c) for c in cells}
 
 
 def augmentation_candidates(level):
@@ -158,6 +188,27 @@ def test_twin_pruned_canonical_form_matches_oracle():
     for n in range(1, 7):
         for cand in augmentation_candidates(enumerate_graphs(n - 1)):
             assert canonical_form(cand) == oracle_canonical_form(cand)
+
+
+def test_splitter_queue_refinement_matches_oracle():
+    # the coarsest equitable refinement of a partition is unique as a set
+    # partition, from the unit partition and after individualizing any
+    # vertex of an equitable one
+    for n in range(1, 7):
+        for cand in augmentation_candidates(enumerate_graphs(n - 1)):
+            rows = cand.rows
+            unit = _refine(rows, [(1 << n) - 1])
+            assert set(unit) == mask_set(oracle_refine(rows, [range(n)]))
+            for t, cell in enumerate(unit):
+                for v in range(n):
+                    if not cell >> v & 1 or cell == 1 << v:
+                        continue
+                    low = 1 << v
+                    split = unit[:t] + [low, cell ^ low] + unit[t + 1:]
+                    lists = [[u for u in range(n) if c >> u & 1]
+                             for c in split]
+                    assert set(_refine(rows, split, [low])) == mask_set(
+                        oracle_refine(rows, lists))
 
 
 @pytest.mark.parametrize("g", [

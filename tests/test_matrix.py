@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -499,6 +500,18 @@ def test_matrix_class_counts_pinned():
         next(matrix_classes(0, 3))
     with pytest.raises(PreconditionError):
         next(matrix_classes(3, -1))
+
+
+def test_matrix_classes_cost_flat_in_zero_rows():
+    # the k - n zero rows of a matrix with k > n are all equal rows, so
+    # their run must not be permuted: factorial in k otherwise
+    assert sum(1 for _ in matrix_classes(32, 3)) == 7
+    rows = [[0] * 20 for _ in range(20)]
+    rows[4][7] = 1
+    start = time.perf_counter()
+    key = class_key(ColorMatrix(rows))
+    assert time.perf_counter() - start < 1.0
+    assert key[0][0] == 1 and ColorMatrix(key).order == 1
 
 
 def test_class_key_invariant_under_permutations_and_transpose():

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from ambigcolor import maximality
 from ambigcolor.coloring import count_colorings
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   complete_graph, cycle_graph,
-                                  enumerate_graphs, path_graph)
+                                  enumerate_graphs, graph_levels,
+                                  path_graph)
 from ambigcolor.matrix import (NORMAL, SMALL, SPECIAL, TINY, ColorMatrix,
                                classify, enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
@@ -177,6 +179,43 @@ def test_huge_k_on_two_isolated_vertices():
     assert is_maximal_ambiguous(g, k)
     with pytest.raises(PreconditionError):
         reconstruct_matrix(g, k)
+
+
+def test_lemma_checked_before_classify(monkeypatch):
+    # classify runs only on graphs that pass the lemma on their first two
+    # colorings, which are then G(A) of the matrix it classifies
+    lemma, classified = [], []
+    joins = maximality._joins_separated_pairs
+
+    def spy_joins(g, a_ord, b_ord):
+        lemma.append(joins(g, a_ord, b_ord))
+        return lemma[-1]
+
+    def spy_classify(m):
+        classified.append(m)
+        return classify(m)
+
+    monkeypatch.setattr(maximality, "_joins_separated_pairs", spy_joins)
+    monkeypatch.setattr(maximality, "classify", spy_classify)
+    passed = calls = 0
+    for _, graphs in graph_levels(6):
+        for k in (2, 3, 4):
+            for g in graphs:
+                lemma.clear()
+                classified.clear()
+                try:
+                    reconstruct_matrix(g, k)
+                    ok = True
+                except ReconstructionError:
+                    ok = False
+                assert ok == is_maximal_ambiguous(g, k)
+                assert len(lemma) <= 1 and len(classified) <= 1
+                if classified:
+                    assert lemma == [True]
+                    assert are_isomorphic(g, build_graph(classified[0]))
+                passed += lemma == [True]
+                calls += len(classified)
+    assert calls == passed > 0
 
 
 def test_reconstruct_trace_is_consistent():
