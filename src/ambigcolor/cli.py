@@ -46,6 +46,8 @@ def _parse_k_list(text):
         raise InputFormatError(f"bad k list {text!r}") from exc
     if not values:
         raise InputFormatError("empty k list")
+    if len(set(values)) != len(values):
+        raise InputFormatError(f"repeated k in k list {text!r}")
     return values
 
 

@@ -3,7 +3,12 @@
 The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
 clique-number table, and for each subset one independent set through its
-lowest vertex that lowers the clique number by one.  The second method
+lowest vertex that lowers the clique number by one.  A second table, filled
+in the same pass, holds each subset's greedy (lowest-first) maximal
+independent set through its lowest vertex; that vertex alone or that set
+settles most subsets with one lookup each, and only the rest go to a search
+over independent sets.  Every witness is checked against the clique-number
+table, so the method still decides the definition.  The second method
 searches G and its complement for an induced odd cycle of length >= 5 by
 extending induced paths from the cycle's lowest vertex s, through the
 lower of its two cycle neighbours, and closing through the higher one.
@@ -14,6 +19,7 @@ used as a cross-check rather than assumed.
 from __future__ import annotations
 
 import json
+from array import array
 from math import comb, factorial
 
 from .coloring import MAX_N as COLORING_MAX_N
@@ -78,18 +84,29 @@ def _chi_equals_omega_everywhere(n, rows):
     independent sets I of S that contain v (the color class of v), and
     removing an independent set lowers omega by at most one; so chi(S) =
     omega(S) iff some such I has omega(S - I) = omega(S) - 1.
+
+    Three candidates for I are tried in turn, each checked against the
+    omega table: {v}; the greedy set stable[S] = v + stable[S - N[v]],
+    the lowest-first maximal independent set through v, kept in a second
+    table filled in the same pass; and, only if both fail, a search over
+    the independent sets of S - N[v] (_lowering_set).
     """
     omega = bytearray(1 << n)
+    stable = array("H", [0]) * (1 << n)  # masks of up to 16 bits
     for s in range(1, 1 << n):
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
+        out = rest & ~rows[v]
+        greedy = stable[s] = low | stable[out]
         w = omega[rest]
         if omega[rest & rows[v]] == w:
             omega[s] = w + 1        # v is in every maximum clique of S,
             continue                # so I = {v} is a witness
         omega[s] = w
-        if not _lowering_set(omega, rows, rest, rest & ~rows[v], w - 1):
+        if omega[s & ~greedy] == w - 1:
+            continue
+        if not _lowering_set(omega, rows, rest, out, w - 1):
             return False
     return True
 
@@ -116,9 +133,11 @@ def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
     method="definition" decides the definition by one dynamic program
-    over the vertex subsets, for n <= DEFAULT_PERFECT_MAX_N; method="holes"
-    searches G and its complement for an induced odd hole (the
-    cross-check), for n <= coloring.MAX_N, the reach of maximality.
+    over the vertex subsets, for n <= DEFAULT_PERFECT_MAX_N: per subset, a
+    color class through its lowest vertex is looked for as that vertex
+    alone, then as the greedy stable set from a table, then by a search.
+    method="holes" searches G and its complement for an induced odd hole
+    (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")

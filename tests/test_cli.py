@@ -246,6 +246,15 @@ def test_verify_rejects_bad_k_list():
                  "--k-list", "x"]) == 2
 
 
+@pytest.mark.parametrize("theorem", ["1", "turan", "perfect"])
+def test_verify_rejects_a_repeated_k(theorem, capsys):
+    # a repeated k would check its rows or classes twice
+    assert main(["verify", "--theorem", theorem, "--max-n", "3",
+                 "--k-list", "2,3,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated k" in captured.err
+
+
 def test_coloring_commands_limited_to_32_vertices(tmp_path, capsys):
     big = tmp_path / "empty33.txt"
     big.write_text("33 0\n")

@@ -23,14 +23,20 @@ from ambigcolor.perfection import (PERFECT_MAX_CLASSES, _has_odd_hole,
                                    verify_perfectness)
 
 
+# (n, rows) -> verdict: two tests run the oracle on the same 1252 graphs
+_ORACLE_VERDICTS = {}
+
+
 def oracle_is_perfect(g):
     """The definition taken literally: chi = omega on the induced subgraph
     of every nonempty vertex subset, each computed from scratch."""
-    for mask in range(1, 1 << g.n):
-        sub = g.induced([v for v in range(g.n) if mask >> v & 1])
-        if chromatic_number(sub) != clique_number(sub):
-            return False
-    return True
+    key = (g.n, tuple(g.rows))
+    if key not in _ORACLE_VERDICTS:
+        _ORACLE_VERDICTS[key] = all(
+            chromatic_number(sub) == clique_number(sub)
+            for sub in (g.induced([v for v in range(g.n) if mask >> v & 1])
+                        for mask in range(1, 1 << g.n)))
+    return _ORACLE_VERDICTS[key]
 
 
 def oracle_has_odd_hole(g):
@@ -217,6 +223,35 @@ def test_definition_matches_oracle_on_all_small_graphs():
     # 1253 classes up to n = 7; the imperfect ones contain C5, C7 or co-C7
     assert len(verdicts) == 1253
     assert verdicts.count(False) == 147
+
+
+def test_definition_reaches_the_search_when_the_greedy_set_fails(
+        monkeypatch):
+    # {v} and the greedy stable set settle most subsets; the rest, and
+    # every first subset with chi != omega, go to _lowering_set
+    results = []
+    search = perfection._lowering_set
+
+    def counted(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(perfection, "_lowering_set", counted)
+    for n, graphs in graph_levels(7):
+        for g in graphs:
+            assert is_perfect(g, "definition") == oracle_is_perfect(g), (
+                g.edges())
+    assert set(results) == {False, True}
+
+
+def test_definition_at_its_ceiling():
+    # masks of DEFAULT_PERFECT_MAX_N bits, up to vertex 13
+    n = perfection.DEFAULT_PERFECT_MAX_N
+    ga = build_graph(ColorMatrix([[3, 1, 0], [1, 4, 1], [1, 2, 1]]))
+    assert ga.n == n and is_perfect(ga, "definition")
+    gb = build_graph(ColorMatrix([[2, 1, 0], [1, 2, 1], [1, 0, 1]]))
+    g = disjoint_union(gb, cycle_graph(5))
+    assert gb.n == 9 and g.n == n and not is_perfect(g, "definition")
 
 
 def test_definition_invariant_under_vertex_order():
