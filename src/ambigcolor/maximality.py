@@ -228,11 +228,12 @@ def verify_theorem1(max_n, k_list):
     tested for maximal ambiguity and for reconstructability, and the
     desirable matrices with entry sum n, one per relabeling orbit (see
     enumerate_desirable), are checked to induce maximal ambiguously
-    k-colorable graphs; `family_graphs` counts them.
+    k-colorable graphs; `family_graphs` counts them.  Every k must lie in
+    1..matrix.MAX_K, checked before any graph is enumerated.
     """
-    if max_n < 1 or not k_list:
-        raise PreconditionError(
-            "verify_theorem1 needs max_n >= 1 and a non-empty k list")
+    if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
+        raise PreconditionError("verify_theorem1 needs max_n >= 1 and a "
+                                f"non-empty list of k in 1..{MAX_K}")
     rows = []
     for n, graphs in graph_levels(max_n):
         for k in k_list:

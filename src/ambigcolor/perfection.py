@@ -1,5 +1,16 @@
 """Desk-scale perfectness checking.
 
+Both methods run on the false-twin quotient of G: one vertex, the lowest,
+for each distinct adjacency row.  Vertices with equal rows are false twins
+(non-adjacent, since no vertex is its own neighbour, with the same
+neighbourhood), and dropping a twin v of a kept u changes no verdict: in
+any vertex set S holding both, a clique holds at most one of them and v
+can be swapped for u, so omega(S) = omega(S - v), and v can take u's
+colour, so chi(S) = chi(S - v); and an odd hole or antihole never holds
+two false twins, so a twin on it can be swapped for its representative.
+G(A) has A(i, j) false twins labelled (i, j), so it collapses to the
+graph of A's support, of at most k^2 vertices.
+
 The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
 clique-number table, and for each subset one independent set through its
@@ -138,6 +149,12 @@ def is_perfect(g, method="definition"):
     alone, then as the greedy stable set from a table, then by a search.
     method="holes" searches G and its complement for an induced odd hole
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
+    Both limits bound the input order g.n.  Both methods then run on the
+    false-twin quotient, the subgraph induced by the lowest vertex of
+    each distinct row: a false twin v of a kept u changes neither omega
+    nor chi of any set holding both (a clique holds at most one of them,
+    and v can take u's colour), and no odd hole or antihole holds two
+    false twins (swap one for its representative).
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -145,6 +162,10 @@ def is_perfect(g, method="definition"):
     if g.n > limit:
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
+    reps = {}                   # one vertex, the lowest, per distinct row
+    for v, row in enumerate(g.rows):
+        reps.setdefault(row, v)
+    g = g.induced(reps.values())
     if method == "holes":
         return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
     return _chi_equals_omega_everywhere(g.n, g.rows)

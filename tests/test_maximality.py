@@ -12,8 +12,8 @@ from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   complete_graph, cycle_graph,
                                   enumerate_graphs, graph_levels,
                                   path_graph)
-from ambigcolor.matrix import (NORMAL, SMALL, SPECIAL, TINY, ColorMatrix,
-                               classify, enumerate_desirable)
+from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
+                               ColorMatrix, classify, enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    reconstruct_matrix, theorem1_report_json,
                                    verify_theorem1)
@@ -264,6 +264,20 @@ def test_verify_theorem1_rejects_vacuous_runs():
         verify_theorem1(0, [3])
     with pytest.raises(PreconditionError):
         verify_theorem1(4, [])
+
+
+def test_verify_theorem1_checks_k_before_enumerating(monkeypatch):
+    def no_enumeration(max_n):
+        raise AssertionError("graphs enumerated before the k check")
+
+    monkeypatch.setattr(maximality, "graph_levels", no_enumeration)
+    messages = set()
+    for k_list in ([-1], [0], [2, 0], [MAX_K + 1], [3, MAX_K + 1]):
+        with pytest.raises(PreconditionError) as info:
+            verify_theorem1(4, k_list)
+        messages.add(str(info.value))
+    assert messages == {"verify_theorem1 needs max_n >= 1 and a non-empty "
+                        f"list of k in 1..{MAX_K}"}
 
 
 def test_report_json_schema():

@@ -244,14 +244,71 @@ def test_definition_reaches_the_search_when_the_greedy_set_fails(
     assert set(results) == {False, True}
 
 
-def test_definition_at_its_ceiling():
-    # masks of DEFAULT_PERFECT_MAX_N bits, up to vertex 13
+def _record_orders(monkeypatch):
+    """Wrap both methods' workers; return the list of orders they get."""
+    orders = []
+    chi_omega = perfection._chi_equals_omega_everywhere
+    holes = perfection._has_odd_hole
+
+    def chi_omega_recorded(n, rows):
+        orders.append(n)
+        return chi_omega(n, rows)
+
+    def holes_recorded(g):
+        orders.append(g.n)
+        return holes(g)
+
+    monkeypatch.setattr(perfection, "_chi_equals_omega_everywhere",
+                        chi_omega_recorded)
+    monkeypatch.setattr(perfection, "_has_odd_hole", holes_recorded)
+    return orders
+
+
+def test_definition_at_its_ceiling(monkeypatch):
+    # masks of DEFAULT_PERFECT_MAX_N bits, up to vertex 13, on twin-free
+    # graphs, so the quotient keeps every vertex
     n = perfection.DEFAULT_PERFECT_MAX_N
-    ga = build_graph(ColorMatrix([[3, 1, 0], [1, 4, 1], [1, 2, 1]]))
-    assert ga.n == n and is_perfect(ga, "definition")
-    gb = build_graph(ColorMatrix([[2, 1, 0], [1, 2, 1], [1, 0, 1]]))
-    g = disjoint_union(gb, cycle_graph(5))
-    assert gb.n == 9 and g.n == n and not is_perfect(g, "definition")
+    orders = _record_orders(monkeypatch)
+    assert is_perfect(path_graph(n), "definition")
+    g = disjoint_union(path_graph(9), cycle_graph(5))
+    assert g.n == n and not is_perfect(g, "definition")
+    assert orders == [n, n]
+
+
+def test_methods_run_on_the_false_twin_quotient(monkeypatch):
+    # G(A) has A(i, j) false twins labelled (i, j): 14 vertices, 8 rows
+    g = build_graph(ColorMatrix([[3, 1, 0], [1, 4, 1], [1, 2, 1]]))
+    assert g.n == 14 and len(set(g.rows)) == 8
+    orders = _record_orders(monkeypatch)
+    assert is_perfect(g, "definition")
+    assert is_perfect(g, "holes")
+    assert orders == [8, 8, 8]
+
+
+def test_quotient_keeps_both_verdicts():
+    # false twins added to random graphs in shuffled positions: each
+    # method's verdict equals its unreduced worker's on the raw graph
+    rng = random.Random(43)
+    verdicts = set()
+    for i in range(80):
+        h = random_graph(rng, rng.randint(5, 8), (0.3, 0.5, 0.7)[i % 3])
+        rows = list(h.rows)
+        for _ in range(rng.randint(1, 12 - h.n)):
+            v = rng.randrange(len(rows))
+            w = 1 << len(rows)
+            rows = [row | w if row >> v & 1 else row for row in rows]
+            rows.append(rows[v])
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        g = SimpleGraph.from_rows(rows).permuted(perm)
+        assert len(set(g.rows)) < g.n
+        raw = perfection._chi_equals_omega_everywhere(g.n, g.rows)
+        assert raw == (not _has_odd_hole(g)
+                       and not _has_odd_hole(complement(g))), g.edges()
+        assert is_perfect(g, "definition") == raw, g.edges()
+        assert is_perfect(g, "holes") == raw, g.edges()
+        verdicts.add(raw)
+    assert verdicts == {False, True}
 
 
 def test_definition_invariant_under_vertex_order():
