@@ -21,12 +21,13 @@ MATCHING_MAX_N = 24
 
 def _check_cells(k, d):
     """Raise ResourceLimitError when a k^d tensor has more than
-    MAX_TENSOR_CELLS cells."""
-    # k >= 2 and 2^d > MAX_TENSOR_CELLS: reject before computing k^d
-    if (k > 1 and d >= MAX_TENSOR_CELLS.bit_length()
-            or k ** d > MAX_TENSOR_CELLS):
+    MAX_TENSOR_CELLS cells, or d >= MAX_TENSOR_CELLS.bit_length() at any
+    k: its graph costs time and memory linear in d, at k = 1 too.  The d
+    test comes first, so k ** d is never computed for a huge d."""
+    if d >= MAX_TENSOR_CELLS.bit_length() or k ** d > MAX_TENSOR_CELLS:
         raise ResourceLimitError(
-            f"k^d exceeds {MAX_TENSOR_CELLS} cells (k = {k}, d = {d})")
+            f"tensor limited to {MAX_TENSOR_CELLS} cells and d < "
+            f"{MAX_TENSOR_CELLS.bit_length()} (k = {k}, d = {d})")
 
 
 class ColorTensor:

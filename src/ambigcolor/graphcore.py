@@ -32,7 +32,7 @@ class SimpleGraph:
     tensors).
     """
 
-    __slots__ = ("n", "rows", "labels", "_cert")
+    __slots__ = ("n", "rows", "labels")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
@@ -46,7 +46,6 @@ class SimpleGraph:
         self.n = n
         self.rows = tuple(rows)
         self.labels = tuple(labels) if labels is not None else None
-        self._cert = None
 
     @classmethod
     def from_rows(cls, rows, labels=None):
@@ -54,7 +53,6 @@ class SimpleGraph:
         g.n = len(rows)
         g.rows = tuple(rows)
         g.labels = tuple(labels) if labels is not None else None
-        g._cert = None
         return g
 
     @property
@@ -325,15 +323,12 @@ def canonical_form(g):
     partition, and it maps the skipped branch onto the kept one leaf for
     leaf, so the minimum is that of the full search.
     """
-    if g._cert is not None:
-        return g._cert
     if g.n > DEFAULT_CANON_MAX_N:
         raise ResourceLimitError(
             f"canonical_form limited to n <= {DEFAULT_CANON_MAX_N}")
     n, rows = g.n, g.rows
     if n == 0:
-        g._cert = (0, 0)
-        return g._cert
+        return (0, 0)
     twin_of = list(range(n))
     for first, later in _twin_chains(rows):
         twin_of[later] = twin_of[first]
@@ -360,8 +355,7 @@ def canonical_form(g):
                            + cells[target + 1:], [low]))
 
     search(_refine(rows, [(1 << n) - 1]))
-    g._cert = (n, best[0])
-    return g._cert
+    return (n, best[0])
 
 
 def are_isomorphic(g, h):

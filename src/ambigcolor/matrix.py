@@ -380,19 +380,14 @@ def _normal_block(matrix):
     Every row and column of a fully indecomposable block of size >= 2 has
     an off-diagonal nonzero, so the block index set is forced: it must be
     exactly the set of indices incident to some nonzero off-diagonal entry.
-    The diagonal is positive here, so the full indecomposability test
-    takes it as its matching at every block size.
+    `classify` calls it only on a matrix that is not diagonal and has a
+    positive diagonal, which the full indecomposability test takes as its
+    matching at every block size.
     """
-    if matrix.is_diagonal():
-        return None
-    if any(x == 0 for x in matrix.diagonal()):
-        return None
     block = set()
     for i, j, _ in _off_diagonal_entries(matrix):
         block.add(i)
         block.add(j)
-    if len(block) < 2:
-        return None
     ok = is_fully_indecomposable(matrix.submatrix(block))
     return sorted(block) if ok else None
 

@@ -12,12 +12,12 @@ counts |A_i n B_j| form the certificate, which is special or normal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 from .coloring import _class_masks, _ordered_classes
 from .errors import PreconditionError, ReconstructionError
-from .graphcore import build_graph, graph_levels, matrix_labels
+from .graphcore import build_graph, graph_levels
 from .matrix import (MAX_K, ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
 
@@ -93,27 +93,12 @@ def _certificate(a_ord, b_ord):
     return ColorMatrix(entries), relabeling
 
 
-def _is_isomorphism(g, matrix, relabeling):
-    """True iff `relabeling` is an isomorphism from g onto G(matrix): a
-    bijection onto the labels of G(matrix) under which u ~ v exactly when
-    the labels differ in both coordinates."""
-    if (sorted(relabeling) != list(range(g.n))
-            or sorted(relabeling.values()) != list(matrix_labels(matrix))):
-        return False
-    row_masks = [0] * (matrix.k + 1)
-    col_masks = [0] * (matrix.k + 1)
-    for v, (i, j, _) in relabeling.items():
-        row_masks[i] |= 1 << v
-        col_masks[j] |= 1 << v
-    full = (1 << g.n) - 1
-    return all(g.rows[v] == full & ~row_masks[i] & ~col_masks[j]
-               for v, (i, j, _) in relabeling.items())
-
-
 def _joins_separated_pairs(g, a_ord, b_ord):
     """The paper's lemma for two colorings of a maximal graph, as class
     bitmask lists of equal length: G joins exactly the pairs that both
-    separate, so every v in A_i n B_j has N(v) = V - (A_i u B_j)."""
+    separate, so every v in A_i n B_j has N(v) = V - (A_i u B_j).  As both
+    lists partition V, this is the one check that the relabeling built by
+    `_certificate` is an isomorphism onto G(A)."""
     full = (1 << g.n) - 1
     rows = g.rows
     for a in a_ord:
@@ -137,10 +122,9 @@ def reconstruct_matrix(g, k):
     exactly the pairs both colorings separate (`_joins_separated_pairs`)
     is checked first, so the certificate matrix, the relabeling and
     `classify` are built only for graphs that are G(A).  Raises
-    ReconstructionError when the input is not ambiguously k-colorable or
-    when any check fails (the later checks cannot fail on a maximal
-    ambiguously k-colorable input), and PreconditionError for
-    k > matrix.MAX_K before any search.
+    ReconstructionError when the input is not ambiguously k-colorable,
+    when the Hall condition, the lemma or `classify` fails, and
+    PreconditionError for k > matrix.MAX_K before any search.
     """
     if k > MAX_K:
         raise PreconditionError(f"certificate dimension k = {k} exceeds "
@@ -171,9 +155,8 @@ def reconstruct_matrix(g, k):
         # labels with A != B first, each group ascending by class minimum
         order = sorted(range(k), key=lambda i: (a[i] == b[match[i]],
                                                 a[i] & -a[i]))
+        # two distinct partitions of V into k classes differ in >= 2
         r = sum(a[i] != b[match[i]] for i in range(k))
-        if r < 2:
-            raise ReconstructionError("matched colorings coincide")
         a_ord = [a[i] for i in order]
         b_ord = [b[match[i]] for i in order]
     if not _joins_separated_pairs(g, a_ord, b_ord):
@@ -184,12 +167,6 @@ def reconstruct_matrix(g, k):
     if not verdict.desirable:
         raise ReconstructionError(
             f"reconstructed matrix is not desirable: {verdict.witness}")
-    if matrix.order != g.n:
-        raise ReconstructionError("entry sum does not match vertex count")
-    # G is a spanning subgraph of the graph the relabeling carries onto
-    # G(A), so G is isomorphic to G(A) iff the relabeling is an isomorphism
-    if not _is_isomorphism(g, matrix, relabeling):
-        raise ReconstructionError("G(A) is not isomorphic to the input")
     return matrix, ReconstructionTrace(r, relabeling)
 
 
@@ -208,13 +185,7 @@ class TheoremReportRow:
     counterexamples: list
 
     def to_json(self):
-        return {
-            "n": self.n, "k": self.k, "graphs": self.graphs,
-            "maximal_ambiguous": self.maximal_ambiguous,
-            "matched_by_matrix": self.matched_by_matrix,
-            "family_graphs": self.family_graphs,
-            "counterexamples": self.counterexamples,
-        }
+        return asdict(self)
 
 
 def _edge_list_lines(g):

@@ -9,6 +9,7 @@ ceiling with its module and value, and is checked against the modules.
 
 import ast
 import importlib
+import json
 import time
 from pathlib import Path
 
@@ -86,6 +87,19 @@ def test_recover_tensor_checks_cells_before_counting():
     with pytest.raises(ResourceLimitError):
         dfold.recover_tensor(SimpleGraph(4), 7, 10)
     assert time.perf_counter() - start < 1
+
+
+def test_one_color_tensor_is_bounded_in_d(tmp_path, capsys):
+    # a k = 1 tensor has one cell at every d, but its graph costs time and
+    # memory linear in d, so d is bounded for every k before k^d is taken
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"k": 1, "d": 10 ** 9, "entries_flat": [1]}))
+    start = time.perf_counter()
+    assert main(["build", str(p)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == ""
+    d = dfold.MAX_TENSOR_CELLS.bit_length() - 1
+    assert dfold.build_graph_d(dfold.ColorTensor(1, d, [1])).n == 1
 
 
 @pytest.mark.parametrize("theorem, module, constant", [

@@ -157,6 +157,22 @@ def test_reconstruct_large_orders():
             reconstruct_matrix(SimpleGraph(g.n, g.edges()[1:]), mat.k)
 
 
+def test_reconstructed_relabeling_is_an_isomorphism_on_small_graphs():
+    # reconstruct_matrix checks G = G(A) once, by the lemma on the aligned
+    # classes; this checks its relabeling edge by edge on every maximal
+    # ambiguously k-colorable graph with n <= 7
+    checked = 0
+    for _, graphs in graph_levels(7):
+        for g in graphs:
+            for k in (2, 3, 4):
+                if is_maximal_ambiguous(g, k):
+                    mat, trace = reconstruct_matrix(g, k)
+                    assert_relabeling_is_isomorphism(g, mat,
+                                                     trace.relabeling)
+                    checked += 1
+    assert checked == 63
+
+
 def test_reconstruct_special_route():
     paw = build_graph(ColorMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     mat, trace = reconstruct_matrix(paw, 3)
