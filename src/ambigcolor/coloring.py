@@ -45,12 +45,6 @@ class Coloring:
         _check_partition(g, self.classes())
         return True
 
-    def to_text(self):
-        """One line per class, vertices space-separated, classes sorted by
-        smallest member."""
-        return "\n".join(" ".join(str(v) for v in cls)
-                         for cls in self.classes()) + "\n"
-
 
 def _check_partition(g, classes):
     """Raise PreconditionError unless the vertex lists `classes` are

@@ -12,7 +12,7 @@ from operator import and_
 
 from .coloring import _class_masks, _ordered_classes, count_colorings
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
-from .graphcore import SimpleGraph, graph_from_labels
+from .graphcore import SimpleGraph, graph_from_cells
 from .matrix import load_matrix, nonnegative_ints
 
 MAX_TENSOR_CELLS = 10 ** 6
@@ -96,9 +96,7 @@ def build_graph_d(tensor):
     """Graph on tuples (i_1, ..., i_d, s), 1 <= s <= A(i_1, ..., i_d), in
     row-major order; adjacency iff every index coordinate differs.
     Coincides with build_graph at d = 2."""
-    cells = product(range(1, tensor.k + 1), repeat=tensor.d)
-    return graph_from_labels(idx + (s,) for idx, a in zip(cells, tensor.entries)
-                             for s in range(1, a + 1))
+    return graph_from_cells(tensor.k, tensor.d, tensor.entries)
 
 
 def is_dfold_colorable(g, d, k):

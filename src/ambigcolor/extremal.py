@@ -177,7 +177,7 @@ def _class_route(n, k):
         if found:
             keys = {class_key(reconstruct_matrix(g, k)[0]) for g in found}
             return edges, sorted(keys), scanned
-    return None, [], scanned
+    # not reached: at edges = 0 the edgeless G(M) has two k-colorings
 
 
 def max_edges_by_class(pairs):
@@ -296,7 +296,7 @@ def turan_report_tsv(reports):
         families = sorted({f for fams, _ in r.certificates for f in fams})
         lines.append("\t".join([
             str(r.n), str(r.k), str(r.formula_value),
-            str(r.oracle_value if r.oracle_value is not None else "-"),
+            str(r.oracle_value),
             str(r.classes_scanned), str(len(r.certificates)),
             ",".join(families) or "-"]))
     return "\n".join(lines) + "\n"

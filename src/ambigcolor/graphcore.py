@@ -1,18 +1,18 @@
 """Simple undirected graphs with bitrow adjacency.
 
-Provides the one construction of G(A) from labels (i_1, ..., i_d, t) with
-adjacency iff every index coordinate differs, used for matrices (d = 2)
-and tensors alike, the standard constructions used by the
-extremal machinery (complement, complete multipartite, Turan graph),
-desk-scale canonical labeling / isomorphism, maximum clique, exhaustive
-generation of small graphs up to isomorphism, and the edge-list / graph6
-file formats.
+Provides the one construction of G(A) from the cells of a k^d array A,
+labels (i_1, ..., i_d, t) adjacent iff every index coordinate differs,
+for matrices (d = 2) and tensors alike; the standard constructions used
+by the extremal machinery (complement, complete multipartite, Turan
+graph), desk-scale canonical labeling / isomorphism, maximum clique,
+exhaustive generation of small graphs up to isomorphism, and the
+edge-list / graph6 file formats.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -137,12 +137,14 @@ class SimpleGraph:
 # constructions
 # ---------------------------------------------------------------------------
 
-def graph_from_labels(labels):
-    """Graph on the label tuples (i_1, ..., i_d, t) of an iterable, in its
-    order: u ~ v iff the labels differ in every index coordinate.  Raises
-    ResourceLimitError above MAX_VERTICES labels, reading at most one
-    label more."""
-    labels = list(islice(labels, MAX_VERTICES + 1))
+def graph_from_cells(k, d, flat):
+    """G(A) of the k^d array A with row-major entries `flat`: a vertex per
+    label (i_1, ..., i_d, t), 1 <= t <= A(i_1, ..., i_d), in row-major order,
+    u ~ v iff every index coordinate differs.  Raises ResourceLimitError
+    above MAX_VERTICES vertices, reading at most one label more."""
+    cells = product(range(1, k + 1), repeat=d)
+    labels = list(islice((idx + (t,) for idx, a in zip(cells, flat)
+                          for t in range(1, a + 1)), MAX_VERTICES + 1))
     n = len(labels)
     if n > MAX_VERTICES:
         raise ResourceLimitError(
@@ -161,18 +163,10 @@ def graph_from_labels(labels):
     return SimpleGraph.from_rows(rows, labels)
 
 
-def matrix_labels(matrix):
-    """Iterator over the triples (i, j, t), 1 <= t <= A(i, j), in
-    row-major order."""
-    k = matrix.k
-    return ((i, j, t) for i in range(1, k + 1) for j in range(1, k + 1)
-            for t in range(1, matrix[i, j] + 1))
-
-
 def build_graph(matrix):
-    """G(A): the graph on the triples of `matrix_labels`, adjacency iff
-    i != i' and j != j'.  Vertex order is row-major by (i, j, t)."""
-    return graph_from_labels(matrix_labels(matrix))
+    """G(A): the graph on the triples (i, j, t), 1 <= t <= A(i, j), in
+    row-major order, adjacent iff i != i' and j != j'."""
+    return graph_from_cells(matrix.k, 2, chain.from_iterable(matrix.entries))
 
 
 def complement(g):

@@ -341,11 +341,9 @@ def witness_sequence(m_entries, i, j):
     walk = [i - 1]
     while walk[-1] != j - 1:
         walk.append(parent[walk[-1]])
-    # i, j, ..., i, j with 1-based indices
-    seq = tuple([i] + [p + 1 for p in reversed(walk)] + [j])
-    ws = WitnessSequence(seq)
-    ws.check(m_entries)
-    return ws
+    # i, j, ..., i, j, 1-based; WitnessSequence.check holds: M(i, j) != 0
+    # and each later step is a search-tree edge p -> q, q != p
+    return WitnessSequence(tuple([i] + [p + 1 for p in reversed(walk)] + [j]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +474,6 @@ def classify(matrix):
 # exhaustive generation
 # ---------------------------------------------------------------------------
 
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _positive_parts(total, parts):
     """Nonincreasing tuples of `parts` positive ints summing to `total`."""
     for p in _partitions(total - parts, parts, total):
@@ -534,7 +521,8 @@ def _normal_matrices(k, n):
         # each block row needs diag >= 1 and an off-diag
         for m_sum in range(2 * r, n - (k - r) + 1):
             diags = list(_positive_parts(n - m_sum, k - r))
-            for flat in _compositions(m_sum - r, r * r):
+            for flat in _bounded_rows(m_sum - r, [m_sum - r] * (r * r),
+                                      [False] * (r * r)):
                 m = [[flat[p * r + q] + (1 if p == q else 0)
                       for q in range(r)] for p in range(r)]
                 if is_fully_indecomposable(m):
@@ -639,8 +627,9 @@ def _bounded_rows(total, cap, tied, j=0, prev=0):
             yield ()
         return
     top = min(total, cap[j], prev if tied[j] else total)
+    room = sum(cap[j + 1:])
     for x in range(top, -1, -1):
-        if total - x > sum(cap[j + 1:]):
+        if total - x > room:
             return
         for rest in _bounded_rows(total - x, cap, tied, j + 1, x):
             yield (x,) + rest
@@ -663,9 +652,8 @@ def _margin_classes(r, c, inner=None):
         if inner is not None and not got <= inner <= got + rest[i]:
             return
         if i == k - 1:
+            # tied columns have equal sums, so the forced last row keeps ties
             last = tuple(cap)
-            if any(tied[j] and last[j] > last[j - 1] for j in range(k)):
-                return
             if inner is None or got + _pairs(last) == inner:
                 yield rows + (last,)
             return

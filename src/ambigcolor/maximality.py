@@ -184,9 +184,6 @@ class TheoremReportRow:
     family_graphs: int
     counterexamples: list
 
-    def to_json(self):
-        return asdict(self)
-
 
 def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
@@ -240,6 +237,6 @@ def verify_theorem1(max_n, k_list):
 def theorem1_report_json(rows):
     return json.dumps(
         {"schema_version": 1, "theorem": "characterization",
-         "rows": [r.to_json() for r in rows],
+         "rows": [asdict(r) for r in rows],
          "counterexample_total": sum(len(r.counterexamples) for r in rows)},
         indent=2, sort_keys=True)

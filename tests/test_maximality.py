@@ -6,12 +6,13 @@ import random
 import pytest
 
 from ambigcolor import maximality
-from ambigcolor.coloring import count_colorings
+from ambigcolor.cli import main
+from ambigcolor.coloring import count_colorings, enumerate_colorings
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   complete_graph, cycle_graph,
-                                  enumerate_graphs, graph_levels,
-                                  path_graph)
+                                  enumerate_graphs, from_graph6,
+                                  graph_levels, path_graph)
 from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
                                ColorMatrix, classify, enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
@@ -187,6 +188,19 @@ def test_reconstruct_rejects_non_ambiguous():
         reconstruct_matrix(cycle_graph(5), 2)
 
 
+@pytest.mark.parametrize("text", ["GCxvfW", "GCZcvg"])
+def test_hall_condition_fails_on_ambiguous_non_maximal_graphs(text):
+    # the first 4-coloring has 4 classes and the second 3, so the classes
+    # of the first cannot all be matched to distinct classes of the second
+    g = from_graph6(text)
+    first, second = [c.num_classes for c in enumerate_colorings(g, 4)][:2]
+    assert (g.n, first, second) == (8, 4, 3)
+    assert count_colorings(g, 4, 2) == 2
+    assert not is_maximal_ambiguous(g, 4)
+    with pytest.raises(ReconstructionError, match="Hall condition"):
+        reconstruct_matrix(g, 4)
+
+
 def test_huge_k_on_two_isolated_vertices():
     # two 2**62-colorings, and one class per vertex at most: no search
     # allocates per color, and reconstruction stops at matrix.MAX_K first
@@ -302,3 +316,49 @@ def test_report_json_schema():
     assert obj["schema_version"] == 1
     assert obj["counterexample_total"] == 0
     assert obj["rows"][0]["n"] == 1
+
+
+def _theorem1_json(capsys):
+    assert main(["verify", "--theorem", "1", "--max-n", "5",
+                 "--format", "json"]) == 1
+    return json.loads(capsys.readouterr().out)
+
+
+def test_verify_theorem1_reports_graphs_without_a_certificate(monkeypatch,
+                                                              capsys):
+    # every maximal ambiguous graph becomes a counterexample
+    def no_certificate(g, k):
+        raise ReconstructionError("patched")
+
+    monkeypatch.setattr(maximality, "reconstruct_matrix", no_certificate)
+    obj = _theorem1_json(capsys)
+    assert obj["counterexample_total"] == sum(
+        r["maximal_ambiguous"] for r in obj["rows"]) > 0
+
+
+def test_verify_theorem1_witnesses_rebuild_the_graphs(monkeypatch, capsys):
+    # every certified graph and every family G(A) becomes a counterexample,
+    # and its edge lines with the row's n rebuild it
+    levels = dict(graph_levels(5))
+    monkeypatch.setattr(maximality, "is_maximal_ambiguous",
+                        lambda g, k: False)
+    obj = _theorem1_json(capsys)
+    assert obj["counterexample_total"] == sum(
+        r["matched_by_matrix"] + r["family_graphs"] for r in obj["rows"]) > 0
+    for row in obj["rows"]:
+        n, k = row["n"], row["k"]
+        originals = [g for g in levels[n] if _certified(g, k)]
+        originals += [build_graph(m) for m in enumerate_desirable(k, n)]
+        rebuilt = [SimpleGraph(n, [tuple(map(int, line.split()))
+                                   for line in lines])
+                   for lines in row["counterexamples"]]
+        assert sorted(g.rows for g in rebuilt) == sorted(
+            g.rows for g in originals)
+
+
+def _certified(g, k):
+    try:
+        reconstruct_matrix(g, k)
+    except ReconstructionError:
+        return False
+    return True
