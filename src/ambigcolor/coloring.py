@@ -79,7 +79,8 @@ def _class_masks(g, k):
     if n == 0:
         yield masks
         return
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    order = sorted(range(n), key=[r.bit_count() for r in rows].__getitem__,
+                   reverse=True)
     nbrs = [rows[v] for v in order]
     bits = [1 << v for v in order]
     assign = [0] * n

@@ -77,12 +77,8 @@ class SimpleGraph:
         return out
 
     def non_edges(self):
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not self.has_edge(u, v):
-                    out.append((u, v))
-        return out
+        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
+                if not self.has_edge(u, v)]
 
     def add_edge(self, u, v):
         if u == v or self.has_edge(u, v):
@@ -277,15 +273,11 @@ def _refine(rows, cells, queue=None):
 
 
 def _cert_bits(rows, order):
-    pos = [0] * len(order)
-    for new, old in enumerate(order):
-        pos[old] = new
-    bits = 0
-    idx = 0
-    for a in range(len(order)):
-        ra = rows[order[a]]
-        for b in range(a + 1, len(order)):
-            if ra >> order[b] & 1:
+    bits = idx = 0
+    for a, u in enumerate(order):
+        ru = rows[u]
+        for v in order[a + 1:]:
+            if ru >> v & 1:
                 bits |= 1 << idx
             idx += 1
     return bits
@@ -519,12 +511,8 @@ def to_graph6(g):
     if n > 62:
         raise ResourceLimitError("graph6 export limited to n <= 62")
     out = [chr(n + 63)]
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i:i + 6]:

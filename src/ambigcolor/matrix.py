@@ -307,10 +307,7 @@ def _bipartite_matching(adj, n_left, n_right):
                     return True
         return False
 
-    size = 0
-    for u in range(n_left):
-        if augment(u, [False] * n_right):
-            size += 1
+    size = sum(augment(u, [False] * n_right) for u in range(n_left))
     return size, match_right
 
 
@@ -382,10 +379,7 @@ def _normal_block(matrix):
     positive diagonal, which the full indecomposability test takes as its
     matching at every block size.
     """
-    block = set()
-    for i, j, _ in _off_diagonal_entries(matrix):
-        block.add(i)
-        block.add(j)
+    block = {x for i, j, _ in _off_diagonal_entries(matrix) for x in (i, j)}
     ok = is_fully_indecomposable(matrix.submatrix(block))
     return sorted(block) if ok else None
 
@@ -619,20 +613,20 @@ def _margin_pairs(k, n):
             yield r, c
 
 
-def _bounded_rows(total, cap, tied, j=0, prev=0):
-    """Rows from position j on with entries summing to `total`, entry j at
-    most cap[j], and at most the entry before it where tied[j]."""
-    if j == len(cap):
-        if total == 0:
-            yield ()
-        return
+def _bounded_rows(total, cap, tied, j=0, prev=0, room=None, head=()):
+    """Rows `head` + (entries from position j < len(cap) on, summing to
+    `total`), entry j at most cap[j], and at most the entry before it
+    where tied[j].  `room`, passed down, is sum(cap[j:])."""
+    room = (sum(cap) if room is None else room) - cap[j]
     top = min(total, cap[j], prev if tied[j] else total)
-    room = sum(cap[j + 1:])
-    for x in range(top, -1, -1):
-        if total - x > room:
-            return
-        for rest in _bounded_rows(total - x, cap, tied, j + 1, x):
-            yield (x,) + rest
+    if j == len(cap) - 1:
+        if total <= top:
+            yield head + (total,)
+        return
+    # the entries after j add at most `room`
+    for x in range(top, max(total - room, 0) - 1, -1):
+        yield from _bounded_rows(total - x, cap, tied, j + 1, x, room,
+                                 head + (x,))
 
 
 def _margin_classes(r, c, inner=None):

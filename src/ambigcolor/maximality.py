@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .coloring import _class_masks, _ordered_classes
 from .errors import PreconditionError, ReconstructionError
@@ -23,8 +23,13 @@ from .matrix import (MAX_K, ColorMatrix, _bipartite_matching, classify,
 
 
 def is_maximal(g, k, d):
-    """At least d distinct k-colorings, and every single-edge addition
-    leaves fewer than d.
+    """At least d distinct k-colorings; every edge added leaves fewer."""
+    return _is_maximal_over(g, _class_masks(g, k), d)
+
+
+def _is_maximal_over(g, colorings, d):
+    """`is_maximal` over a stream of the k-colorings of g, each once, as
+    class bitmask lists (zero entries and class order do not matter).
 
     The k-colorings of G + uv are exactly the k-colorings of G that put u
     and v in different classes, so one pass over the class bitmasks of the
@@ -42,7 +47,7 @@ def is_maximal(g, k, d):
     # layers[i][u]: non-edges uv separated by at least i + 1 colorings
     layers = [[0] * n for _ in range(d - 1)]
     count = 0
-    for masks in _class_masks(g, k):
+    for masks in colorings:
         count += 1
         for mask in masks:
             rest = mask
@@ -129,8 +134,13 @@ def reconstruct_matrix(g, k):
     if k > MAX_K:
         raise PreconditionError(f"certificate dimension k = {k} exceeds "
                                 f"limit {MAX_K}")
-    cols = [_ordered_classes(masks)
-            for masks in islice(_class_masks(g, k), 2)]
+    return _reconstruct_from(g, k, [_ordered_classes(masks) for masks
+                                    in islice(_class_masks(g, k), 2)])
+
+
+def _reconstruct_from(g, k, cols):
+    """`reconstruct_matrix` from the first two k-colorings of g, or all
+    when fewer exist, as `_ordered_classes` lists."""
     if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
     a, b = cols
@@ -193,11 +203,12 @@ def verify_theorem1(max_n, k_list):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
-    tested for maximal ambiguity and for reconstructability, and the
-    desirable matrices with entry sum n, one per relabeling orbit (see
-    enumerate_desirable), are checked to induce maximal ambiguously
-    k-colorable graphs; `family_graphs` counts them.  Every k must lie in
-    1..matrix.MAX_K, checked before any graph is enumerated.
+    tested for maximal ambiguity and for reconstructability, both read
+    off one coloring search, and the desirable matrices with entry sum n,
+    one per relabeling orbit (see enumerate_desirable), are checked to
+    induce maximal ambiguously k-colorable graphs; `family_graphs` counts
+    them.  Every k must lie in 1..matrix.MAX_K, checked before any graph
+    is enumerated.
     """
     if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
         raise PreconditionError("verify_theorem1 needs max_n >= 1 and a "
@@ -209,9 +220,13 @@ def verify_theorem1(max_n, k_list):
             matched = 0
             counterexamples = []
             for g in graphs:
-                is_max = is_maximal_ambiguous(g, k)
+                # one search: both verdicts read its first two colorings,
+                # copied, and the maximality pass reads on past them
+                colorings = _class_masks(g, k)
+                cols = [_ordered_classes(m) for m in islice(colorings, 2)]
+                is_max = _is_maximal_over(g, chain(cols, colorings), 2)
                 try:
-                    reconstruct_matrix(g, k)
+                    _reconstruct_from(g, k, cols)
                     ok = True
                 except ReconstructionError:
                     ok = False

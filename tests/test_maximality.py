@@ -279,7 +279,7 @@ def test_round_trip_families_sample():
 
 
 def test_verify_theorem1_small():
-    rows = verify_theorem1(5, [2, 3])
+    rows = verify_theorem1(7, [2, 3, 4])
     assert all(not r.counterexamples for r in rows)
     by = {(r.n, r.k): r for r in rows}
     # frozen oracle values for the corpus
@@ -287,6 +287,73 @@ def test_verify_theorem1_small():
     assert by[(4, 3)].matched_by_matrix == 2
     assert by[(5, 2)].maximal_ambiguous == 3
     assert by[(5, 3)].maximal_ambiguous == 3
+    # (graphs, maximal_ambiguous, matched_by_matrix, family_graphs), frozen
+    # from the harness that searched the colorings once per verdict
+    frozen = {(6, 2): (156, 5, 5, 14), (6, 3): (156, 7, 7, 13),
+              (6, 4): (156, 4, 4, 5), (7, 2): (1044, 7, 7, 25),
+              (7, 3): (1044, 13, 13, 46), (7, 4): (1044, 8, 8, 14)}
+    for key, want in frozen.items():
+        r = by[key]
+        assert (r.graphs, r.maximal_ambiguous, r.matched_by_matrix,
+                r.family_graphs) == want, key
+
+
+def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
+    # one _class_masks search per (graph, k) serves both verdicts, and one
+    # more per family matrix checks its G(A)
+    calls = []
+    search = maximality._class_masks
+
+    def counted(g, k):
+        calls.append((g.n, k))
+        return search(g, k)
+
+    monkeypatch.setattr(maximality, "_class_masks", counted)
+    rows = verify_theorem1(6, [2, 3, 4])
+    levels = dict(graph_levels(6))
+    for r in rows:
+        want = len(levels[r.n]) + len(list(enumerate_desirable(r.k, r.n)))
+        assert r.graphs + r.family_graphs == want
+        assert calls.count((r.n, r.k)) == want, (r.n, r.k)
+    assert len(calls) == sum(r.graphs + r.family_graphs for r in rows)
+
+
+def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
+    # the harness's verdict pair for each graph, read off its cores, equals
+    # what is_maximal_ambiguous and reconstruct_matrix say on their own
+    maximal_over = maximality._is_maximal_over
+    reconstruct_from = maximality._reconstruct_from
+    seen = []
+
+    def record_maximal(g, colorings, d):
+        seen.append([g, maximal_over(g, colorings, d)])
+        return seen[-1][1]
+
+    def record_certificate(g, k, cols):
+        # called after the maximality pass on the same graph
+        assert seen[-1][0] is g and len(seen[-1]) == 2
+        seen[-1].append(k)
+        try:
+            out = reconstruct_from(g, k, cols)
+        except ReconstructionError:
+            seen[-1].append(False)
+            raise
+        seen[-1].append(True)
+        return out
+
+    monkeypatch.setattr(maximality, "_is_maximal_over", record_maximal)
+    monkeypatch.setattr(maximality, "_reconstruct_from", record_certificate)
+    verify_theorem1(6, [1, 2, 3, 4])
+    monkeypatch.undo()
+    pairs = [entry for entry in seen if len(entry) == 4]
+    levels = dict(graph_levels(6))
+    assert len(pairs) == 4 * sum(len(graphs) for graphs in levels.values())
+    assert {(g.n, k) for g, _, k, _ in pairs} == {
+        (n, k) for n in levels for k in range(1, 5)}
+    for g, is_max, k, ok in pairs:
+        assert is_max == is_maximal_ambiguous(g, k)
+        assert ok == _certified(g, k)
+    assert any(is_max for _, is_max, _, _ in pairs)
 
 
 def test_verify_theorem1_rejects_vacuous_runs():
@@ -327,10 +394,10 @@ def _theorem1_json(capsys):
 def test_verify_theorem1_reports_graphs_without_a_certificate(monkeypatch,
                                                               capsys):
     # every maximal ambiguous graph becomes a counterexample
-    def no_certificate(g, k):
+    def no_certificate(g, k, cols):
         raise ReconstructionError("patched")
 
-    monkeypatch.setattr(maximality, "reconstruct_matrix", no_certificate)
+    monkeypatch.setattr(maximality, "_reconstruct_from", no_certificate)
     obj = _theorem1_json(capsys)
     assert obj["counterexample_total"] == sum(
         r["maximal_ambiguous"] for r in obj["rows"]) > 0
@@ -340,8 +407,8 @@ def test_verify_theorem1_witnesses_rebuild_the_graphs(monkeypatch, capsys):
     # every certified graph and every family G(A) becomes a counterexample,
     # and its edge lines with the row's n rebuild it
     levels = dict(graph_levels(5))
-    monkeypatch.setattr(maximality, "is_maximal_ambiguous",
-                        lambda g, k: False)
+    monkeypatch.setattr(maximality, "_is_maximal_over",
+                        lambda g, colorings, d: False)
     obj = _theorem1_json(capsys)
     assert obj["counterexample_total"] == sum(
         r["matched_by_matrix"] + r["family_graphs"] for r in obj["rows"]) > 0
