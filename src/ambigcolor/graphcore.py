@@ -312,10 +312,14 @@ def canonical_form(g):
     if g.n > DEFAULT_CANON_MAX_N:
         raise ResourceLimitError(
             f"canonical_form limited to n <= {DEFAULT_CANON_MAX_N}")
-    n, rows = g.n, g.rows
-    if n == 0:
+    if g.n == 0:
         return (0, 0)
-    twin_of = list(range(n))
+    return _canonical_search(g.rows, _refine(g.rows, [(1 << g.n) - 1]))
+
+
+def _canonical_search(rows, cells):
+    """`canonical_form` of nonempty `rows` from their refined unit cells."""
+    twin_of = list(range(len(rows)))
     for first, later in _twin_chains(rows):
         twin_of[later] = twin_of[first]
     best = [None]
@@ -340,8 +344,8 @@ def canonical_form(g):
             search(_refine(rows, cells[:target] + [low, cell ^ low]
                            + cells[target + 1:], [low]))
 
-    search(_refine(rows, [(1 << n) - 1]))
-    return (n, best[0])
+    search(cells)
+    return (len(rows), best[0])
 
 
 def are_isomorphic(g, h):
@@ -356,19 +360,20 @@ def graph_levels(max_n):
     """Yield (n, all graphs on n vertices, one per isomorphism class) for
     n = 1..max_n, building each level once from the one before.
 
-    Grown by vertex augmentation: every n-vertex graph G has a vertex v
-    of maximum degree, and G - v is isomorphic to some class
-    representative P of the level before, so some neighborhood mask of P
-    yields a child isomorphic to G whose new vertex plays the part of v.
-    Extending every representative only by the masks whose new vertex
-    has maximum degree in the child, and deduplicating on the canonical
-    certificate, is therefore exhaustive.  A mask is also skipped when,
-    for some twin class of the parent, it contains a later member but
-    not an earlier one: swapping the two twins gives a smaller mask with
-    a child isomorphic by a map that fixes the new vertex, so that
-    vertex keeps maximum degree, and every mask reaches one that skips
-    for no class by such swaps.  Each class keeps the first candidate
-    that survives both skips; the level is sorted by certificate.
+    Grown by vertex augmentation with McKay's canonical deletion (1998):
+    a child is kept only if its new vertex lies in the last cell of
+    `_refine` of its unit partition.  Refinement commutes with
+    relabeling, so for every n-vertex graph G and v in that cell, some
+    mask of the representative of G - v yields a child isomorphic to G
+    whose new vertex, the image of v, is kept.  The first splitter
+    orders cells by ascending degree and later splits act in place, so
+    that cell lies among the vertices of maximum degree, a cheaper test
+    run first.  A mask with a later member of a parent twin class but
+    not an earlier one is skipped too: swapping the two gives a smaller
+    mask and a child isomorphic by a map that fixes the new vertex, so
+    keeps it in the last cell, and such swaps reach a mask skipped for
+    no class.  Each class keeps its first child, labelled from the same
+    cells, and the level is sorted by certificate.
     """
     if max_n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
@@ -397,10 +402,12 @@ def graph_levels(max_n):
                 new_rows = [r | (mask >> v & 1) << g.n
                             for v, r in enumerate(g.rows)]
                 new_rows.append(mask)
-                cand = SimpleGraph.from_rows(new_rows)
-                cert = canonical_form(cand)
+                cells = _refine(new_rows, [(1 << size) - 1])
+                if not cells[-1] >> g.n & 1:
+                    continue
+                cert = _canonical_search(new_rows, cells)
                 if cert not in seen:
-                    seen[cert] = cand
+                    seen[cert] = SimpleGraph.from_rows(new_rows)
         level = [seen[c] for c in sorted(seen)]
         yield size, level
 

@@ -140,10 +140,16 @@ def reconstruct_matrix(g, k):
 
 def _reconstruct_from(g, k, cols):
     """`reconstruct_matrix` from the first two k-colorings of g, or all
-    when fewer exist, as `_ordered_classes` lists."""
+    when fewer exist, as `_ordered_classes` lists, with the checks in
+    the order listed there, except that the lemma, which ignores the
+    pairing, runs before the matching (still once) when the identity
+    pairing meets every class, which proves Hall's condition."""
     if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
     a, b = cols
+    lemma_first = len(a) == len(b) == k and all(x & y for x, y in zip(a, b))
+    if lemma_first and not _joins_separated_pairs(g, a, b):
+        raise ReconstructionError("G(A) is not isomorphic to the input")
     if len(a) < k:
         # tiny / small route: the certificate is diagonal, and the first
         # coloring is the greedy one, whose classes on a complete
@@ -169,7 +175,7 @@ def _reconstruct_from(g, k, cols):
         r = sum(a[i] != b[match[i]] for i in range(k))
         a_ord = [a[i] for i in order]
         b_ord = [b[match[i]] for i in order]
-    if not _joins_separated_pairs(g, a_ord, b_ord):
+    if not lemma_first and not _joins_separated_pairs(g, a_ord, b_ord):
         raise ReconstructionError("G(A) is not isomorphic to the input")
 
     matrix, relabeling = _certificate(a_ord, b_ord)

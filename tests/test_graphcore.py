@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ambigcolor import graphcore
 from ambigcolor.errors import InputFormatError, PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (SimpleGraph, _cert_bits, _refine,
                                   are_isomorphic, build_graph, canonical_form,
@@ -238,9 +239,28 @@ def test_twin_pruned_enumeration_matches_oracle():
         assert [canonical_form(g) for g in enumerate_graphs(n)] == expected
         if n:
             assert [canonical_form(g) for g in levels[n]] == expected
-            # the added vertex, the last, has maximum degree
+            # the added vertex, the last, has maximum degree and lies in
+            # the last cell of the refined unit partition
             assert all(g.degree(n - 1) == max(map(g.degree, range(n)))
                        for g in levels[n])
+            assert all(_refine(g.rows, [(1 << n) - 1])[-1] >> (n - 1) & 1
+                       for g in levels[n])
+
+
+def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
+    # of the 2089 augmentations at n <= 7 that keep maximum degree and
+    # pass the twin skip, 1526 put the new vertex in the last cell
+    searches = []
+    search = graphcore._canonical_search
+
+    def spy(rows, cells):
+        searches.append(len(rows))
+        return search(rows, cells)
+
+    monkeypatch.setattr(graphcore, "_canonical_search", spy)
+    for _ in graph_levels(7):
+        pass
+    assert len(searches) == 1526
 
 
 def test_graph_levels_counts_through_8():

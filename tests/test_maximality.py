@@ -2,19 +2,22 @@
 
 import json
 import random
+from itertools import islice
 
 import pytest
 
 from ambigcolor import maximality
 from ambigcolor.cli import main
-from ambigcolor.coloring import count_colorings, enumerate_colorings
+from ambigcolor.coloring import (_class_masks, _ordered_classes,
+                                 count_colorings, enumerate_colorings)
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
                                   complete_graph, cycle_graph,
                                   enumerate_graphs, from_graph6,
                                   graph_levels, path_graph)
 from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
-                               ColorMatrix, classify, enumerate_desirable)
+                               ColorMatrix, _bipartite_matching, classify,
+                               enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    reconstruct_matrix, theorem1_report_json,
                                    verify_theorem1)
@@ -199,6 +202,71 @@ def test_hall_condition_fails_on_ambiguous_non_maximal_graphs(text):
     assert not is_maximal_ambiguous(g, 4)
     with pytest.raises(ReconstructionError, match="Hall condition"):
         reconstruct_matrix(g, 4)
+
+
+def oracle_reconstruct(g, k):
+    """Reference: `reconstruct_matrix` with the Hall matching always
+    built before the lemma runs."""
+    cols = [_ordered_classes(masks) for masks in islice(_class_masks(g, k), 2)]
+    if len(cols) < 2:
+        raise ReconstructionError("graph is not ambiguously k-colorable")
+    a, b = cols
+    if len(a) < k:
+        parts = sorted(a, key=int.bit_count, reverse=True)
+        parts += [0] * (k - len(parts))
+        a_ord = b_ord = parts
+        r = 0
+    else:
+        adj = [[j for j in range(len(b)) if a[i] & b[j]] for i in range(k)]
+        size, match_right = _bipartite_matching(adj, k, len(b))
+        if size < k:
+            raise ReconstructionError(
+                "Hall condition failed on the class-intersection graph")
+        match = [0] * k
+        for j, i in enumerate(match_right):
+            match[i] = j
+        order = sorted(range(k), key=lambda i: (a[i] == b[match[i]],
+                                                a[i] & -a[i]))
+        r = sum(a[i] != b[match[i]] for i in range(k))
+        a_ord = [a[i] for i in order]
+        b_ord = [b[match[i]] for i in order]
+    if not maximality._joins_separated_pairs(g, a_ord, b_ord):
+        raise ReconstructionError("G(A) is not isomorphic to the input")
+    matrix, relabeling = maximality._certificate(a_ord, b_ord)
+    verdict = classify(matrix)
+    if not verdict.desirable:
+        raise ReconstructionError(
+            f"reconstructed matrix is not desirable: {verdict.witness}")
+    return matrix, maximality.ReconstructionTrace(r, relabeling)
+
+
+def _reconstruction_outcome(reconstruct, g, k):
+    try:
+        matrix, trace = reconstruct(g, k)
+    except ReconstructionError as exc:
+        return str(exc)
+    return matrix.entries, trace.r, trace.relabeling
+
+
+def test_reconstruct_matches_matching_first_oracle():
+    # same certificate, r and relabeling, or the same message, whichever
+    # check the lemma-first order reaches first
+    cases = [(g, k) for _, graphs in graph_levels(7) for g in graphs
+             for k in range(1, 6)]
+    cases += [(from_graph6(text), 4) for text in ("GCxvfW", "GCZcvg")]
+    outcomes = set()
+    for g, k in cases:
+        got = _reconstruction_outcome(reconstruct_matrix, g, k)
+        assert got == _reconstruction_outcome(oracle_reconstruct, g, k), \
+            (g.edges(), k)
+        outcomes.add(got.split(":")[0] if isinstance(got, str)
+                     else "certificate")
+    # every check of `_reconstruct_from` decides some case
+    assert outcomes == {
+        "certificate", "graph is not ambiguously k-colorable",
+        "Hall condition failed on the class-intersection graph",
+        "G(A) is not isomorphic to the input",
+        "reconstructed matrix is not desirable"}
 
 
 def test_huge_k_on_two_isolated_vertices():
