@@ -128,6 +128,9 @@ def cmd_reconstruct(args):
 
 def cmd_verify(args):
     k_list = _parse_k_list(args.k_list)
+    if (args.max_n is None) != (args.theorem == "perfect"):
+        raise PreconditionError("--max-n is needed by --theorem 1 and turan,"
+                                " and refused by perfect, which covers every n")
     if args.theorem == "1":
         rows = maximality.verify_theorem1(args.max_n, k_list)
         bad = sum(len(r.counterexamples) for r in rows)
@@ -156,12 +159,14 @@ def cmd_verify(args):
             sys.stdout.write(extremal.turan_report_tsv(reports))
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     # "perfect", the last of argparse's choices
-    report = perfection.verify_perfectness(args.max_n, k_list)
+    report = perfection.verify_perfectness(k_list)
     if args.format == "json":
         print(perfection.perfectness_report_json(report))
     else:
-        print(f"classes_checked={report['classes_checked']} "
-              f"violations={len(report['violations'])}")
+        for r in report["rows"]:
+            print(f"k={r['k']} order={r['order']} holes={r['holes']} "
+                  f"definition={r['definition']}")
+        print(f"violations={len(report['violations'])}")
     return EXIT_OK if not report["violations"] else EXIT_COUNTEREXAMPLE
 
 
@@ -228,7 +233,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification harness")
     p.add_argument("--theorem", choices=("1", "turan", "perfect"),
                    required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int)
     p.add_argument("--k-list", default="2,3,4")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

@@ -8,8 +8,8 @@ any vertex set S holding both, a clique holds at most one of them and v
 can be swapped for u, so omega(S) = omega(S - v), and v can take u's
 colour, so chi(S) = chi(S - v); and an odd hole or antihole never holds
 two false twins, so a twin on it can be swapped for its representative.
-G(A) has A(i, j) false twins labelled (i, j), so it collapses to the
-graph of A's support, of at most k^2 vertices.
+G(A) has A(i, j) false twins labelled (i, j), so its quotient is that of
+G(supp A), the subgraph of G(J_k) induced by A's support (J_k all ones).
 
 The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import json
 from array import array
-from math import comb, factorial
 
 from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
 from .graphcore import build_graph, complement
-from .matrix import MAX_K, matrix_classes
+from .matrix import ColorMatrix
 
 DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
-PERFECT_MAX_CLASSES = 200_000  # classes verify_perfectness may check
 
 
 def _has_odd_hole(g):
@@ -140,6 +138,14 @@ def _lowering_set(omega, rows, rest, cand, target):
     return False
 
 
+def _twin_quotient(g):
+    """The subgraph induced by the lowest vertex of each distinct row."""
+    reps = {}
+    for v, row in enumerate(g.rows):
+        reps.setdefault(row, v)
+    return g.induced(reps.values())
+
+
 def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
@@ -150,11 +156,8 @@ def is_perfect(g, method="definition"):
     method="holes" searches G and its complement for an induced odd hole
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     Both limits bound the input order g.n.  Both methods then run on the
-    false-twin quotient, the subgraph induced by the lowest vertex of
-    each distinct row: a false twin v of a kept u changes neither omega
-    nor chi of any set holding both (a clique holds at most one of them,
-    and v can take u's colour), and no odd hole or antihole holds two
-    false twins (swap one for its representative).
+    false-twin quotient, which keeps both verdicts (see the module
+    docstring).
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -162,56 +165,44 @@ def is_perfect(g, method="definition"):
     if g.n > limit:
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
-    reps = {}                   # one vertex, the lowest, per distinct row
-    for v, row in enumerate(g.rows):
-        reps.setdefault(row, v)
-    g = g.induced(reps.values())
+    g = _twin_quotient(g)
     if method == "holes":
         return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
     return _chi_equals_omega_everywhere(g.n, g.rows)
 
 
-def min_classes(max_n, k_list):
-    """A lower bound on the k x k matrix classes of entry sum 1..max_n,
-    summed over k in k_list: a class holds at most 2 (k!)^2 of the
-    C(n + k^2 - 1, n) matrices of entry sum n."""
-    return sum(-(-comb(n + k * k - 1, n) // (2 * factorial(k) ** 2))
-               for k in k_list for n in range(1, max_n + 1))
+def verify_perfectness(k_list):
+    """Decide G(M) perfect for every k x k matrix M, at every entry sum,
+    from one graph per k in k_list: G(J_k) of the all-ones matrix J_k.
 
-
-def verify_perfectness(max_n, k_list):
-    """Check G(M) perfect by the hole search for every k x k matrix class
-    M of entry sum 1..max_n, for each k in k_list; report the classes
-    checked and each violating class as its matrix JSON (must be none).
-
-    A maximal ambiguously k-colorable G with colorings P != Q is the graph
-    joining the pairs both separate, which is G(M) for the k x k matrix M
-    of the class intersections, so this covers every such graph with
-    n <= max_n.  Two ceilings are checked before any class is generated:
-    the hole search's, coloring.MAX_N, and PERFECT_MAX_CLASSES on
-    min_classes(max_n, k_list).
+    Every maximal ambiguously k-colorable graph is such a G(M).  Its
+    vertices sharing (i, j) are false twins, so G(M) is perfect iff
+    G(supp M) is (see is_perfect), an induced subgraph of G(J_k); and
+    perfectness is hereditary.  A row holds the hole search's verdict and,
+    where k^2 <= DEFAULT_PERFECT_MAX_N, the definition method's; a row
+    with a False verdict or two that disagree is a violation, reported as
+    J_k.  Every k is checked, k^2 against coloring.MAX_N, before any graph
+    is built.
     """
-    if max_n > COLORING_MAX_N:
+    if not k_list or min(k_list) < 1:
+        raise PreconditionError(
+            "verify_perfectness needs a non-empty list of k >= 1")
+    if max(k_list) ** 2 > COLORING_MAX_N:
         raise ResourceLimitError(
-            f"verify_perfectness limited to max_n <= {COLORING_MAX_N}")
-    if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
-        raise PreconditionError("verify_perfectness needs max_n >= 1 and a "
-                                f"non-empty list of k in 1..{MAX_K}")
-    if min_classes(max_n, k_list) > PERFECT_MAX_CLASSES:
-        raise ResourceLimitError(
-            f"verify_perfectness would check more than {PERFECT_MAX_CLASSES}"
-            " classes")
-    checked = 0
-    violations = []
+            f"verify_perfectness limited to k^2 <= {COLORING_MAX_N}")
+    rows = []
     for k in k_list:
-        for n in range(1, max_n + 1):
-            for mat in matrix_classes(k, n):
-                checked += 1
-                if not is_perfect(build_graph(mat), "holes"):
-                    violations.append(mat.to_json())
-    return {"classes_checked": checked, "violations": violations}
+        ones = ColorMatrix([[1] * k] * k)
+        g = build_graph(ones)
+        rows.append({"k": k, "order": g.n, "matrix": ones.to_json(),
+                     "covers_every_n": True, "holes": is_perfect(g, "holes"),
+                     "definition": is_perfect(g, "definition")
+                     if g.n <= DEFAULT_PERFECT_MAX_N else None})
+    violations = [row["matrix"] for row in rows
+                  if not row["holes"] or row["definition"] is False]
+    return {"rows": rows, "violations": violations}
 
 
 def perfectness_report_json(report):
-    return json.dumps({"schema_version": 2, "theorem": "perfectness",
+    return json.dumps({"schema_version": 3, "theorem": "perfectness",
                        **report}, indent=2, sort_keys=True)

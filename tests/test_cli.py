@@ -125,10 +125,19 @@ def test_verify_theorem1(capsys):
 
 
 @pytest.mark.parametrize("theorem, max_n", [("1", "0"), ("perfect", "0"),
-                                            ("turan", "1")])
+                                            ("perfect", "8"), ("turan", "1")])
 def test_verify_rejects_max_n_checking_nothing(theorem, max_n, capsys):
+    # perfect covers every n, so any --max-n would check nothing more
     assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 2
-    assert "max_n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "max_n" in err or "--max-n" in err
+
+
+@pytest.mark.parametrize("theorem", ["1", "turan"])
+def test_verify_needs_max_n(theorem, capsys):
+    assert main(["verify", "--theorem", theorem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-n is needed" in captured.err
 
 
 def test_verify_turan_json(capsys):
@@ -139,9 +148,11 @@ def test_verify_turan_json(capsys):
 
 
 def test_verify_perfect(capsys):
-    assert main(["verify", "--theorem", "perfect", "--max-n", "5",
-                 "--k-list", "2,3"]) == 0
-    assert "violations=0" in capsys.readouterr().out
+    assert main(["verify", "--theorem", "perfect", "--k-list", "2,4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "k=2 order=4 holes=True definition=True",
+        "k=4 order=16 holes=True definition=None",
+        "violations=0"]
 
 
 def test_table(capsys):
@@ -248,8 +259,9 @@ def test_verify_rejects_bad_k_list():
 
 @pytest.mark.parametrize("theorem", ["1", "turan", "perfect"])
 def test_verify_rejects_a_repeated_k(theorem, capsys):
-    # a repeated k would check its rows or classes twice
-    assert main(["verify", "--theorem", theorem, "--max-n", "3",
+    # a repeated k would check its rows twice
+    max_n = [] if theorem == "perfect" else ["--max-n", "3"]
+    assert main(["verify", "--theorem", theorem, *max_n,
                  "--k-list", "2,3,2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "repeated k" in captured.err

@@ -11,6 +11,7 @@ import ast
 import importlib
 import json
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -57,13 +58,10 @@ CEILINGS = {
     "is_perfect-definition": (
         perfection, "DEFAULT_PERFECT_MAX_N",
         lambda n: perfection.is_perfect(empty_graph(n), "definition")),
-    "verify_perfectness": (coloring, "MAX_N",
-                           lambda n: perfection.verify_perfectness(n, [2])),
-    "verify_perfectness-classes": (
-        perfection, "PERFECT_MAX_CLASSES",
-        lambda classes: perfection.verify_perfectness(
-            next(n for n in range(1, coloring.MAX_N + 1)
-                 if perfection.min_classes(n, [3]) >= classes), [3])),
+    # the least k whose G(J_k) has n or more vertices
+    "verify_perfectness": (
+        coloring, "MAX_N",
+        lambda n: perfection.verify_perfectness([isqrt(n - 1) + 1])),
     "from_edge_list": (graphcore, "MAX_VERTICES",
                        lambda n: graphcore.from_edge_list(f"{n} 0\n")),
     "count_perfect_matchings": (
@@ -108,8 +106,11 @@ def test_one_color_tensor_is_bounded_in_d(tmp_path, capsys):
     ("perfect", coloring, "MAX_N"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
-    max_n = str(getattr(module, constant) + 1)
-    assert main(["verify", "--theorem", theorem, "--max-n", max_n]) == 3
+    limit = getattr(module, constant)
+    # perfect covers every n; its ceiling is on the order k^2 of G(J_k)
+    args = (["--k-list", str(isqrt(limit) + 1)] if theorem == "perfect"
+            else ["--max-n", str(limit + 1)])
+    assert main(["verify", "--theorem", theorem, *args]) == 3
     assert capsys.readouterr().out == ""
 
 
@@ -130,16 +131,15 @@ def test_turan_ceiling_is_checked_before_any_cell(monkeypatch, capsys):
 
 def test_perfectness_ceiling_is_checked_before_any_class(monkeypatch,
                                                          capsys):
-    def no_class(k, n):
-        raise AssertionError("a class was generated before the ceiling check")
+    # no G(J_k) is built, not even that of a k = 2 listed before a k whose
+    # order k^2 is past the ceiling, or before a k < 1
+    def no_graph(matrix):
+        raise AssertionError("a graph was built before the ceiling check")
 
-    monkeypatch.setattr(perfection, "matrix_classes", no_class)
-    # past the order ceiling, then past the class ceiling, even with a
-    # k = 2 listed first whose classes alone are within it
-    for max_n, k_list in ((str(coloring.MAX_N + 1), "2,3,4"), ("13", "6"),
-                          ("32", "2,6")):
-        assert main(["verify", "--theorem", "perfect", "--max-n", max_n,
-                     "--k-list", k_list]) == 3
+    monkeypatch.setattr(perfection, "build_graph", no_graph)
+    for k_list, code in (("2,6", 3), ("2,0", 2)):
+        assert main(["verify", "--theorem", "perfect",
+                     "--k-list", k_list]) == code
         assert capsys.readouterr().out == ""
 
 

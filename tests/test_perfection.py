@@ -1,5 +1,6 @@
 """Perfectness checking: definition method vs. odd-hole search, and the
-harness over matrix classes."""
+harness on G(J_k), checked against the walk over matrix classes it
+replaces."""
 
 import json
 import random
@@ -15,10 +16,10 @@ from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
                                   complete_multipartite, cycle_graph,
                                   empty_graph, enumerate_graphs, graph_levels,
                                   path_graph)
-from ambigcolor.matrix import MAX_K, ColorMatrix, matrix_classes
+from ambigcolor.dfold import ColorTensor, build_graph_d
+from ambigcolor.matrix import ColorMatrix, matrix_classes
 from ambigcolor.maximality import is_maximal_ambiguous
-from ambigcolor.perfection import (PERFECT_MAX_CLASSES, _has_odd_hole,
-                                   is_perfect, min_classes,
+from ambigcolor.perfection import (_has_odd_hole, _twin_quotient, is_perfect,
                                    perfectness_report_json,
                                    verify_perfectness)
 
@@ -132,56 +133,91 @@ def test_hole_search_beyond_the_definition_ceiling():
     assert g.n == 28 and is_perfect(g, "holes")
 
 
+def all_ones(k):
+    return ColorMatrix([[1] * k] * k)
+
+
+def oracle_verify_perfectness(max_n, k_list):
+    """The class walk: the hole search on G(M) for every k x k matrix
+    class M of entry sum 1..max_n; the violating classes as matrix JSON."""
+    return [m.to_json() for k in k_list for n in range(1, max_n + 1)
+            for m in matrix_classes(k, n)
+            if not is_perfect(build_graph(m), "holes")]
+
+
 def test_verify_perfectness_no_violations():
-    report = verify_perfectness(6, [2, 3])
+    report = verify_perfectness([1, 2, 3, 4, 5])
     assert report["violations"] == []
-    # every class of every order 1..max_n is checked, none twice
-    assert report["classes_checked"] == sum(
-        len(list(matrix_classes(k, n))) for k in (2, 3) for n in range(1, 7))
+    assert [(r["k"], r["order"], r["holes"], r["definition"])
+            for r in report["rows"]] == [
+        (1, 1, True, True), (2, 4, True, True), (3, 9, True, True),
+        (4, 16, True, None), (5, 25, True, None)]
+    for r in report["rows"]:
+        assert r["covers_every_n"] and r["matrix"] == all_ones(r["k"]).to_json()
     obj = json.loads(perfectness_report_json(report))
-    assert obj["schema_version"] == 2
-    assert obj["classes_checked"] == report["classes_checked"]
-    for max_n, k_list in ((0, [2]), (4, []), (4, [0]), (4, [MAX_K + 1])):
+    assert obj["schema_version"] == 3
+    assert obj["rows"] == report["rows"] and obj["violations"] == []
+    for k_list in ([], [0], [2, -1]):
         with pytest.raises(PreconditionError):
-            verify_perfectness(max_n, k_list)
+            verify_perfectness(k_list)
 
 
-def test_class_bound_is_a_lower_bound():
-    for k in (1, 2, 3):
-        for max_n in range(1, 9):
-            assert min_classes(max_n, [k]) <= sum(
-                len(list(matrix_classes(k, n))) for n in range(1, max_n + 1))
+def test_harness_agrees_with_the_class_walk():
+    assert oracle_verify_perfectness(8, [1, 2, 3]) == []
+    assert verify_perfectness([1, 2, 3])["violations"] == []
 
 
-def test_class_ceiling_admits_the_reach_targets():
-    admitted = {(12, (2, 3, 4)): 30734, (32, (2,)): 7374, (20, (3,)): 139106,
-                (13, (4,)): 58917, (10, (5,)): 6382}
-    rejected = {(24, (3,)): 535665, (13, (6,)): 253284}
-    for (max_n, k_list), bound in admitted.items():
-        assert min_classes(max_n, k_list) == bound <= PERFECT_MAX_CLASSES
-    for (max_n, k_list), bound in rejected.items():
-        assert min_classes(max_n, k_list) == bound > PERFECT_MAX_CLASSES
+def test_every_small_class_reduces_to_an_induced_subgraph_of_g_jk():
+    # the harness's reduction, on labelled graphs: G(supp M) is G(J_k)
+    # induced on the support cells, and G(M) has the quotient of G(supp M)
+    sizes, twinned = [], []
+    for k in (2, 3):
+        g_ones = build_graph(all_ones(k))
+        classes = [m for n in range(1, 9) for m in matrix_classes(k, n)]
+        twinned.append(0)
+        for m in classes:
+            support = build_graph(ColorMatrix(
+                [[min(a, 1) for a in row] for row in m.entries]))
+            induced = g_ones.induced(
+                i * k + j for i, row in enumerate(m.entries)
+                for j, a in enumerate(row) if a)
+            assert (support.rows, support.labels) == (
+                induced.rows, induced.labels), m
+            quotient = _twin_quotient(build_graph(m))
+            expect = _twin_quotient(support)
+            assert (quotient.rows, quotient.labels) == (
+                expect.rows, expect.labels), m
+            # G(supp M) may itself hold false twins, as for the support
+            # {(1, 1), (1, 2)}, so the quotient can be smaller still
+            twinned[-1] += quotient.n < support.n
+        sizes.append(len(classes))
+    assert sizes == [91, 491] and twinned == [16, 146]
+
+
+def test_hole_search_fails_on_the_all_ones_tensor():
+    # the harness's check can fail: G(J) of the all-ones 3 x 3 x 3 tensor
+    # is not perfect
+    g = build_graph_d(ColorTensor(3, 3, [1] * 27))
+    assert g.n == 27 and not is_perfect(g, "holes")
 
 
 def test_imperfect_verdict_is_reported_as_its_matrix(monkeypatch, tmp_path,
                                                      capsys):
-    def is_perfect(g, method):
-        assert method == "holes"
-        return g.m != 1
-
-    monkeypatch.setattr(perfection, "is_perfect", is_perfect)
-    assert main(["verify", "--theorem", "perfect", "--max-n", "3",
-                 "--k-list", "2", "--format", "json"]) == 1
-    violations = json.loads(capsys.readouterr().out)["violations"]
-    assert violations and violations == [
-        m.to_json() for n in (1, 2, 3) for m in matrix_classes(2, n)
-        if build_graph(m).m == 1]
-    # each witness is input to `ambigcolor build`, which rebuilds G(M)
+    # a False verdict at k = 3, then two verdicts that disagree at k = 3:
+    # each exits 1 with J_3 as the one violation, which `ambigcolor build`
+    # rebuilds into the 9-vertex G(J_3)
+    fakes = (lambda g, method: g.n != 9,
+             lambda g, method: g.n != 9 or method == "holes")
     path = tmp_path / "witness.json"
-    for witness in violations:
-        path.write_text(json.dumps(witness))
+    for fake in fakes:
+        monkeypatch.setattr(perfection, "is_perfect", fake)
+        assert main(["verify", "--theorem", "perfect", "--k-list", "2,3,4",
+                     "--format", "json"]) == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert violations == [all_ones(3).to_json()]
+        path.write_text(json.dumps(violations[0]))
         assert main(["build", str(path)]) == 0
-        assert capsys.readouterr().out.split()[1] == "1"
+        assert capsys.readouterr().out.split()[:2] == ["9", "18"]
 
 
 def test_every_small_maximal_graph_is_the_graph_of_a_class():
