@@ -91,15 +91,18 @@ class SimpleGraph:
     def induced(self, vertices):
         """Induced subgraph on the given vertices (kept in sorted order)."""
         vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
+        pos = [0] * self.n
+        keep = 0
+        for i, v in enumerate(vs):
+            pos[v] = i
+            keep |= 1 << v
         rows = [0] * len(vs)
-        for v in vs:
-            r = self.rows[v]
+        for i, v in enumerate(vs):
+            r = self.rows[v] & keep
             while r:
-                u = (r & -r).bit_length() - 1
-                if u in pos:
-                    rows[pos[v]] |= 1 << pos[u]
-                r &= r - 1
+                low = r & -r
+                rows[i] |= 1 << pos[low.bit_length() - 1]
+                r ^= low
         labels = [self.labels[v] for v in vs] if self.labels else None
         return SimpleGraph.from_rows(rows, labels)
 

@@ -11,6 +11,15 @@ two false twins, so a twin on it can be swapped for its representative.
 G(A) has A(i, j) false twins labelled (i, j), so its quotient is that of
 G(supp A), the subgraph of G(J_k) induced by A's support (J_k all ones).
 
+The quotient is then split into components, and each part into
+co-components, until no part splits.  In a disjoint union, or a join, chi
+and omega of any vertex set are the maximum, or the sum, of theirs on its
+parts (an independent set of a join lies in one part); as chi >= omega, G
+is perfect iff every piece is.  An odd hole or antihole is connected and
+co-connected, so it lies in one piece.  Pieces of one vertex are skipped;
+up to relabeling, a desirable G(A) is a block joined to one independent
+set per diagonal cell, so most of its pieces are single vertices.
+
 The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
 clique-number table, and for each subset one independent set through its
@@ -146,6 +155,41 @@ def _twin_quotient(g):
     return g.induced(reps.values())
 
 
+def _split(rows, s, co):
+    """Vertex masks of the components of G[s], or of its complement if co,
+    by a bitmask search that reads each row of s once."""
+    parts = []
+    while s:                        # s: the vertices not yet reached
+        part = frontier = s & -s
+        s ^= part
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            row = rows[low.bit_length() - 1]
+            new = s & ~row if co else s & row
+            s ^= new
+            part |= new
+            frontier |= new
+        parts.append(part)
+    return parts
+
+
+def _pieces(g):
+    """Masks of the pieces of g with two or more vertices, smallest first:
+    g split into components and co-components until no part splits."""
+    todo, pieces = [(1 << g.n) - 1] if g.n > 1 else [], []
+    while todo:
+        s = todo.pop()
+        for co in (False, True):
+            parts = _split(g.rows, s, co)
+            if len(parts) > 1:
+                todo += [p for p in parts if p & (p - 1)]
+                break
+        else:
+            pieces.append(s)
+    return sorted(pieces, key=int.bit_count)
+
+
 def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
@@ -156,8 +200,9 @@ def is_perfect(g, method="definition"):
     method="holes" searches G and its complement for an induced odd hole
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     Both limits bound the input order g.n.  Both methods then run on the
-    false-twin quotient, which keeps both verdicts (see the module
-    docstring).
+    false-twin quotient, split into pieces that are each connected and
+    co-connected, smallest piece first; G is perfect iff every piece is
+    (see the module docstring for both steps).
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -166,9 +211,12 @@ def is_perfect(g, method="definition"):
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
     g = _twin_quotient(g)
+    pieces = (g.induced(v for v in range(g.n) if s >> v & 1)
+              for s in _pieces(g))
     if method == "holes":
-        return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
-    return _chi_equals_omega_everywhere(g.n, g.rows)
+        return not any(_has_odd_hole(p) or _has_odd_hole(complement(p))
+                       for p in pieces)
+    return all(_chi_equals_omega_everywhere(p.n, p.rows) for p in pieces)
 
 
 def verify_perfectness(k_list):

@@ -50,6 +50,27 @@ def test_induced_and_permuted():
     assert are_isomorphic(g, g.permuted(perm))
 
 
+def test_induced_matches_an_edge_filter():
+    # oracle: keep the edges with both ends kept, renumbered in sorted
+    # order, and the kept vertices' labels
+    rng = random.Random(53)
+    for i in range(120):
+        n = rng.randint(1, 16)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (0.2, 0.5, 0.8)[i % 3]]
+        labels = [(rng.randrange(4), rng.randrange(4), v) for v in range(n)]
+        g = SimpleGraph(n, edges, labels if i % 2 else None)
+        kept = rng.sample(range(n), rng.randint(0, n))
+        vs = sorted(kept)
+        pos = {v: j for j, v in enumerate(vs)}
+        expect = SimpleGraph(len(vs), [(pos[u], pos[v]) for u, v in edges
+                                       if u in pos and v in pos],
+                             [labels[v] for v in vs] if i % 2 else None)
+        sub = g.induced(kept)
+        assert (sub.rows, sub.labels) == (expect.rows, expect.labels), (
+            n, edges, kept)
+
+
 def test_build_graph_figure_matrix():
     # 3x3 certificate with a fully indecomposable block of order 3
     a = ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])

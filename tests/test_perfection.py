@@ -306,8 +306,11 @@ def test_definition_at_its_ceiling(monkeypatch):
     n = perfection.DEFAULT_PERFECT_MAX_N
     orders = _record_orders(monkeypatch)
     assert is_perfect(path_graph(n), "definition")
-    g = disjoint_union(path_graph(9), cycle_graph(5))
-    assert g.n == n and not is_perfect(g, "definition")
+    # C5 with a 9-vertex path hung on cycle vertex 0: connected and
+    # co-connected, so it is one piece of 14
+    g = SimpleGraph(n, cycle_graph(5).edges() + [(0, 5)]
+                    + [(v, v + 1) for v in range(5, n - 1)])
+    assert len(set(g.rows)) == n and not is_perfect(g, "definition")
     assert orders == [n, n]
 
 
@@ -319,6 +322,72 @@ def test_methods_run_on_the_false_twin_quotient(monkeypatch):
     assert is_perfect(g, "definition")
     assert is_perfect(g, "holes")
     assert orders == [8, 8, 8]
+
+
+def test_pieces_without_two_vertices_reach_no_worker(monkeypatch):
+    # G(A) is the join of G(block) = 2K2 with one independent set per
+    # diagonal cell: 11 vertices, 6 rows, every piece a single vertex
+    g = build_graph(ColorMatrix([[2, 1, 0, 0], [1, 2, 0, 0],
+                                 [0, 0, 3, 0], [0, 0, 0, 2]]))
+    assert g.n == 11 and len(set(g.rows)) == 6
+    orders = _record_orders(monkeypatch)
+    assert is_perfect(g, "definition")
+    assert is_perfect(g, "holes")
+    assert orders == []
+    # a planted C5 is a piece of its own, and the smallest one
+    h = disjoint_union(
+        build_graph(ColorMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]])),
+        cycle_graph(5))
+    assert not is_perfect(h, "definition")
+    assert not is_perfect(h, "holes")
+    assert orders == [5, 5]
+
+
+def join(g, h):
+    """g on 0..g.n-1 and h after it, every edge between them."""
+    return complement(disjoint_union(complement(g), complement(h)))
+
+
+def unsplit_verdicts(g):
+    """Each method's worker run once on the whole false-twin quotient."""
+    q = _twin_quotient(g)
+    return (perfection._chi_equals_omega_everywhere(q.n, q.rows),
+            not _has_odd_hole(q) and not _has_odd_hole(complement(q)))
+
+
+def test_pieces_keep_both_verdicts_on_all_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert (is_perfect(g, "definition"), is_perfect(g, "holes")) == (
+                unsplit_verdicts(g)), g.edges()
+
+
+def test_pieces_keep_both_verdicts_on_unions_and_joins():
+    # nested disjoint unions and joins of up to 12 vertices, C5, C7 or
+    # co-C7 planted in one part in two graphs of three, in a shuffled order
+    rng = random.Random(47)
+    holes = (cycle_graph(5), cycle_graph(7), complement(cycle_graph(7)))
+    verdicts = set()
+    for i in range(90):
+        g = (holes[i % 9 // 3] if i % 3 < 2
+             else random_graph(rng, rng.randint(1, 5), 0.5))
+        while g.n < 12:
+            part = random_graph(rng, rng.randint(1, min(6, 12 - g.n)),
+                                rng.choice((0.3, 0.5, 0.7)))
+            if rng.random() < 0.5:
+                g, part = part, g
+            g = (join if rng.random() < 0.5 else disjoint_union)(g, part)
+            if rng.random() < 0.2:
+                break
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.permuted(perm)
+        expect = unsplit_verdicts(g)
+        assert expect[0] == expect[1], g.edges()
+        assert (is_perfect(g, "definition"), is_perfect(g, "holes")) == (
+            expect), g.edges()
+        verdicts.add(expect[0])
+    assert verdicts == {False, True}
 
 
 def test_quotient_keeps_both_verdicts():
