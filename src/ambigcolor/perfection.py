@@ -11,14 +11,13 @@ two false twins, so a twin on it can be swapped for its representative.
 G(A) has A(i, j) false twins labelled (i, j), so its quotient is that of
 G(supp A), the subgraph of G(J_k) induced by A's support (J_k all ones).
 
-The quotient is then split into components, and each part into
-co-components, until no part splits.  In a disjoint union, or a join, chi
+The definition method splits the quotient into components, each part into
+co-components, until no part splits: in a disjoint union, or a join, chi
 and omega of any vertex set are the maximum, or the sum, of theirs on its
-parts (an independent set of a join lies in one part); as chi >= omega, G
-is perfect iff every piece is.  An odd hole or antihole is connected and
-co-connected, so it lies in one piece.  Pieces of one vertex are skipped;
-up to relabeling, a desirable G(A) is a block joined to one independent
-set per diagonal cell, so most of its pieces are single vertices.
+parts (an independent set of a join lies in one part), so as chi >= omega,
+G is perfect iff every piece is.  Pieces of one vertex are skipped; a
+desirable G(A) is, up to relabeling, a block joined to one independent set
+per diagonal cell, so most of its pieces are single vertices.
 
 The definition method decides chi = omega on every induced subgraph in one
 dynamic program over the vertex subsets, in increasing numeric order: a
@@ -200,9 +199,10 @@ def is_perfect(g, method="definition"):
     method="holes" searches G and its complement for an induced odd hole
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     Both limits bound the input order g.n.  Both methods then run on the
-    false-twin quotient, split into pieces that are each connected and
-    co-connected, smallest piece first; G is perfect iff every piece is
-    (see the module docstring for both steps).
+    false-twin quotient; the definition method splits it into pieces that
+    are each connected and co-connected and runs on each, smallest first,
+    as G is perfect iff every piece is (see the module docstring for both
+    steps).
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -211,12 +211,14 @@ def is_perfect(g, method="definition"):
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
     g = _twin_quotient(g)
-    pieces = (g.induced(v for v in range(g.n) if s >> v & 1)
-              for s in _pieces(g))
     if method == "holes":
-        return not any(_has_odd_hole(p) or _has_odd_hole(complement(p))
-                       for p in pieces)
-    return all(_chi_equals_omega_everywhere(p.n, p.rows) for p in pieces)
+        return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
+    whole = (1 << g.n) - 1
+    for s in _pieces(g):
+        p = g if s == whole else g.induced(v for v in range(g.n) if s >> v & 1)
+        if not _chi_equals_omega_everywhere(p.n, p.rows):
+            return False
+    return True
 
 
 def verify_perfectness(k_list):

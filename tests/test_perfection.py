@@ -332,15 +332,19 @@ def test_pieces_without_two_vertices_reach_no_worker(monkeypatch):
     assert g.n == 11 and len(set(g.rows)) == 6
     orders = _record_orders(monkeypatch)
     assert is_perfect(g, "definition")
-    assert is_perfect(g, "holes")
     assert orders == []
-    # a planted C5 is a piece of its own, and the smallest one
+    # the hole method does not split: the quotient, then its complement
+    assert is_perfect(g, "holes")
+    assert orders == [6, 6]
+    # a planted C5 is a piece of its own, and the smallest one; the hole
+    # method finds it in the whole 11-vertex quotient
     h = disjoint_union(
         build_graph(ColorMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]])),
         cycle_graph(5))
+    del orders[:]
     assert not is_perfect(h, "definition")
     assert not is_perfect(h, "holes")
-    assert orders == [5, 5]
+    assert orders == [5, 11]
 
 
 def join(g, h):
@@ -348,21 +352,20 @@ def join(g, h):
     return complement(disjoint_union(complement(g), complement(h)))
 
 
-def unsplit_verdicts(g):
-    """Each method's worker run once on the whole false-twin quotient."""
+def unsplit_definition(g):
+    """The definition worker run once on the whole false-twin quotient."""
     q = _twin_quotient(g)
-    return (perfection._chi_equals_omega_everywhere(q.n, q.rows),
-            not _has_odd_hole(q) and not _has_odd_hole(complement(q)))
+    return perfection._chi_equals_omega_everywhere(q.n, q.rows)
 
 
-def test_pieces_keep_both_verdicts_on_all_small_graphs():
+def test_pieces_keep_the_definition_verdict_on_all_small_graphs():
     for n in range(8):
         for g in enumerate_graphs(n):
-            assert (is_perfect(g, "definition"), is_perfect(g, "holes")) == (
-                unsplit_verdicts(g)), g.edges()
+            assert is_perfect(g, "definition") == unsplit_definition(g) == (
+                is_perfect(g, "holes")), g.edges()
 
 
-def test_pieces_keep_both_verdicts_on_unions_and_joins():
+def test_pieces_keep_the_definition_verdict_on_unions_and_joins():
     # nested disjoint unions and joins of up to 12 vertices, C5, C7 or
     # co-C7 planted in one part in two graphs of three, in a shuffled order
     rng = random.Random(47)
@@ -382,11 +385,10 @@ def test_pieces_keep_both_verdicts_on_unions_and_joins():
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.permuted(perm)
-        expect = unsplit_verdicts(g)
-        assert expect[0] == expect[1], g.edges()
-        assert (is_perfect(g, "definition"), is_perfect(g, "holes")) == (
-            expect), g.edges()
-        verdicts.add(expect[0])
+        expect = unsplit_definition(g)
+        assert is_perfect(g, "definition") == expect == (
+            is_perfect(g, "holes")), g.edges()
+        verdicts.add(expect)
     assert verdicts == {False, True}
 
 
