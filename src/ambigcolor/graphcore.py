@@ -90,35 +90,25 @@ class SimpleGraph:
 
     def induced(self, vertices):
         """Induced subgraph on the given vertices (kept in sorted order)."""
-        vs = sorted(vertices)
-        pos = [0] * self.n
-        keep = 0
-        for i, v in enumerate(vs):
-            pos[v] = i
-            keep |= 1 << v
-        rows = [0] * len(vs)
-        for i, v in enumerate(vs):
-            r = self.rows[v] & keep
-            while r:
-                low = r & -r
-                rows[i] |= 1 << pos[low.bit_length() - 1]
-                r ^= low
-        labels = [self.labels[v] for v in vs] if self.labels else None
-        return SimpleGraph.from_rows(rows, labels)
+        return self.permuted(sorted(vertices))
 
     def permuted(self, perm):
-        """Relabel: vertex v of the result is vertex perm[v] of self."""
+        """Relabel: vertex v of the result is vertex perm[v] of self.  When
+        perm lists only some vertices, the result is induced on them."""
         pos = [0] * self.n
+        keep = 0
         for new, old in enumerate(perm):
             pos[old] = new
-        rows = [0] * self.n
+            keep |= 1 << old
+        rows = [0] * len(perm)
         for new, old in enumerate(perm):
-            r = self.rows[old]
+            r = self.rows[old] & keep
             while r:
                 u = (r & -r).bit_length() - 1
                 rows[new] |= 1 << pos[u]
                 r &= r - 1
-        labels = [self.labels[old] for old in perm] if self.labels else None
+        labels = (None if self.labels is None
+                  else [self.labels[old] for old in perm])
         return SimpleGraph.from_rows(rows, labels)
 
     def __eq__(self, other):

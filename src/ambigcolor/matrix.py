@@ -78,10 +78,6 @@ class ColorMatrix:
     def transpose(self):
         return ColorMatrix(list(zip(*self.entries)))
 
-    def is_diagonal(self):
-        return all(self.entries[i][j] == 0
-                   for i in range(self.k) for j in range(self.k) if i != j)
-
     def diagonal(self):
         return [self.entries[i][i] for i in range(self.k)]
 
@@ -351,9 +347,7 @@ def balance_flags(matrix):
     """(row-sum-balanced, column-sum-balanced): all sums pairwise differ
     by at most 1."""
     rs, cs = matrix.row_sums(), matrix.col_sums()
-    row_ok = not rs or max(rs) - min(rs) <= 1
-    col_ok = not cs or max(cs) - min(cs) <= 1
-    return (row_ok, col_ok)
+    return (max(rs) - min(rs) <= 1, max(cs) - min(cs) <= 1)
 
 
 def _off_diagonal_entries(matrix):
@@ -362,66 +356,57 @@ def _off_diagonal_entries(matrix):
             if i != j and matrix.entries[i][j] != 0]
 
 
-def _is_special(matrix):
-    if any(x == 0 for x in matrix.diagonal()):
-        return False
-    off = _off_diagonal_entries(matrix)
-    return len(off) == 1 and off[0][2] == 1
-
-
-def _normal_block(matrix):
-    """0-based index set of the fully indecomposable block, or None.
-
-    Every row and column of a fully indecomposable block of size >= 2 has
-    an off-diagonal nonzero, so the block index set is forced: it must be
-    exactly the set of indices incident to some nonzero off-diagonal entry.
-    `classify` calls it only on a matrix that is not diagonal and has a
-    positive diagonal, which the full indecomposability test takes as its
-    matching at every block size.
-    """
-    block = {x for i, j, _ in _off_diagonal_entries(matrix) for x in (i, j)}
-    ok = is_fully_indecomposable(matrix.submatrix(block))
-    return sorted(block) if ok else None
-
-
-def special_variants(matrix):
-    """All of (a)/(b)/(c) that a special matrix meets, in that order."""
-    if not _is_special(matrix):
-        raise PreconditionError("matrix is not special")
-    (i0, j0, _), = _off_diagonal_entries(matrix)
-    i, j = i0 + 1, j0 + 1                       # 1-based, entry at (i, j)
-    n, k = matrix.order, matrix.k
-    alpha = n // k
-    row_bal, col_bal = balance_flags(matrix)
+def _variants(matrix, entry, balance):
+    """All of (a)/(b)/(c) that a special matrix meets, in that order, given
+    its one off-diagonal entry (i, j, 1), 0-based, and its balance flags."""
+    i, j, _ = entry
+    diag = matrix.diagonal()
+    alpha = matrix.order // matrix.k
     out = []
     # (a): row-sum-balanced and row sum at the off-diagonal column index
     # equals floor(n/k) (that row sum is just the diagonal entry A(j, j))
-    if row_bal and matrix.row_sums()[j - 1] == alpha:
+    if balance[0] and diag[j] == alpha:
         out.append(VARIANT_A)
-    # (b): the transpose is (a)-special
-    if col_bal and matrix.col_sums()[i - 1] == alpha:
+    # (b): the transpose is (a)-special (column i holds only A(i, i))
+    if balance[1] and diag[i] == alpha:
         out.append(VARIANT_B)
     # (c): A(i,i) = A(j,j) = alpha - 1, all other diagonal entries in
     # {alpha, alpha + 1} with alpha + 1 attained at least once
-    diag = matrix.diagonal()
-    others = [diag[p] for p in range(k) if p + 1 not in (i, j)]
-    if (diag[i - 1] == alpha - 1 and diag[j - 1] == alpha - 1
+    others = [x for p, x in enumerate(diag) if p not in (i, j)]
+    if (diag[i] == diag[j] == alpha - 1
             and all(x in (alpha, alpha + 1) for x in others)
-            and any(x == alpha + 1 for x in others)):
+            and alpha + 1 in others):
         out.append(VARIANT_C)
     return tuple(out)
 
 
+def special_variants(matrix):
+    """All of (a)/(b)/(c) that a special matrix meets, in that order."""
+    off = _off_diagonal_entries(matrix)
+    if 0 in matrix.diagonal() or len(off) != 1 or off[0][2] != 1:
+        raise PreconditionError("matrix is not special")
+    return _variants(matrix, off[0], balance_flags(matrix))
+
+
 def classify(matrix):
-    """Unique verdict among Tiny / Small / Special / Normal / NotDesirable.
+    """Unique verdict among Tiny / Small / Special / Normal / NotDesirable,
+    decided from one read each of the diagonal, the off-diagonal support
+    and the margins.
 
     The four desirable classes are mutually exclusive: tiny and small are
     diagonal with different zero counts, special has a zero row in any
-    candidate block, and normal needs a fully indecomposable block.
+    candidate block, and normal needs a fully indecomposable block.  That
+    block is forced: every row and column of a fully indecomposable block
+    of size >= 2 has an off-diagonal nonzero, and every nonzero
+    off-diagonal entry of A lies in it, so its index set is exactly the
+    set of indices incident to some nonzero off-diagonal entry.  The block
+    is tested only under a positive diagonal, which the full
+    indecomposability test takes as its matching at every block size.
     """
     balance = balance_flags(matrix)
-    if matrix.is_diagonal():
-        diag = matrix.diagonal()
+    diag = matrix.diagonal()
+    off = _off_diagonal_entries(matrix)
+    if not off:
         zeros = diag.count(0)
         twos = diag.count(2)
         if twos == 1 and max(diag) <= 2 and zeros >= 2:
@@ -437,25 +422,22 @@ def classify(matrix):
         else:
             reason = "diagonal with no zero entry (neither tiny nor small)"
         return MatrixClass(NOT_DESIRABLE, balance=balance, witness=reason)
-    if any(x == 0 for x in matrix.diagonal()):
+    if 0 in diag:
         return MatrixClass(
             NOT_DESIRABLE, balance=balance,
             witness="off-diagonal entries present but a diagonal entry is 0")
-    if _is_special(matrix):
-        variants = special_variants(matrix)
+    if len(off) == 1 and off[0][2] == 1:
+        variants = _variants(matrix, off[0], balance)
         primary = variants[0] if variants else VARIANT_PLAIN
         return MatrixClass(SPECIAL, special_variant=primary,
                            variants=variants, balance=balance)
-    block = _normal_block(matrix)
-    if block is not None:
-        r = len(block)
-        sub = matrix.submatrix(block)
-        mini = (r == 2 and sub == [[1, 1], [1, 1]]
-                and balance == (True, True)
+    sub = matrix.submatrix({x for i, j, _ in off for x in (i, j)})
+    if is_fully_indecomposable(sub):
+        r = len(sub)
+        mini = (sub == [[1, 1], [1, 1]] and balance == (True, True)
                 and 2 * matrix.k <= matrix.order < 3 * matrix.k)
         return MatrixClass(NORMAL, r=r, mininormal=mini, balance=balance)
-    off = _off_diagonal_entries(matrix)
-    if len(off) == 1 and off[0][2] > 1:
+    if len(off) == 1:
         reason = (f"single off-diagonal entry {off[0][2]} != 1 "
                   "and no fully indecomposable block")
     else:
@@ -470,8 +452,13 @@ def classify(matrix):
 
 def _positive_parts(total, parts):
     """Nonincreasing tuples of `parts` positive ints summing to `total`."""
-    for p in _partitions(total - parts, parts, total):
-        yield tuple(x + 1 for x in p)
+    # _partitions needs a part, and total < parts would make one negative
+    if parts == 0:
+        if total == 0:
+            yield ()
+    elif total >= parts:
+        for p in _partitions(total - parts, parts):
+            yield tuple(x + 1 for x in p)
 
 
 def _placed(block, diag):
@@ -564,18 +551,11 @@ def _pairs(sizes):
     return sum(x * (x - 1) // 2 for x in sizes)
 
 
-def _partitions(total, parts, largest):
-    """Nonincreasing tuples of `parts` ints in 0..largest summing to
-    `total`, in descending lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, largest), -1, -1):
-        if first * parts < total:
-            return
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+def _partitions(total, parts):
+    """Nonincreasing tuples of `parts` nonnegative ints summing to `total`,
+    in descending lexicographic order; needs parts >= 1."""
+    return _bounded_rows(total, [total] * parts,
+                         [False] + [True] * (parts - 1))
 
 
 def _runs(sums):
@@ -607,7 +587,7 @@ def _keys(rows, row_orders, col_runs):
 def _margin_pairs(k, n):
     """Every pair (r, c) of nonincreasing k-part row and column sums with
     total n and c <= r lexicographically; c > r is the transpose."""
-    sums = list(_partitions(n, k, n))
+    sums = list(_partitions(n, k))
     for i, r in enumerate(sums):
         for c in sums[i:]:
             yield r, c

@@ -44,6 +44,16 @@ def test_classify_json(fig_matrix, capsys):
     assert obj["mininormal"] is False
 
 
+@pytest.mark.parametrize("text, line", [
+    ("3\n2 1 0\n0 2 0\n0 0 2\n", "Special variant=A"),
+    ("3\n1 1 0\n1 1 0\n0 0 2\n", "Normal r=2 mininormal")])
+def test_classify_text_special_and_mininormal(text, line, tmp_path, capsys):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    assert main(["classify", str(p)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_classify_not_desirable(tmp_path, capsys):
     p = tmp_path / "m.txt"
     p.write_text("2\n1 0\n0 1\n")
@@ -101,6 +111,10 @@ def test_check_maximal(c4_graph, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["check-maximal", c4_graph, "-k", "4"]) == 0
     assert capsys.readouterr().out.strip() == "false"
+    assert main(["check-maximal", c4_graph, "-k", "3", "--format",
+                 "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "k": 3, "maximal_ambiguous": True, "schema_version": 1}
 
 
 def test_reconstruct_json(c4_graph, capsys):
@@ -108,6 +122,11 @@ def test_reconstruct_json(c4_graph, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["schema_version"] == 1
     assert sorted(x for row in obj["entries"] for x in row) == [0] * 7 + [2, 2]
+
+
+def test_reconstruct_text(c4_graph, capsys):
+    assert main(["reconstruct", c4_graph, "-k", "3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "3\n2 0 0\n0 2 0\n0 0 0\n"
 
 
 def test_reconstruct_failure_exit_code(tmp_path, capsys):
@@ -138,6 +157,16 @@ def test_verify_needs_max_n(theorem, capsys):
     assert main(["verify", "--theorem", theorem]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--max-n is needed" in captured.err
+
+
+def test_verify_turan_text(capsys):
+    assert main(["verify", "--theorem", "turan", "--max-n", "5",
+                 "--k-list", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("n\tk\tformula\toracle\tclasses_scanned"
+                        "\tn_extremal\tfamilies")
+    assert len(lines) == 1 + 4 + 3
+    assert all(row.split("\t")[2] == row.split("\t")[3] for row in lines[1:])
 
 
 def test_verify_turan_json(capsys):

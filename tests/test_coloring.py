@@ -71,6 +71,10 @@ def test_coloring_object():
     for rgs in ((0, 1), (0, 1, 0, 1)):
         with pytest.raises(PreconditionError, match="cover"):
             Coloring(rgs).check_anticliques(g)
+    with pytest.raises(PreconditionError, match="cap"):
+        count_colorings(g, 2, 0)
+    with pytest.raises(PreconditionError, match="limit"):
+        enumerate_colorings(g, 2, limit=0)
 
 
 def test_known_counts():

@@ -51,6 +51,8 @@ def test_ambiguous_max_edges_formula():
 
 def test_negative_orders_rejected():
     with pytest.raises(PreconditionError):
+        turan_number(-1, 2)
+    with pytest.raises(PreconditionError):
         enumerate_graphs(-1)
     with pytest.raises(PreconditionError):
         list(graph_levels(-1))

@@ -50,25 +50,48 @@ def test_induced_and_permuted():
     assert are_isomorphic(g, g.permuted(perm))
 
 
-def test_induced_matches_an_edge_filter():
-    # oracle: keep the edges with both ends kept, renumbered in sorted
-    # order, and the kept vertices' labels
-    rng = random.Random(53)
+def random_labeled_graphs(seed):
+    """120 random graphs with n in 0..16, every other one labeled, as
+    (n, edges, labels or None, graph)."""
+    rng = random.Random(seed)
     for i in range(120):
-        n = rng.randint(1, 16)
+        n = rng.randint(0, 16)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < (0.2, 0.5, 0.8)[i % 3]]
-        labels = [(rng.randrange(4), rng.randrange(4), v) for v in range(n)]
-        g = SimpleGraph(n, edges, labels if i % 2 else None)
+        labels = ([(rng.randrange(4), rng.randrange(4), v) for v in range(n)]
+                  if i % 2 else None)
+        yield n, edges, labels, SimpleGraph(n, edges, labels)
+
+
+def edge_filter(edges, labels, order):
+    """Oracle: the edges with both ends in `order`, each end renamed by
+    its place there, and the labels of `order`."""
+    pos = {v: j for j, v in enumerate(order)}
+    return SimpleGraph(len(order), [(pos[u], pos[v]) for u, v in edges
+                                    if u in pos and v in pos],
+                       None if labels is None else [labels[v] for v in order])
+
+
+def test_induced_matches_an_edge_filter():
+    # n = 0 with labels [] included: the labels () are kept, not dropped
+    rng = random.Random(54)
+    for n, edges, labels, g in random_labeled_graphs(53):
         kept = rng.sample(range(n), rng.randint(0, n))
-        vs = sorted(kept)
-        pos = {v: j for j, v in enumerate(vs)}
-        expect = SimpleGraph(len(vs), [(pos[u], pos[v]) for u, v in edges
-                                       if u in pos and v in pos],
-                             [labels[v] for v in vs] if i % 2 else None)
+        expect = edge_filter(edges, labels, sorted(kept))
         sub = g.induced(kept)
         assert (sub.rows, sub.labels) == (expect.rows, expect.labels), (
             n, edges, kept)
+    assert SimpleGraph(0, labels=[]).induced([]).labels == ()
+
+
+def test_permuted_matches_an_edge_filter():
+    rng = random.Random(56)
+    for n, edges, labels, g in random_labeled_graphs(55):
+        perm = rng.sample(range(n), n)
+        expect = edge_filter(edges, labels, perm)
+        h = g.permuted(perm)
+        assert (h.rows, h.labels) == (expect.rows, expect.labels), (
+            n, edges, perm)
 
 
 def test_build_graph_figure_matrix():
@@ -373,6 +396,10 @@ def test_edge_list_rejects_garbage():
         from_edge_list("not a header\n")
     with pytest.raises(InputFormatError):
         from_edge_list("3 2\n0 1\n1 0\n")  # one edge named twice
+    with pytest.raises(InputFormatError, match="empty"):
+        from_edge_list("")
+    with pytest.raises(InputFormatError, match="bad edge line"):
+        from_edge_list("3 1\n0 x\n")
 
 
 def test_graph6_round_trip():
@@ -380,3 +407,13 @@ def test_graph6_round_trip():
         assert sorted(from_graph6(to_graph6(g)).edges()) == sorted(g.edges())
     # known encoding: C~ is K4
     assert from_graph6("C~").m == 6
+
+
+def test_graph6_rejects_garbage():
+    with pytest.raises(ResourceLimitError):
+        to_graph6(empty_graph(63))
+    # empty; n = 4 needs one body character; "!" is below "?"
+    for text, reason in (("", "empty"), ("C", "body length"),
+                         ("C~~", "body length"), ("C!", "bad graph6")):
+        with pytest.raises(InputFormatError, match=reason):
+            from_graph6(text)

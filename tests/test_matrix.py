@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,8 @@ from ambigcolor import matrix
 from ambigcolor.errors import (InputFormatError, PreconditionError,
                                ResourceLimitError)
 from ambigcolor.matrix import (NORMAL, NOT_DESIRABLE, SMALL, SPECIAL, TINY,
-                               VARIANT_A, VARIANT_B, VARIANT_C, VARIANT_PLAIN,
+                               VARIANT_A, VARIANT_B, VARIANT_C, VARIANT_NA,
+                               VARIANT_PLAIN,
                                ColorMatrix, WitnessSequence,
                                _mininormal_matrices, _normal_matrices,
                                _small_matrices, _special_matrices,
@@ -56,6 +57,14 @@ def test_rejects_bad_shapes_and_entries():
         ColorMatrix([[1, -1], [0, 2]])
     with pytest.raises(InputFormatError):
         ColorMatrix([])
+    k = matrix.MAX_K + 1
+    with pytest.raises(InputFormatError, match="exceeds limit"):
+        ColorMatrix([[0] * k for _ in range(k)])
+    for text in ("", "2\n1 0 0\n"):       # no tokens; 3 of 4 entries
+        with pytest.raises(InputFormatError):
+            ColorMatrix.from_text(text)
+    with pytest.raises(InputFormatError, match='"k"'):
+        ColorMatrix.from_json({"k": 3, "entries": [[1, 0], [0, 1]]})
 
 
 def test_text_and_json_round_trip():
@@ -104,6 +113,9 @@ def test_special():
     assert classify(ColorMatrix([[1, 2], [0, 1]])).verdict == NOT_DESIRABLE
     assert classify(ColorMatrix([[1, 1], [0, 0]])).verdict == NOT_DESIRABLE
     assert classify(ColorMatrix([[1, 1], [1, 1]])).verdict == NORMAL
+    # one off-diagonal 1 but a zero on the diagonal
+    with pytest.raises(PreconditionError, match="not special"):
+        special_variants(ColorMatrix([[0, 1], [0, 1]]))
 
 
 def test_normal():
@@ -226,6 +238,8 @@ def test_fully_indecomposable_known():
     # order-1 convention: nonzero entry
     assert is_fully_indecomposable(ColorMatrix([[3]]))
     assert not is_fully_indecomposable(ColorMatrix([[0]]))
+    with pytest.raises(PreconditionError, match="square"):
+        is_fully_indecomposable([[1, 1], [1]])
 
 
 def oracle_is_fully_indecomposable(rows):
@@ -269,6 +283,96 @@ def test_fully_indecomposable_matches_oracle_on_random_matrices():
         verdicts.add((fi, all(rows[i][i] for i in range(r))))
     assert verdicts == {(True, True), (True, False),
                         (False, True), (False, False)}
+
+
+def oracle_classify(rows):
+    """classify's fields read off the definitions: (verdict, primary
+    special variant, variants, r, mininormal, balance).  The normal block
+    is searched among all principal index sets that hold the off-diagonal
+    support, each tested by oracle_is_fully_indecomposable."""
+    k = len(rows)
+    n = sum(map(sum, rows))
+    alpha = n // k
+    diag = [rows[i][i] for i in range(k)]
+    off = [(i, j) for i in range(k) for j in range(k)
+           if i != j and rows[i][j]]
+    rs = [sum(row) for row in rows]
+    cs = [sum(col) for col in zip(*rows)]
+    balance = (max(rs) - min(rs) <= 1, max(cs) - min(cs) <= 1)
+    shape = sorted(diag, reverse=True)
+    zeros, twos = diag.count(0), diag.count(2)
+    # tiny: diagonal, (2, 1, ..., 1, 0, ..., 0) up to order, >= two zeros
+    tiny = (not off and zeros >= 2
+            and shape == [2] + [1] * (k - 1 - zeros) + [0] * zeros)
+    # small: diagonal, (2, ..., 2, 1, ..., 1, 0) up to order, >= one 2
+    small = (not off and twos >= 1
+             and shape == [2] * twos + [1] * (k - 1 - twos) + [0])
+    # special: positive diagonal and one off-diagonal nonzero, equal to 1
+    special = (0 not in diag and len(off) == 1
+               and rows[off[0][0]][off[0][1]] == 1)
+    # normal: positive diagonal and a fully indecomposable principal block
+    # of order r >= 2 that holds every off-diagonal nonzero
+    ends = {x for edge in off for x in edge}
+    subs = ([[rows[i][j] for j in s] for i in s]
+            for r in range(2, k + 1) for s in combinations(range(k), r)
+            if ends <= set(s))
+    blocks = ([] if 0 in diag else
+              [sub for sub in subs if oracle_is_fully_indecomposable(sub)])
+    normal = bool(blocks)
+    assert tiny + small + special + normal <= 1 and len(blocks) <= 1, rows
+
+    def meets_a(table):
+        # (a): row-sum-balanced, and the row at the off-diagonal entry's
+        # column index sums to floor(n/k)
+        (_, j), = [(i, j) for i in range(k) for j in range(k)
+                   if i != j and table[i][j]]
+        sums = [sum(row) for row in table]
+        return max(sums) - min(sums) <= 1 and sums[j] == alpha
+
+    variants = ()
+    if special:
+        (i, j), = off
+        others = [diag[p] for p in range(k) if p not in (i, j)]
+        met = (meets_a(rows),
+               meets_a([list(col) for col in zip(*rows)]),   # (b)
+               diag[i] == alpha - 1 and diag[j] == alpha - 1   # (c)
+               and set(others) <= {alpha, alpha + 1}
+               and alpha + 1 in others)
+        variants = tuple(name for name, ok in
+                         zip((VARIANT_A, VARIANT_B, VARIANT_C), met) if ok)
+    verdict = (TINY if tiny else SMALL if small else SPECIAL if special
+               else NORMAL if normal else NOT_DESIRABLE)
+    primary = (variants + (VARIANT_PLAIN,))[0] if special else VARIANT_NA
+    r = len(blocks[0]) if normal else None
+    mininormal = (normal and blocks[0] == [[1, 1], [1, 1]]
+                  and balance == (True, True) and 2 * k <= n < 3 * k)
+    return verdict, primary, variants, r, mininormal, balance
+
+
+def test_classify_matches_the_definitions():
+    # every k x k matrix with k <= 3 and entries <= 2, or k = 4 and
+    # entries <= 1, then the desirable matrices of the family generators,
+    # which reach the (c) variant and the larger entries
+    grid = (ColorMatrix([flat[i * k:(i + 1) * k] for i in range(k)])
+            for k, top in ((1, 2), (2, 2), (3, 2), (4, 1))
+            for flat in product(range(top + 1), repeat=k * k))
+    families = (m for k in range(1, 5) for n in range(13)
+                for family in (_tiny_matrices, _small_matrices,
+                               _special_matrices, _mininormal_matrices)
+                for m in family(k, n))
+    seen = set()
+    for m in chain(grid, families):
+        v = classify(m)
+        got = (v.verdict, v.special_variant, v.variants, v.r, v.mininormal,
+               v.balance)
+        assert got == oracle_classify(m.entries), m
+        assert bool(v.witness) == (v.verdict == NOT_DESIRABLE), m
+        seen.add((v.verdict, v.special_variant, v.mininormal))
+    assert {(SPECIAL, x, False) for x in (VARIANT_A, VARIANT_B, VARIANT_C,
+                                          VARIANT_PLAIN)} <= seen
+    assert {(TINY, VARIANT_NA, False), (SMALL, VARIANT_NA, False),
+            (NORMAL, VARIANT_NA, False), (NORMAL, VARIANT_NA, True),
+            (NOT_DESIRABLE, VARIANT_NA, False)} <= seen
 
 
 def test_classify_large_cyclic_block():
@@ -321,6 +425,10 @@ def test_witness_sequence_rejects_zero_entry():
     # no nonzero walk leads from 2 back to 1
     with pytest.raises(PreconditionError):
         witness_sequence([[1, 1], [0, 1]], 1, 2)
+    with pytest.raises(PreconditionError, match="out of range"):
+        witness_sequence(m, 1, 3)
+    with pytest.raises(PreconditionError, match="l >= 3"):
+        WitnessSequence((1, 2, 1))
     # indices outside 1..r: 0 read row -1, 3 raised IndexError
     for bad in ((0, 1, 0, 1), (1, 3, 1, 3)):
         with pytest.raises(PreconditionError):
@@ -427,6 +535,8 @@ def test_enumerate_desirable_stops_at_its_cap(monkeypatch):
     assert len(list(enumerate_desirable(3, 4))) <= 3
     with pytest.raises(ResourceLimitError):
         list(enumerate_desirable(3, 6))
+    with pytest.raises(PreconditionError):
+        next(enumerate_desirable(0, 3))
 
 
 def test_enumerate_desirable_no_duplicates():
