@@ -366,7 +366,17 @@ def graph_levels(max_n):
     mask and a child isomorphic by a map that fixes the new vertex, so
     keeps it in the last cell, and such swaps reach a mask skipped for
     no class.  Each class keeps its first child, labelled from the same
-    cells, and the level is sorted by certificate.
+    cells.
+
+    Only the low half is generated: the children with 2m <= C(n, 2),
+    from the parents with at most that many edges.  This loses no class,
+    since such a G has its canonical parent G - v, with at most m edges,
+    in the complete level n - 1.  Complementation maps classes one to
+    one and m edges to C(n, 2) - m, so each graph above half is the
+    complement of exactly one graph below half; those with exactly half
+    are all generated, and none is complemented.  The level lists the
+    low half in certificate order, then the complements of its members
+    with 2m < C(n, 2), in the same order.
     """
     if max_n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
@@ -375,8 +385,13 @@ def graph_levels(max_n):
         raise PreconditionError(f"need a vertex count >= 0, got {max_n}")
     level = [SimpleGraph(0)]
     for size in range(1, max_n + 1):
+        half = size * (size - 1) // 4       # floor(C(size, 2) / 2)
         seen = {}
         for g in level:
+            # the new vertex may join at most `room` parent vertices
+            room = half - g.m
+            if room < 0:
+                continue
             chains = [(1 << a, 1 << b) for a, b in _twin_chains(g.rows)]
             # the new vertex has maximum degree iff its degree |mask| is
             # at least every parent degree and above those of the parent
@@ -388,7 +403,7 @@ def graph_levels(max_n):
                 of_degree[d] |= 1 << v
             for mask in range(1 << g.n):
                 deg = mask.bit_count()
-                if deg < top or mask & of_degree[deg]:
+                if deg < top or deg > room or mask & of_degree[deg]:
                     continue
                 if any(mask & b and not mask & a for a, b in chains):
                     continue
@@ -401,13 +416,21 @@ def graph_levels(max_n):
                 cert = _canonical_search(new_rows, cells)
                 if cert not in seen:
                     seen[cert] = SimpleGraph.from_rows(new_rows)
-        level = [seen[c] for c in sorted(seen)]
+        low = [seen[c] for c in sorted(seen)]
+        # 2m < C(n, 2)
+        level = low + [complement(h) for h in low
+                       if 4 * h.m < size * (size - 1)]
         yield size, level
 
 
 def enumerate_graphs(n):
     """All graphs on exactly n vertices, one per isomorphism class: the
-    last level of ``graph_levels(n)``."""
+    last level of ``graph_levels(n)``, in its order.  The graphs with
+    2m <= C(n, 2) come first, in certificate order, then the complements
+    of those with 2m < C(n, 2), in the same order.  This is every class
+    once: a low G keeps its canonical parent G - v, which has at most m
+    edges, and each graph above half is the complement of exactly one
+    graph below half."""
     level = [SimpleGraph(0)]
     for _, level in graph_levels(n):
         pass

@@ -603,8 +603,12 @@ def _bounded_rows(total, cap, tied, j=0, prev=0, room=None, head=()):
         if total <= top:
             yield head + (total,)
         return
-    # the entries after j add at most `room`
-    for x in range(top, max(total - room, 0) - 1, -1):
+    # the entries after j add at most `room`, and at most x each when
+    # all of them are tied
+    low = max(total - room, 0)
+    if tied[-1] and all(tied[j + 1:]):
+        low = max(low, -(-total // (len(cap) - j)))
+    for x in range(top, low - 1, -1):
         yield from _bounded_rows(total - x, cap, tied, j + 1, x, room,
                                  head + (x,))
 

@@ -281,9 +281,13 @@ def test_count_and_reconstruct_with_a_huge_k(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_verify_rejects_bad_k_list():
+def test_verify_rejects_bad_k_list(capsys):
     assert main(["verify", "--theorem", "1", "--max-n", "3",
                  "--k-list", "x"]) == 2
+    assert main(["verify", "--theorem", "1", "--max-n", "3",
+                 "--k-list", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty k list" in captured.err
 
 
 @pytest.mark.parametrize("theorem", ["1", "turan", "perfect"])

@@ -75,6 +75,8 @@ def test_coloring_object():
         count_colorings(g, 2, 0)
     with pytest.raises(PreconditionError, match="limit"):
         enumerate_colorings(g, 2, limit=0)
+    with pytest.raises(PreconditionError, match="k >= 0"):
+        next(_class_masks(g, -1))
 
 
 def test_known_counts():

@@ -23,6 +23,9 @@ def test_tensor_container():
     assert t.order == 10
     with pytest.raises(PreconditionError):
         t[1, 1, 1]
+    for idx in ((0, 1), (1, 3)):
+        with pytest.raises(PreconditionError, match="out of range"):
+            t[idx]
     with pytest.raises(InputFormatError):
         ColorTensor(2, 2, [1, 2, 3])
     with pytest.raises(InputFormatError):
@@ -108,6 +111,9 @@ def test_recover_tensor_round_trip():
     assert checked == 244
     with pytest.raises(PreconditionError):
         recover_tensor(complete_graph(3), 2, 3)   # only one coloring
+    for d, k in ((0, 2), (2, -1)):
+        with pytest.raises(PreconditionError, match="need d >= 1"):
+            recover_tensor(path_graph(3), d, k)
 
 
 def test_join_structure():

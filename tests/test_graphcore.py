@@ -23,6 +23,10 @@ def test_basic_container():
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
     assert sorted(g.non_edges()) == [(0, 2), (1, 3)]
     assert g.degree(0) == 2
+    same = SimpleGraph(4, [(3, 0), (2, 3), (1, 2), (0, 1)])
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != path_graph(4) and g != g.rows
+    assert repr(g) == "SimpleGraph(n=4, m=4)"
 
 
 def test_negative_vertex_count_rejected():
@@ -130,6 +134,11 @@ def test_turan_graph_edges():
     assert turan_graph(7, 2).m == 12
     # T(n, k) with k >= n is complete
     assert turan_graph(4, 7).m == 6
+    with pytest.raises(PreconditionError):
+        turan_graph(-1, 2)
+    for sizes in ([], [2, 0]):
+        with pytest.raises(PreconditionError):
+            complete_multipartite(sizes)
 
 
 def test_complement_involution():
@@ -274,37 +283,72 @@ def test_twin_pruned_canonical_form_on_symmetric_graphs(g):
 
 
 def test_twin_pruned_enumeration_matches_oracle():
-    # by class: each level holds one graph per certificate, in certificate
-    # order, though not necessarily the oracle's representative
+    # by class: each level holds one graph per certificate, though not
+    # necessarily the oracle's representative.  It lists the low half,
+    # 2m <= C(n, 2), in certificate order, then the complements of its
+    # members with 2m < C(n, 2), in the same order
     levels = dict(graph_levels(7))
     assert sorted(levels) == list(range(1, 8))
     for n in range(8):
+        pairs = n * (n - 1) // 2
         expected = [canonical_form(g) for g in oracle_enumerate_graphs(n)]
-        assert [canonical_form(g) for g in enumerate_graphs(n)] == expected
+        level = enumerate_graphs(n)
+        assert sorted(canonical_form(g) for g in level) == expected
         if n:
-            assert [canonical_form(g) for g in levels[n]] == expected
+            assert [g.rows for g in levels[n]] == [g.rows for g in level]
+        low = [g for g in level if 2 * g.m <= pairs]
+        assert [g.rows for g in level[:len(low)]] == [g.rows for g in low]
+        certs = [canonical_form(g) for g in low]
+        assert certs == sorted(certs)
+        assert [g.rows for g in level[len(low):]] == [
+            complement(g).rows for g in low if 2 * g.m < pairs]
+        if n:
             # the added vertex, the last, has maximum degree and lies in
             # the last cell of the refined unit partition
             assert all(g.degree(n - 1) == max(map(g.degree, range(n)))
-                       for g in levels[n])
+                       for g in low)
             assert all(_refine(g.rows, [(1 << n) - 1])[-1] >> (n - 1) & 1
-                       for g in levels[n])
+                       for g in low)
+
+
+def test_levels_are_closed_under_complement():
+    # C(n, 2) is even at n = 1, 4, 5, 8: there the graphs with exactly
+    # C(n, 2) / 2 edges are generated on both sides of the split, yet
+    # each class must appear once
+    for n, level in graph_levels(8):
+        pairs = n * (n - 1) // 2
+        certs = {canonical_form(g) for g in level}
+        assert len(certs) == len(level)
+        assert {canonical_form(complement(g)) for g in level} == certs
+        middle = [canonical_form(g) for g in level if 2 * g.m == pairs]
+        assert len(set(middle)) == len(middle)
+        assert bool(middle) == (n in (1, 4, 5, 8))
 
 
 def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
-    # of the 2089 augmentations at n <= 7 that keep maximum degree and
-    # pass the twin skip, 1526 put the new vertex in the last cell
+    # of the 1077 augmentations at n <= 7 that keep at most half the
+    # edges and maximum degree and pass the twin skip, 808 put the new
+    # vertex in the last cell
+    refined = []
     searches = []
+    refine = graphcore._refine
     search = graphcore._canonical_search
+
+    def refine_spy(rows, cells, queue=None):
+        if queue is None:
+            refined.append(len(rows))
+        return refine(rows, cells, queue)
 
     def spy(rows, cells):
         searches.append(len(rows))
         return search(rows, cells)
 
+    monkeypatch.setattr(graphcore, "_refine", refine_spy)
     monkeypatch.setattr(graphcore, "_canonical_search", spy)
     for _ in graph_levels(7):
         pass
-    assert len(searches) == 1526
+    assert len(refined) == 1077
+    assert len(searches) == 808
 
 
 def test_graph_levels_counts_through_8():
@@ -407,6 +451,9 @@ def test_graph6_round_trip():
         assert sorted(from_graph6(to_graph6(g)).edges()) == sorted(g.edges())
     # known encoding: C~ is K4
     assert from_graph6("C~").m == 6
+    # the optional header of graph6 files
+    g = cycle_graph(5)
+    assert from_graph6(">>graph6<<" + to_graph6(g) + "\n") == g
 
 
 def test_graph6_rejects_garbage():

@@ -638,3 +638,39 @@ def test_class_key_invariant_under_permutations_and_transpose():
         key = class_key(ColorMatrix(rows))
         assert class_key(ColorMatrix(image)) == key
         assert ColorMatrix(key).order == ColorMatrix(rows).order
+
+
+def plain_partitions(total, parts, top):
+    """Nonincreasing tuples of `parts` ints in 0..top summing to `total`,
+    in descending lexicographic order, by plain recursion."""
+    if parts == 1:
+        if total <= top:
+            yield (total,)
+        return
+    for x in range(min(total, top), -1, -1):
+        for rest in plain_partitions(total - x, parts - 1, x):
+            yield (x,) + rest
+
+
+def plain_positive_parts(total, parts, top):
+    """As plain_partitions, with every part positive and parts >= 0."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for x in range(min(total, top), 0, -1):
+        for rest in plain_positive_parts(total - x, parts - 1, x):
+            yield (x,) + rest
+
+
+def test_partition_walkers_match_a_plain_recursion():
+    # the shared walker stops where the tied entries after it cannot
+    # reach the total; the sequences must not change
+    grid = [(t, p) for t in range(13) for p in range(1, 9)]
+    grid += [(40, 8), (33, 5), (21, 7)]
+    for total, parts in grid:
+        assert list(matrix._partitions(total, parts)) == list(
+            plain_partitions(total, parts, total)), (total, parts)
+    for total, parts in grid + [(t, 0) for t in range(3)]:
+        assert list(matrix._positive_parts(total, parts)) == list(
+            plain_positive_parts(total, parts, total)), (total, parts)
