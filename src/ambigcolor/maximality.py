@@ -210,11 +210,12 @@ def verify_theorem1(max_n, k_list):
 
     Both directions run per (n, k): every graph up to isomorphism is
     tested for maximal ambiguity and for reconstructability, both read
-    off one coloring search, and the desirable matrices with entry sum n,
-    one per relabeling orbit (see enumerate_desirable), are checked to
-    induce maximal ambiguously k-colorable graphs; `family_graphs` counts
-    them.  Every k must lie in 1..matrix.MAX_K, checked before any graph
-    is enumerated.
+    off one coloring search (a graph with fewer than two k-colorings is
+    neither, so it skips both checks), and the desirable matrices with
+    entry sum n, one per relabeling orbit (see enumerate_desirable), are
+    checked to induce maximal ambiguously k-colorable graphs;
+    `family_graphs` counts them.  Every k must lie in 1..matrix.MAX_K,
+    checked before any graph is enumerated.
     """
     if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
         raise PreconditionError("verify_theorem1 needs max_n >= 1 and a "
@@ -230,6 +231,8 @@ def verify_theorem1(max_n, k_list):
                 # copied, and the maximality pass reads on past them
                 colorings = _class_masks(g, k)
                 cols = [_ordered_classes(m) for m in islice(colorings, 2)]
+                if len(cols) < 2:
+                    continue       # neither maximal ambiguous nor certified
                 is_max = _is_maximal_over(g, chain(cols, colorings), 2)
                 try:
                     _reconstruct_from(g, k, cols)

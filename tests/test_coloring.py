@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambigcolor.coloring import (MAX_N, Coloring, _class_masks,
-                                 _ordered_classes, chromatic_number,
-                                 count_colorings, enumerate_colorings,
+                                 _clique_cover_order, _ordered_classes,
+                                 chromatic_number, count_colorings,
+                                 enumerate_colorings,
                                  is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
 from ambigcolor.dfold import is_dfold_colorable, recover_tensor
 from ambigcolor.errors import PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (SimpleGraph, complete_graph,
                                   complete_multipartite, cycle_graph,
-                                  empty_graph, path_graph)
+                                  empty_graph, graph_levels, path_graph)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    reconstruct_matrix)
 
@@ -172,6 +173,42 @@ def test_count_matches_iteration_under_shuffled_orders():
                 assert len(list(iter_colorings(h, k))) == total
                 for cap in (1, 2, 3, 7, 10 ** 6):
                     assert count_colorings(h, k, cap) == min(cap, total)
+
+
+def oracle_clique_cover(g):
+    """Reference: repeated first-fit passes over the vertices sorted by
+    degree descending, ties by lower index; each pass takes every vertex
+    joined to all the pass took before it, and yields one block."""
+    left = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    blocks = []
+    while left:
+        block = []
+        for v in left:
+            if all(g.has_edge(u, v) for u in block):
+                block.append(v)
+        blocks.append(block)
+        left = [v for v in left if v not in block]
+    return blocks
+
+
+def test_search_order_is_the_first_fit_clique_cover():
+    rng = random.Random(41)
+    cases = [g for _, graphs in graph_levels(7) for g in graphs]
+    cases += [random_graph(rng, rng.randint(0, 32), rng.random())
+              for _ in range(200)]
+    cases += [maker(n) for n in (0, 1, 5, MAX_N)
+              for maker in (empty_graph, complete_graph)]
+    for g in cases:
+        blocks = oracle_clique_cover(g)
+        order = _clique_cover_order(g.rows)
+        assert order == [v for block in blocks for v in block], g.edges()
+        for i, block in enumerate(blocks):
+            assert all(g.has_edge(u, v) for u, v in combinations(block, 2))
+            # first fit: each later vertex missed some vertex of this pass
+            for w in (w for later in blocks[i + 1:] for w in later):
+                assert not all(g.has_edge(u, w) for u in block)
+    assert oracle_clique_cover(empty_graph(3)) == [[0], [1], [2]]
+    assert oracle_clique_cover(complete_graph(3)) == [[0, 1, 2]]
 
 
 def test_first_coloring_of_complete_multipartite_is_its_parts():

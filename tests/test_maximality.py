@@ -191,7 +191,7 @@ def test_reconstruct_rejects_non_ambiguous():
         reconstruct_matrix(cycle_graph(5), 2)
 
 
-@pytest.mark.parametrize("text", ["GCxvfW", "GCZcvg"])
+@pytest.mark.parametrize("text", ["GCxvfW", "GCpdrw"])
 def test_hall_condition_fails_on_ambiguous_non_maximal_graphs(text):
     # the first 4-coloring has 4 classes and the second 3, so the classes
     # of the first cannot all be matched to distinct classes of the second
@@ -253,7 +253,7 @@ def test_reconstruct_matches_matching_first_oracle():
     # check the lemma-first order reaches first
     cases = [(g, k) for _, graphs in graph_levels(7) for g in graphs
              for k in range(1, 6)]
-    cases += [(from_graph6(text), 4) for text in ("GCxvfW", "GCZcvg")]
+    cases += [(from_graph6(text), 4) for text in ("GCxvfW", "GCpdrw")]
     outcomes = set()
     for g, k in cases:
         got = _reconstruction_outcome(reconstruct_matrix, g, k)
@@ -387,8 +387,10 @@ def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
 
 
 def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
-    # the harness's verdict pair for each graph, read off its cores, equals
-    # what is_maximal_ambiguous and reconstruct_matrix say on their own
+    # the harness's verdict pair for each graph with two k-colorings, read
+    # off its cores, equals what is_maximal_ambiguous and
+    # reconstruct_matrix say on their own; every other (graph, k) skips
+    # both cores, and neither public function accepts it
     maximal_over = maximality._is_maximal_over
     reconstruct_from = maximality._reconstruct_from
     seen = []
@@ -413,15 +415,25 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
     monkeypatch.setattr(maximality, "_reconstruct_from", record_certificate)
     verify_theorem1(6, [1, 2, 3, 4])
     monkeypatch.undo()
+    # entries of length 2 come from the forward direction's own
+    # is_maximal_ambiguous calls
     pairs = [entry for entry in seen if len(entry) == 4]
-    levels = dict(graph_levels(6))
-    assert len(pairs) == 4 * sum(len(graphs) for graphs in levels.values())
-    assert {(g.n, k) for g, _, k, _ in pairs} == {
-        (n, k) for n in levels for k in range(1, 5)}
+    checked = {(g, k) for g, _, k, _ in pairs}
+    assert len(checked) == len(pairs)
+    everything = {(g, k) for _, graphs in graph_levels(6) for g in graphs
+                  for k in range(1, 5)}
+    assert checked <= everything
+    skipped = everything - checked
+    for g, k in skipped:
+        assert count_colorings(g, k, 2) < 2
+        assert not is_maximal_ambiguous(g, k)
+        with pytest.raises(ReconstructionError):
+            reconstruct_matrix(g, k)
     for g, is_max, k, ok in pairs:
+        assert count_colorings(g, k, 2) == 2
         assert is_max == is_maximal_ambiguous(g, k)
         assert ok == _certified(g, k)
-    assert any(is_max for _, is_max, _, _ in pairs)
+    assert skipped and any(is_max for _, is_max, _, _ in pairs)
 
 
 def test_verify_theorem1_rejects_vacuous_runs():
