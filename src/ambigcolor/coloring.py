@@ -60,33 +60,13 @@ def _check_partition(g, classes):
             raise PreconditionError(f"class {cls} is not an anticlique")
 
 
-def _clique_cover_order(rows):
-    """The vertices of a graph given by its adjacency bitmasks, as a
-    first-fit clique cover (greedy coloring of the complement): sorted by
-    degree descending with ties by lower index, then taken pass by pass,
-    each pass taking every vertex left that is joined to all it took
-    before; the blocks follow one another in the order found."""
-    left = sorted(range(len(rows)), key=[r.bit_count() for r in rows]
-                  .__getitem__, reverse=True)
-    order = []
-    while left:
-        common, rest = -1, []      # common: joined to all taken this pass
-        for v in left:
-            if common >> v & 1:
-                order.append(v)
-                common &= rows[v]
-            else:
-                rest.append(v)
-        left = rest
-    return order
-
-
 def _class_masks(g, k):
     """Yield every k-coloring of g once, as a list of min(k, n) class
     bitmasks (empty classes are 0; n vertices fill at most n classes, so
     the list does not grow with k).  The list is reused between yields.
 
-    Backtracks over one static vertex order, `_clique_cover_order`; the
+    Backtracks over one static vertex order, the graph's stored
+    `clique_cover_order`, so searches on one graph object share it; the
     vertex at depth i joins a class already opened or opens the next one,
     so in any static order each partition is reached exactly once.  The
     first block is a clique that opens its classes with no branching, and
@@ -103,7 +83,7 @@ def _class_masks(g, k):
     if n == 0:
         yield masks
         return
-    order = _clique_cover_order(rows)
+    order = g.clique_cover_order()
     nbrs = [rows[v] for v in order]
     bits = [1 << v for v in order]
     assign = [0] * n

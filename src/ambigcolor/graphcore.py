@@ -12,7 +12,7 @@ edge-list / graph6 file formats.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -29,10 +29,12 @@ class SimpleGraph:
     treated as immutable: every "mutating" operation returns a new graph.
     ``labels`` optionally carries the (i, j, t) triple of each vertex when
     the graph was built from a matrix (or the (i_1, ..., i_d, t) tuple for
-    tensors).
+    tensors).  The coloring search order is computed on first use and kept
+    (`clique_cover_order`); as the graph never changes, it never goes
+    stale, and equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows", "labels", "_order")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
@@ -46,6 +48,7 @@ class SimpleGraph:
         self.n = n
         self.rows = tuple(rows)
         self.labels = tuple(labels) if labels is not None else None
+        self._order = None
 
     @classmethod
     def from_rows(cls, rows, labels=None):
@@ -53,7 +56,15 @@ class SimpleGraph:
         g.n = len(rows)
         g.rows = tuple(rows)
         g.labels = tuple(labels) if labels is not None else None
+        g._order = None
         return g
+
+    def clique_cover_order(self):
+        """The vertex order of every coloring search on this graph,
+        `_clique_cover_order` of its rows, computed once."""
+        if self._order is None:
+            self._order = tuple(_clique_cover_order(self.rows))
+        return self._order
 
     @property
     def m(self):
@@ -122,6 +133,27 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
+def _clique_cover_order(rows):
+    """The vertices of a graph given by its adjacency bitmasks, as a
+    first-fit clique cover (greedy coloring of the complement): sorted by
+    degree descending with ties by lower index, then taken pass by pass,
+    each pass taking every vertex left that is joined to all it took
+    before; the blocks follow one another in the order found."""
+    left = sorted(range(len(rows)), key=[r.bit_count() for r in rows]
+                  .__getitem__, reverse=True)
+    order = []
+    while left:
+        common, rest = -1, []      # common: joined to all taken this pass
+        for v in left:
+            if common >> v & 1:
+                order.append(v)
+                common &= rows[v]
+            else:
+                rest.append(v)
+        left = rest
+    return order
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -129,26 +161,35 @@ class SimpleGraph:
 def graph_from_cells(k, d, flat):
     """G(A) of the k^d array A with row-major entries `flat`: a vertex per
     label (i_1, ..., i_d, t), 1 <= t <= A(i_1, ..., i_d), in row-major order,
-    u ~ v iff every index coordinate differs.  Raises ResourceLimitError
-    above MAX_VERTICES vertices, reading at most one label more."""
-    cells = product(range(1, k + 1), repeat=d)
-    labels = list(islice((idx + (t,) for idx, a in zip(cells, flat)
-                          for t in range(1, a + 1)), MAX_VERTICES + 1))
-    n = len(labels)
-    if n > MAX_VERTICES:
-        raise ResourceLimitError(
-            f"G(A) has more than {MAX_VERTICES} vertices")
+    u ~ v iff every index coordinate differs.  The A(cell) vertices of a
+    cell share one row, built once per nonzero cell.  Raises
+    ResourceLimitError as soon as the entries read sum past MAX_VERTICES,
+    before any row is built."""
+    cells = []
+    n = 0
+    for idx, a in zip(product(range(1, k + 1), repeat=d), flat):
+        if a:
+            n += a
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"G(A) has more than {MAX_VERTICES} vertices")
+            cells.append((idx, a))
     # vertices sharing coordinate p with value x, per (p, x)
     shared = {}
-    for v, label in enumerate(labels):
-        for key in enumerate(label[:-1]):
-            shared[key] = shared.get(key, 0) | 1 << v
+    start = 0
+    for idx, a in cells:
+        block = ((1 << a) - 1) << start
+        for key in enumerate(idx):
+            shared[key] = shared.get(key, 0) | block
+        start += a
     rows = []
-    for label in labels:
+    labels = []
+    for idx, a in cells:
         row = (1 << n) - 1
-        for key in enumerate(label[:-1]):
+        for key in enumerate(idx):
             row &= ~shared[key]
-        rows.append(row)
+        rows += [row] * a
+        labels += [idx + (t,) for t in range(1, a + 1)]
     return SimpleGraph.from_rows(rows, labels)
 
 

@@ -73,7 +73,7 @@ class ColorMatrix:
         return [sum(r) for r in self.entries]
 
     def col_sums(self):
-        return [sum(r[j] for r in self.entries) for j in range(self.k)]
+        return [sum(col) for col in zip(*self.entries)]
 
     def transpose(self):
         return ColorMatrix(list(zip(*self.entries)))
@@ -279,6 +279,14 @@ def is_fully_indecomposable(m_entries):
         if size < r:
             return False
         succ = [sum(1 << match_right[j] for j in row) for row in adj]
+    return _strongly_connected(succ)
+
+
+def _strongly_connected(succ):
+    """Whether the digraph on 0..r-1, r >= 1, whose successor sets are the
+    bitmasks `succ` is strongly connected: one search forward and one
+    backward from vertex 0."""
+    r = len(succ)
     if len(_search(succ, 0)) < r:
         return False
     pred = [0] * r
@@ -400,8 +408,10 @@ def classify(matrix):
     of size >= 2 has an off-diagonal nonzero, and every nonzero
     off-diagonal entry of A lies in it, so its index set is exactly the
     set of indices incident to some nonzero off-diagonal entry.  The block
-    is tested only under a positive diagonal, which the full
-    indecomposability test takes as its matching at every block size.
+    is tested only under a positive diagonal, which is a perfect matching
+    of its support, so full indecomposability is strong connectivity of
+    the support digraph; the block is read as row bitmasks on its own
+    indices, straight from the off-diagonal entries.
     """
     balance = balance_flags(matrix)
     diag = matrix.diagonal()
@@ -431,10 +441,17 @@ def classify(matrix):
         primary = variants[0] if variants else VARIANT_PLAIN
         return MatrixClass(SPECIAL, special_variant=primary,
                            variants=variants, balance=balance)
-    sub = matrix.submatrix({x for i, j, _ in off for x in (i, j)})
-    if is_fully_indecomposable(sub):
-        r = len(sub)
-        mini = (sub == [[1, 1], [1, 1]] and balance == (True, True)
+    block = sorted({x for i, j, _ in off for x in (i, j)})
+    pos = {x: p for p, x in enumerate(block)}
+    succ = [0] * len(block)
+    for i, j, _ in off:
+        succ[pos[i]] |= 1 << pos[j]
+    if _strongly_connected(succ):
+        r = len(block)
+        # the block is [[1, 1], [1, 1]]
+        mini = (r == 2 and all(x == 1 for _, _, x in off)
+                and diag[block[0]] == diag[block[1]] == 1
+                and balance == (True, True)
                 and 2 * matrix.k <= matrix.order < 3 * matrix.k)
         return MatrixClass(NORMAL, r=r, mininormal=mini, balance=balance)
     if len(off) == 1:

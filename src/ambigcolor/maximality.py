@@ -46,6 +46,9 @@ def _is_maximal_over(g, colorings, d):
              for u in range(n)]
     # layers[i][u]: non-edges uv separated by at least i + 1 colorings
     layers = [[0] * n for _ in range(d - 1)]
+    # the layers between the first and the last, updated top down so that
+    # each reads the layer below as it stood before this coloring
+    middle = range(d - 2, 0, -1)
     count = 0
     for masks in colorings:
         count += 1
@@ -59,7 +62,7 @@ def _is_maximal_over(g, colorings, d):
                     continue
                 if d == 1 or sep & layers[-1][u]:
                     return False
-                for i in range(d - 2, 0, -1):
+                for i in middle:
                     layers[i][u] |= sep & layers[i - 1][u]
                 layers[0][u] |= sep
     return count >= d
@@ -77,24 +80,24 @@ class ReconstructionTrace:
     relabeling: dict                  # vertex -> (i, j, t) label in G(A)
 
 
-def _vertices(mask):
-    """Vertices of a bitmask, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def _certificate(a_ord, b_ord):
     """Matrix of the entries |A_i n B_j| of two equally long lists of class
     bitmasks, and the relabeling that sends the vertices of A_i n B_j,
     ascending, to the labels (i+1, j+1, t)."""
-    entries = [[(a & b).bit_count() for b in b_ord] for a in a_ord]
-    relabeling = {v: (i, j, t)
-                  for i, a in enumerate(a_ord, start=1)
-                  for j, b in enumerate(b_ord, start=1)
-                  for t, v in enumerate(_vertices(a & b), start=1)}
+    entries = []
+    relabeling = {}
+    for i, a in enumerate(a_ord, start=1):
+        row = []
+        for j, b in enumerate(b_ord, start=1):
+            common = a & b
+            row.append(common.bit_count())
+            t = 0
+            while common:
+                low = common & -common
+                common ^= low
+                t += 1
+                relabeling[low.bit_length() - 1] = (i, j, t)
+        entries.append(row)
     return ColorMatrix(entries), relabeling
 
 

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambigcolor.coloring import (MAX_N, Coloring, _class_masks,
-                                 _clique_cover_order, _ordered_classes,
-                                 chromatic_number, count_colorings,
-                                 enumerate_colorings,
+                                 _ordered_classes, chromatic_number,
+                                 count_colorings, enumerate_colorings,
                                  is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
 from ambigcolor.dfold import is_dfold_colorable, recover_tensor
 from ambigcolor.errors import PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, complete_graph,
-                                  complete_multipartite, cycle_graph,
-                                  empty_graph, graph_levels, path_graph)
+from ambigcolor.graphcore import (SimpleGraph, _clique_cover_order,
+                                  complete_graph, complete_multipartite,
+                                  cycle_graph, empty_graph, graph_levels,
+                                  path_graph)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    reconstruct_matrix)
 

@@ -1,19 +1,24 @@
 """Graph container, construction from matrices, canonical forms, cliques."""
 
 import random
+import time
+from itertools import product
 
 import pytest
 
 from ambigcolor import graphcore
+from ambigcolor.dfold import ColorTensor, build_graph_d
 from ambigcolor.errors import InputFormatError, PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, _cert_bits, _refine,
+from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph,
+                                  _cert_bits, _clique_cover_order, _refine,
                                   are_isomorphic, build_graph, canonical_form,
                                   clique_number, complement, complete_graph,
                                   complete_multipartite, cycle_graph,
                                   empty_graph, enumerate_graphs,
                                   enumerate_labeled_graphs, from_edge_list,
-                                  from_graph6, graph_levels, path_graph,
-                                  to_edge_list, to_graph6, turan_graph)
+                                  from_graph6, graph_from_cells,
+                                  graph_levels, path_graph, to_edge_list,
+                                  to_graph6, turan_graph)
 from ambigcolor.matrix import ColorMatrix
 
 
@@ -98,6 +103,31 @@ def test_permuted_matches_an_edge_filter():
             n, edges, perm)
 
 
+def test_search_order_is_kept_and_not_inherited():
+    # each graph computes its own order once; a derived graph is a new
+    # graph with an order of its own
+    rng = random.Random(29)
+    for n, edges, labels, g in random_labeled_graphs(57):
+        assert g._order is None
+        order = g.clique_cover_order()
+        assert order == tuple(_clique_cover_order(g.rows))
+        assert g.clique_cover_order() is order
+        kept = rng.sample(range(n), rng.randint(0, n))
+        derived = [g.permuted(rng.sample(range(n), n)), g.induced(kept),
+                   complement(g), SimpleGraph.from_rows(g.rows, g.labels)]
+        if g.non_edges():
+            derived.append(g.add_edge(*rng.choice(g.non_edges())))
+        for h in derived:
+            assert h._order is None
+            assert h.clique_cover_order() == tuple(_clique_cover_order(h.rows))
+        # equality and hashing ignore the stored order
+        fresh = SimpleGraph(n, edges, labels)
+        assert fresh == g and hash(fresh) == hash(g)
+        fresh.clique_cover_order()
+        assert fresh == g and hash(fresh) == hash(g)
+        assert len({g, fresh}) == 1
+
+
 def test_build_graph_figure_matrix():
     # 3x3 certificate with a fully indecomposable block of order 3
     a = ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])
@@ -126,6 +156,48 @@ def test_build_graph_vertex_cap():
     assert build_graph(ColorMatrix([[32, 0], [0, 32]])).n == 64
     with pytest.raises(ResourceLimitError):
         build_graph(ColorMatrix([[33, 0], [0, 32]]))
+    # one huge cell is refused from its entry alone, before any row of
+    # 10^12 bits is built
+    for build, array in ((build_graph, ColorMatrix([[10 ** 12]])),
+                         (build_graph_d, ColorTensor(2, 3, [0, 0, 10 ** 12]
+                                                     + [0] * 5))):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            build(array)
+        assert time.perf_counter() - start < 1
+
+
+def per_vertex_graph(k, d, flat):
+    """Oracle for graph_from_cells: one label per vertex, and each vertex's
+    row built from its own label (rows and labels only, no vertex cap)."""
+    labels = [idx + (t,) for idx, a in
+              zip(product(range(1, k + 1), repeat=d), flat)
+              for t in range(1, a + 1)]
+    rows = [sum(1 << u for u, other in enumerate(labels)
+                if all(x != y for x, y in zip(label[:-1], other[:-1])))
+            for label in labels]
+    return rows, labels
+
+
+def test_graph_from_cells_matches_a_per_vertex_oracle():
+    rng = random.Random(28)
+    arrays = []
+    for _ in range(150):
+        # matrices with k <= 6, about half the cells zero
+        k = rng.randint(1, 6)
+        arrays.append((k, 2, [rng.choice((0, 0, 1, 2, 3))
+                              for _ in range(k * k)]))
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        arrays.append((k, 3, [rng.choice((0, 0, 1, 2))
+                              for _ in range(k ** 3)]))
+    arrays += [(3, 2, [0] * 9), (2, 3, [1] * 8), (1, 2, [MAX_VERTICES])]
+    for k, d, flat in arrays:
+        if sum(flat) > MAX_VERTICES:
+            continue
+        g = graph_from_cells(k, d, flat)
+        rows, labels = per_vertex_graph(k, d, flat)
+        assert (list(g.rows), list(g.labels)) == (rows, labels), (k, d, flat)
 
 
 def test_turan_graph_edges():

@@ -349,10 +349,29 @@ def oracle_classify(rows):
     return verdict, primary, variants, r, mininormal, balance
 
 
+def sparse_block_matrices(seed, count):
+    """Seeded k x k matrices, k = 5..7, entries <= 2: a diagonal mostly
+    positive, and off-diagonal support drawn on a random index set, so
+    that the block is often a proper, non-contiguous set of indices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(5, 7)
+        block = rng.sample(range(k), rng.randint(2, k))
+        p = rng.choice((0.3, 0.5, 0.8))
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            rows[i][i] = rng.choice((1, 2)) if rng.random() > 0.05 else 0
+            for j in block if i in block else ():
+                if j != i and rng.random() < p:
+                    rows[i][j] = rng.choice((1, 1, 2))
+        yield ColorMatrix(rows)
+
+
 def test_classify_matches_the_definitions():
     # every k x k matrix with k <= 3 and entries <= 2, or k = 4 and
     # entries <= 1, then the desirable matrices of the family generators,
-    # which reach the (c) variant and the larger entries
+    # which reach the (c) variant and the larger entries, then a sample
+    # at k = 5..7 whose normal blocks sit on scattered indices
     grid = (ColorMatrix([flat[i * k:(i + 1) * k] for i in range(k)])
             for k, top in ((1, 2), (2, 2), (3, 2), (4, 1))
             for flat in product(range(top + 1), repeat=k * k))
@@ -361,13 +380,19 @@ def test_classify_matches_the_definitions():
                                _special_matrices, _mininormal_matrices)
                 for m in family(k, n))
     seen = set()
-    for m in chain(grid, families):
+    scattered = set()       # (k, r) of normal blocks not on 0..r-1
+    for m in chain(grid, families, sparse_block_matrices(30, 3000)):
         v = classify(m)
         got = (v.verdict, v.special_variant, v.variants, v.r, v.mininormal,
                v.balance)
         assert got == oracle_classify(m.entries), m
         assert bool(v.witness) == (v.verdict == NOT_DESIRABLE), m
         seen.add((v.verdict, v.special_variant, v.mininormal))
+        ends = {x for i, row in enumerate(m.entries)
+                for j, e in enumerate(row) if i != j and e for x in (i, j)}
+        if v.verdict == NORMAL and ends != set(range(v.r)):
+            scattered.add((m.k, v.r))
+    assert {(k, r) for k in (5, 6, 7) for r in range(2, k)} <= scattered
     assert {(SPECIAL, x, False) for x in (VARIANT_A, VARIANT_B, VARIANT_C,
                                           VARIANT_PLAIN)} <= seen
     assert {(TINY, VARIANT_NA, False), (SMALL, VARIANT_NA, False),

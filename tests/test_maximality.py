@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from ambigcolor import maximality
+from ambigcolor import graphcore, maximality
 from ambigcolor.cli import main
 from ambigcolor.coloring import (_class_masks, _ordered_classes,
                                  count_colorings, enumerate_colorings)
@@ -58,10 +58,12 @@ def assert_relabeling_is_isomorphism(g, mat, relabeling):
 
 
 def test_is_maximal_matches_oracle_on_all_small_graphs():
+    # d = 4 has two middle layers, so only there does the order of the
+    # layer update matter
     for n in range(8):
         for g in enumerate_graphs(n):
             for k in (1, 2, 3, 4):
-                for d in (1, 2, 3):
+                for d in (1, 2, 3, 4) if n <= 6 else (1, 2, 3):
                     assert is_maximal(g, k, d) == oracle_is_maximal(g, k, d), \
                         (g.edges(), n, k, d)
 
@@ -384,6 +386,47 @@ def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
         assert r.graphs + r.family_graphs == want
         assert calls.count((r.n, r.k)) == want, (r.n, r.k)
     assert len(calls) == sum(r.graphs + r.family_graphs for r in rows)
+
+
+def count_orders(monkeypatch):
+    """Spy on the search order helper: the list of rows it was called on."""
+    calls = []
+    helper = graphcore._clique_cover_order
+
+    def counted(rows):
+        calls.append(rows)
+        return helper(rows)
+
+    monkeypatch.setattr(graphcore, "_clique_cover_order", counted)
+    return calls
+
+
+def test_maximality_and_reconstruction_share_one_search_order(monkeypatch):
+    calls = count_orders(monkeypatch)
+    for mat in LARGE_MATRICES:
+        g = build_graph(mat)
+        assert is_maximal_ambiguous(g, mat.k)
+        assert reconstruct_matrix(g, mat.k)[0].order == mat.order
+        assert calls == [g.rows]
+        calls.clear()
+
+
+def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
+    calls = count_orders(monkeypatch)
+    searched = {}       # id -> graph, kept alive so no id is reused
+    search = maximality._class_masks
+
+    def recorded(g, k):
+        searched[id(g)] = g
+        return search(g, k)
+
+    monkeypatch.setattr(maximality, "_class_masks", recorded)
+    rows = verify_theorem1(6, [2, 3, 4])
+    assert len(calls) == len(searched)
+    # the graph levels are searched once per k, the family graphs once
+    assert len(searched) == (sum(len(level) for _, level in graph_levels(6))
+                             + sum(r.family_graphs for r in rows))
+    assert sorted(calls) == sorted(g.rows for g in searched.values())
 
 
 def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
