@@ -103,10 +103,12 @@ def _certificate(a_ord, b_ord):
 
 def _joins_separated_pairs(g, a_ord, b_ord):
     """The paper's lemma for two colorings of a maximal graph, as class
-    bitmask lists of equal length: G joins exactly the pairs that both
-    separate, so every v in A_i n B_j has N(v) = V - (A_i u B_j).  As both
-    lists partition V, this is the one check that the relabeling built by
-    `_certificate` is an isomorphism onto G(A)."""
+    bitmask lists of any lengths and orders (zero entries allowed): G
+    joins exactly the pairs that both separate, so every v in A_i n B_j
+    has N(v) = V - (A_i u B_j).  As both lists partition V, this is the
+    one check that the relabeling built by `_certificate` is an
+    isomorphism onto G(A); False means some non-edge is separated by
+    both colorings."""
     full = (1 << g.n) - 1
     rows = g.rows
     for a in a_ord:
@@ -208,33 +210,60 @@ def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
 
 
+def _leading_clique(g):
+    """Size of the first block of g's `clique_cover_order`: the vertices
+    taken while each one is joined to all the vertices before it, so a
+    clique of g."""
+    rows = g.rows
+    taken = w = 0
+    for v in g.clique_cover_order():
+        if taken & ~rows[v]:
+            break
+        taken |= 1 << v
+        w += 1
+    return w
+
+
 def verify_theorem1(max_n, k_list):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
     Both directions run per (n, k): every graph up to isomorphism is
     tested for maximal ambiguity and for reconstructability, both read
-    off one coloring search (a graph with fewer than two k-colorings is
-    neither, so it skips both checks), and the desirable matrices with
-    entry sum n, one per relabeling orbit (see enumerate_desirable), are
-    checked to induce maximal ambiguously k-colorable graphs;
-    `family_graphs` counts them.  Every k must lie in 1..matrix.MAX_K,
-    checked before any graph is enumerated.
+    off one coloring search, and the desirable matrices with entry sum n,
+    one per relabeling orbit (see enumerate_desirable), are checked to
+    induce maximal ambiguously k-colorable graphs; `family_graphs` counts
+    them.  Three exact tests each show a (graph, k) to be neither
+    maximal ambiguous nor certified, and skip both verdict cores:
+      - its leading clique (`_leading_clique`) has more than k vertices,
+        so it has no k-coloring and no search is started;
+      - it has fewer than two k-colorings;
+      - its first two colorings P and Q fail the lemma
+        (`_joins_separated_pairs`): some non-edge uv is separated by
+        both, so G + uv keeps P and Q and G is not maximal, and
+        `_reconstruct_from` raises, as each of its routes checks the
+        lemma on P's classes against Q's, or against P's own (which
+        also separate uv).
+    Every k must lie in 1..matrix.MAX_K, checked before any graph is
+    enumerated.
     """
     if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
         raise PreconditionError("verify_theorem1 needs max_n >= 1 and a "
                                 f"non-empty list of k in 1..{MAX_K}")
     rows = []
     for n, graphs in graph_levels(max_n):
+        cliques = [_leading_clique(g) for g in graphs]
         for k in k_list:
             maximal = 0
             matched = 0
             counterexamples = []
-            for g in graphs:
+            for g, w in zip(graphs, cliques):
+                if w > k:
+                    continue       # a (k + 1)-clique: no k-coloring
                 # one search: both verdicts read its first two colorings,
                 # copied, and the maximality pass reads on past them
                 colorings = _class_masks(g, k)
                 cols = [_ordered_classes(m) for m in islice(colorings, 2)]
-                if len(cols) < 2:
+                if len(cols) < 2 or not _joins_separated_pairs(g, *cols):
                     continue       # neither maximal ambiguous nor certified
                 is_max = _is_maximal_over(g, chain(cols, colorings), 2)
                 try:

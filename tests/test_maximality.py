@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -12,7 +13,7 @@ from ambigcolor.coloring import (_class_masks, _ordered_classes,
                                  count_colorings, enumerate_colorings)
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
-                                  complete_graph, cycle_graph,
+                                  clique_number, complete_graph, cycle_graph,
                                   enumerate_graphs, from_graph6,
                                   graph_levels, path_graph)
 from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
@@ -368,24 +369,53 @@ def test_verify_theorem1_small():
                 r.family_graphs) == want, key
 
 
+def recorded_levels(monkeypatch):
+    """Spy on the harness's graph_levels: the (n, graphs) pairs it used,
+    the very graph objects it searched."""
+    levels = []
+    make = maximality.graph_levels
+
+    def recording(max_n):
+        for level in make(max_n):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(maximality, "graph_levels", recording)
+    return levels
+
+
 def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
-    # one _class_masks search per (graph, k) serves both verdicts, and one
-    # more per family matrix checks its G(A)
-    calls = []
+    # one _class_masks search per (graph, k) that the leading-clique rule
+    # does not skip, and one more per family matrix checks its G(A); every
+    # graph skipped for k holds a (k + 1)-clique
+    calls = []          # (graph, k), the graph kept so no id is reused
     search = maximality._class_masks
 
     def counted(g, k):
-        calls.append((g.n, k))
+        calls.append((g, k))
         return search(g, k)
 
     monkeypatch.setattr(maximality, "_class_masks", counted)
+    levels = recorded_levels(monkeypatch)
     rows = verify_theorem1(6, [2, 3, 4])
-    levels = dict(graph_levels(6))
+    monkeypatch.undo()
+    graphs = dict(levels)
+    assert len(graphs) == 6
+    searches = Counter((id(g), k) for g, k in calls)
+    level_ids = {id(g) for level in graphs.values() for g in level}
+    family = Counter((g.n, k) for g, k in calls if id(g) not in level_ids)
+    skipped = 0
     for r in rows:
-        want = len(levels[r.n]) + len(list(enumerate_desirable(r.k, r.n)))
-        assert r.graphs + r.family_graphs == want
-        assert calls.count((r.n, r.k)) == want, (r.n, r.k)
-    assert len(calls) == sum(r.graphs + r.family_graphs for r in rows)
+        assert r.graphs == len(graphs[r.n])
+        assert family[(r.n, r.k)] == r.family_graphs == len(
+            list(enumerate_desirable(r.k, r.n)))
+        for g in graphs[r.n]:
+            count = searches[(id(g), r.k)]
+            assert count == (maximality._leading_clique(g) <= r.k)
+            if not count:
+                skipped += 1
+                assert clique_number(g) > r.k, (g.edges(), r.k)
+    assert skipped > 0
 
 
 def count_orders(monkeypatch):
@@ -412,6 +442,9 @@ def test_maximality_and_reconstruction_share_one_search_order(monkeypatch):
 
 
 def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
+    # every level graph gets its order once, for its leading clique, and
+    # every search on it reuses that order, including graphs no k searches;
+    # each family graph gets its order once, for its own search
     calls = count_orders(monkeypatch)
     searched = {}       # id -> graph, kept alive so no id is reused
     search = maximality._class_masks
@@ -421,22 +454,48 @@ def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
         return search(g, k)
 
     monkeypatch.setattr(maximality, "_class_masks", recorded)
+    levels = recorded_levels(monkeypatch)
     rows = verify_theorem1(6, [2, 3, 4])
-    assert len(calls) == len(searched)
-    # the graph levels are searched once per k, the family graphs once
-    assert len(searched) == (sum(len(level) for _, level in graph_levels(6))
-                             + sum(r.family_graphs for r in rows))
-    assert sorted(calls) == sorted(g.rows for g in searched.values())
+    level_graphs = {id(g): g for _, level in levels for g in level}
+    assert len(level_graphs) == sum(len(level)
+                                    for _, level in graph_levels(6))
+    family = {key: g for key, g in searched.items()
+              if key not in level_graphs}
+    assert len(family) == sum(r.family_graphs for r in rows)
+    # some level graphs are never searched: their leading clique is too big
+    assert set(searched) - set(family) < set(level_graphs)
+    ordered = list(level_graphs.values()) + list(family.values())
+    assert len(calls) == len(ordered)
+    assert sorted(calls) == sorted(g.rows for g in ordered)
+
+
+def _separated_non_edge(g, a, b):
+    """Brute force: a non-edge uv that both class lists separate."""
+    def part(cols, v):
+        return next(i for i, c in enumerate(cols) if c >> v & 1)
+
+    return any(part(a, u) != part(a, v) and part(b, u) != part(b, v)
+               for u, v in g.non_edges())
 
 
 def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
-    # the harness's verdict pair for each graph with two k-colorings, read
-    # off its cores, equals what is_maximal_ambiguous and
-    # reconstruct_matrix say on their own; every other (graph, k) skips
-    # both cores, and neither public function accepts it
+    # the harness's verdict pair for each (graph, k) that reaches its cores
+    # equals what is_maximal_ambiguous and reconstruct_matrix say on their
+    # own; every other (graph, k) is skipped for one of three reasons (a
+    # leading clique above k, fewer than two k-colorings, the lemma failing
+    # on the first two), each of which occurs, and neither public function
+    # accepts a skipped pair
     maximal_over = maximality._is_maximal_over
     reconstruct_from = maximality._reconstruct_from
+    search = maximality._class_masks
     seen = []
+    searched = set()
+    alive = []          # every searched graph, kept so no id is reused
+
+    def record_search(g, k):
+        searched.add((id(g), k))
+        alive.append(g)
+        return search(g, k)
 
     def record_maximal(g, colorings, d):
         seen.append([g, maximal_over(g, colorings, d)])
@@ -454,29 +513,84 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
         seen[-1].append(True)
         return out
 
+    monkeypatch.setattr(maximality, "_class_masks", record_search)
     monkeypatch.setattr(maximality, "_is_maximal_over", record_maximal)
     monkeypatch.setattr(maximality, "_reconstruct_from", record_certificate)
+    levels = recorded_levels(monkeypatch)
     verify_theorem1(6, [1, 2, 3, 4])
     monkeypatch.undo()
     # entries of length 2 come from the forward direction's own
     # is_maximal_ambiguous calls
     pairs = [entry for entry in seen if len(entry) == 4]
-    checked = {(g, k) for g, _, k, _ in pairs}
+    checked = {(id(g), k) for g, _, k, _ in pairs}
     assert len(checked) == len(pairs)
-    everything = {(g, k) for _, graphs in graph_levels(6) for g in graphs
-                  for k in range(1, 5)}
-    assert checked <= everything
-    skipped = everything - checked
-    for g, k in skipped:
-        assert count_colorings(g, k, 2) < 2
+    everything = [(g, k) for _, graphs in levels for g in graphs
+                  for k in range(1, 5)]
+    assert len(everything) == 4 * sum(len(graphs)
+                                      for _, graphs in graph_levels(6))
+    assert checked <= {(id(g), k) for g, k in everything}
+    reasons = {"clique": 0, "colorings": 0, "lemma": 0}
+    for g, k in everything:
+        if (id(g), k) in checked:
+            continue
+        if (id(g), k) not in searched:
+            reasons["clique"] += 1
+            assert clique_number(g) > k
+        elif count_colorings(g, k, 2) < 2:
+            reasons["colorings"] += 1
+        else:
+            reasons["lemma"] += 1
+            first, second = [_ordered_classes(m)
+                             for m in islice(_class_masks(g, k), 2)]
+            assert _separated_non_edge(g, first, second)
         assert not is_maximal_ambiguous(g, k)
         with pytest.raises(ReconstructionError):
             reconstruct_matrix(g, k)
+    assert all(reasons.values()), reasons
     for g, is_max, k, ok in pairs:
         assert count_colorings(g, k, 2) == 2
         assert is_max == is_maximal_ambiguous(g, k)
         assert ok == _certified(g, k)
-    assert skipped and any(is_max for _, is_max, _, _ in pairs)
+    assert any(is_max for _, is_max, _, _ in pairs)
+
+
+def test_leading_clique_is_a_clique_prefix_of_the_search_order():
+    rng = random.Random(29)
+    cases = [g for _, graphs in graph_levels(7) for g in graphs]
+    cases += [SimpleGraph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n) if rng.random() < p])
+              for n, p in ((rng.randint(0, 20), rng.random())
+                           for _ in range(200))]
+    for g in cases:
+        w = maximality._leading_clique(g)
+        order = g.clique_cover_order()
+        lead = order[:w]
+        assert all(g.has_edge(u, v) for i, u in enumerate(lead)
+                   for v in lead[i + 1:]), g.edges()
+        # the block ends at the first vertex that misses one before it
+        assert w == len(order) or not all(g.has_edge(u, order[w])
+                                          for u in lead)
+        assert (w > 0) == (g.n > 0) and w <= clique_number(g)
+
+
+def test_lemma_check_finds_a_non_edge_both_colorings_separate():
+    # _joins_separated_pairs is False exactly when some non-edge is
+    # separated by both colorings, whatever the lists' order and zeros
+    outcomes = set()
+    for _, graphs in graph_levels(7):
+        for g in graphs:
+            for k in range(1, 6):
+                cols = [_ordered_classes(m)
+                        for m in islice(_class_masks(g, k), 2)]
+                if len(cols) < 2:
+                    continue
+                a, b = cols
+                want = not _separated_non_edge(g, a, b)
+                assert maximality._joins_separated_pairs(g, a, b) == want
+                assert maximality._joins_separated_pairs(
+                    g, b + [0], a[::-1]) == want
+                outcomes.add(want)
+    assert outcomes == {False, True}
 
 
 def test_verify_theorem1_rejects_vacuous_runs():
