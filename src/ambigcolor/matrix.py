@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -513,17 +513,34 @@ def _special_matrices(k, n):
 
 
 def _normal_matrices(k, n):
-    # each fully indecomposable r x r block, tested once, on the leading
-    # indices; the rest of the diagonal nonincreasing
+    # each r x r block on the leading indices, with a positive diagonal
+    # and a strongly connected off-diagonal support, so fully
+    # indecomposable (Frobenius-Konig); the supports are walked by size,
+    # and the mass left over is spread over the support and the diagonal,
+    # each at least 1; the rest of the diagonal nonincreasing
     for r in range(2, k + 1):
-        # each block row needs diag >= 1 and an off-diag
-        for m_sum in range(2 * r, n - (k - r) + 1):
+        top = n - (k - r)       # the most mass the block can hold
+        cells = [(p, q) for p in range(r) for q in range(r) if p != q]
+        diagonal = tuple((p, p) for p in range(r))
+        supports = []
+        for size in range(r, top - r + 1):
+            for support in combinations(cells, size):
+                succ = [0] * r
+                for p, q in support:
+                    succ[p] |= 1 << q
+                if _strongly_connected(succ):
+                    supports.append(support + diagonal)
+        for m_sum in range(2 * r, top + 1):
             diags = list(_positive_parts(n - m_sum, k - r))
-            for flat in _bounded_rows(m_sum - r, [m_sum - r] * (r * r),
-                                      [False] * (r * r)):
-                m = [[flat[p * r + q] + (1 if p == q else 0)
-                      for q in range(r)] for p in range(r)]
-                if is_fully_indecomposable(m):
+            for spots in supports:
+                extra = m_sum - len(spots)
+                if extra < 0:
+                    break       # the supports come by size
+                for spread in _bounded_rows(extra, [extra] * len(spots),
+                                            [False] * len(spots)):
+                    m = [[0] * r for _ in range(r)]
+                    for (p, q), x in zip(spots, spread):
+                        m[p][q] = x + 1
                     for diag in diags:
                         yield _placed(m, diag)
 
@@ -546,7 +563,10 @@ def enumerate_desirable(k, n):
     special and normal ones.  The normal block sits on the leading
     indices but stays labeled, so a normal orbit with an r x r block may
     appear up to r! times; graph-level deduplication happens downstream.
-    Raises ResourceLimitError past DEFAULT_ENUM_CAP."""
+    A normal block is built from each strongly connected off-diagonal
+    support that fits in n, so a call's work is bounded by the supports
+    it tests plus the matrices it yields.  Raises ResourceLimitError when
+    the matrices yielded pass DEFAULT_ENUM_CAP."""
     if k < 1 or n < 0:
         raise PreconditionError("need k >= 1, n >= 0")
     parts = (_tiny_matrices(k, n), _small_matrices(k, n),

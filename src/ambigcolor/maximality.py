@@ -210,6 +210,33 @@ def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
 
 
+def _has_co_claw(g):
+    """Whether g induces a co-claw: a triangle uvw and a vertex joined to
+    none of u, v, w.  For each edge uv, u < v, the vertices outside
+    N(u) u N(v) are taken as one bitmask, and each common neighbour w
+    above v asks whether one of them also lies outside N(w).  The
+    triangle's own vertices need no mask of their own: each lies in the
+    others' neighbourhoods."""
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    for u in range(n):
+        higher = rows[u] >> (u + 1) << (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            v = low.bit_length() - 1
+            outside = full & ~(rows[u] | rows[v])
+            if not outside:
+                continue
+            common = rows[u] & rows[v] >> (v + 1) << (v + 1)
+            while common:
+                bit = common & -common
+                common ^= bit
+                if outside & ~rows[bit.bit_length() - 1]:
+                    return True
+    return False
+
+
 def _leading_clique(g):
     """Size of the first block of g's `clique_cover_order`: the vertices
     taken while each one is joined to all the vertices before it, so a
@@ -232,8 +259,18 @@ def verify_theorem1(max_n, k_list):
     off one coloring search, and the desirable matrices with entry sum n,
     one per relabeling orbit (see enumerate_desirable), are checked to
     induce maximal ambiguously k-colorable graphs; `family_graphs` counts
-    them.  Three exact tests each show a (graph, k) to be neither
+    them.  Four exact tests each show a (graph, k) to be neither
     maximal ambiguous nor certified, and skip both verdict cores:
+      - the graph induces a co-claw (`_has_co_claw`), tested once per
+        graph, which then starts no search for any k.  A maximal or
+        certified G passes the lemma below on some pair of class lists
+        (for the tiny and small route, on its parts against themselves),
+        so G is G(M) for the matrix M of their intersections: two
+        vertices are non-adjacent iff they share a row or a column of M.
+        A triangle holds three cells in pairwise different rows and
+        columns; a vertex has one row and one column, so by pigeonhole it
+        shares one of them with at most two of the three cells and is
+        joined to the third;
       - its leading clique (`_leading_clique`) has more than k vertices,
         so it has no k-coloring and no search is started;
       - it has fewer than two k-colorings;
@@ -251,12 +288,13 @@ def verify_theorem1(max_n, k_list):
                                 f"non-empty list of k in 1..{MAX_K}")
     rows = []
     for n, graphs in graph_levels(max_n):
-        cliques = [_leading_clique(g) for g in graphs]
+        kept = [(g, _leading_clique(g)) for g in graphs
+                if not _has_co_claw(g)]
         for k in k_list:
             maximal = 0
             matched = 0
             counterexamples = []
-            for g, w in zip(graphs, cliques):
+            for g, w in kept:
                 if w > k:
                     continue       # a (k + 1)-clique: no k-coloring
                 # one search: both verdicts read its first two colorings,

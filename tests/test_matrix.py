@@ -565,10 +565,56 @@ def test_enumerate_desirable_stops_at_its_cap(monkeypatch):
 
 
 def test_enumerate_desirable_no_duplicates():
-    for k in (2, 3):
+    for k in (2, 3, 4, 5):
         for n in range(0, 9):
             mats = [tuple(m.entries) for m in enumerate_desirable(k, n)]
             assert len(mats) == len(set(mats))
+
+
+def compositions(total, cells):
+    """Every tuple of `cells` >= 1 nonnegative ints summing to `total`,
+    by stars and bars."""
+    end = total + cells - 1
+    for cut in combinations(range(end), cells - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + cut, cut + (end,)))
+
+
+def oracle_normal_matrices(k, n):
+    """The normal family by the flat-block walk: each r x r block of
+    entry sum m is I plus a flat block of entry sum m - r, kept when
+    is_fully_indecomposable accepts it, and placed on the leading indices
+    with each nonincreasing positive rest of the diagonal."""
+    for r in range(2, k + 1):
+        for m_sum in range(2 * r, n - (k - r) + 1):
+            for flat in compositions(m_sum - r, r * r):
+                block = [[flat[p * r + q] + (p == q) for q in range(r)]
+                         for p in range(r)]
+                if not is_fully_indecomposable(block):
+                    continue
+                for rest in plain_positive_parts(n - m_sum, k - r, n):
+                    rows = [row + [0] * (k - r) for row in block]
+                    rows += [[0] * (r + i) + [x] + [0] * (k - r - i - 1)
+                             for i, x in enumerate(rest)]
+                    yield tuple(map(tuple, rows))
+
+
+def test_normal_generator_matches_the_flat_block_walk():
+    # the same matrices, duplicates included, from the strongly connected
+    # supports as from testing every flat block
+    total = 0
+    for k in range(1, 6):
+        for n in range(11):
+            want = sorted(oracle_normal_matrices(k, n))
+            assert sorted(m.entries for m in _normal_matrices(k, n)) == want, \
+                (k, n)
+            total += len(want)
+    assert total > 1000
+
+
+def test_enumerate_desirable_reach_pinned():
+    # counted by the flat-block walk
+    assert sum(1 for _ in enumerate_desirable(4, 10)) == 1955
+    assert sum(1 for _ in enumerate_desirable(5, 11)) == 3088
 
 
 # ---------------------------------------------------------------------------

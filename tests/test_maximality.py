@@ -3,7 +3,7 @@
 import json
 import random
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -384,10 +384,23 @@ def recorded_levels(monkeypatch):
     return levels
 
 
+def co_claw_oracle(g):
+    """Brute force: some 4 vertices induce a triangle and a vertex joined
+    to none of it."""
+    for quad in combinations(range(g.n), 4):
+        for x in quad:
+            tri = [v for v in quad if v != x]
+            if (all(g.has_edge(a, b) for a, b in combinations(tri, 2))
+                    and not any(g.has_edge(x, v) for v in tri)):
+                return True
+    return False
+
+
 def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
-    # one _class_masks search per (graph, k) that the leading-clique rule
-    # does not skip, and one more per family matrix checks its G(A); every
-    # graph skipped for k holds a (k + 1)-clique
+    # one _class_masks search per (graph, k) that neither the co-claw nor
+    # the leading-clique rule skips, and one more per family matrix checks
+    # its G(A); every graph skipped for k induces a co-claw or holds a
+    # (k + 1)-clique, and both rules skip some graph
     calls = []          # (graph, k), the graph kept so no id is reused
     search = maximality._class_masks
 
@@ -404,18 +417,22 @@ def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
     searches = Counter((id(g), k) for g, k in calls)
     level_ids = {id(g) for level in graphs.values() for g in level}
     family = Counter((g.n, k) for g, k in calls if id(g) not in level_ids)
-    skipped = 0
+    skipped = Counter()
     for r in rows:
         assert r.graphs == len(graphs[r.n])
         assert family[(r.n, r.k)] == r.family_graphs == len(
             list(enumerate_desirable(r.k, r.n)))
         for g in graphs[r.n]:
             count = searches[(id(g), r.k)]
-            assert count == (maximality._leading_clique(g) <= r.k)
-            if not count:
-                skipped += 1
+            co_claw = co_claw_oracle(g)
+            assert count == (not co_claw
+                             and maximality._leading_clique(g) <= r.k)
+            if co_claw:
+                skipped["co-claw"] += 1
+            elif not count:
+                skipped["clique"] += 1
                 assert clique_number(g) > r.k, (g.edges(), r.k)
-    assert skipped > 0
+    assert skipped["co-claw"] > 0 and skipped["clique"] > 0, skipped
 
 
 def count_orders(monkeypatch):
@@ -442,8 +459,9 @@ def test_maximality_and_reconstruction_share_one_search_order(monkeypatch):
 
 
 def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
-    # every level graph gets its order once, for its leading clique, and
-    # every search on it reuses that order, including graphs no k searches;
+    # every level graph without a co-claw gets its order once, for its
+    # leading clique, and every search on it reuses that order, including
+    # graphs no k searches; a level graph with a co-claw never gets one;
     # each family graph gets its order once, for its own search
     calls = count_orders(monkeypatch)
     searched = {}       # id -> graph, kept alive so no id is reused
@@ -462,9 +480,13 @@ def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
     family = {key: g for key, g in searched.items()
               if key not in level_graphs}
     assert len(family) == sum(r.family_graphs for r in rows)
-    # some level graphs are never searched: their leading clique is too big
-    assert set(searched) - set(family) < set(level_graphs)
-    ordered = list(level_graphs.values()) + list(family.values())
+    co_claw = {key for key, g in level_graphs.items() if co_claw_oracle(g)}
+    assert co_claw and not co_claw & set(searched)
+    # some level graphs without a co-claw are never searched either: their
+    # leading clique is too big
+    assert set(searched) - set(family) < set(level_graphs) - co_claw
+    ordered = [g for key, g in level_graphs.items() if key not in co_claw]
+    ordered += family.values()
     assert len(calls) == len(ordered)
     assert sorted(calls) == sorted(g.rows for g in ordered)
 
@@ -481,10 +503,10 @@ def _separated_non_edge(g, a, b):
 def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
     # the harness's verdict pair for each (graph, k) that reaches its cores
     # equals what is_maximal_ambiguous and reconstruct_matrix say on their
-    # own; every other (graph, k) is skipped for one of three reasons (a
-    # leading clique above k, fewer than two k-colorings, the lemma failing
-    # on the first two), each of which occurs, and neither public function
-    # accepts a skipped pair
+    # own; every other (graph, k) is skipped for one of four reasons (a
+    # co-claw, a leading clique above k, fewer than two k-colorings, the
+    # lemma failing on the first two), each of which occurs, and neither
+    # public function accepts a skipped pair
     maximal_over = maximality._is_maximal_over
     reconstruct_from = maximality._reconstruct_from
     search = maximality._class_masks
@@ -529,11 +551,13 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
     assert len(everything) == 4 * sum(len(graphs)
                                       for _, graphs in graph_levels(6))
     assert checked <= {(id(g), k) for g, k in everything}
-    reasons = {"clique": 0, "colorings": 0, "lemma": 0}
+    reasons = {"co-claw": 0, "clique": 0, "colorings": 0, "lemma": 0}
     for g, k in everything:
         if (id(g), k) in checked:
             continue
-        if (id(g), k) not in searched:
+        if (id(g), k) not in searched and co_claw_oracle(g):
+            reasons["co-claw"] += 1
+        elif (id(g), k) not in searched:
             reasons["clique"] += 1
             assert clique_number(g) > k
         elif count_colorings(g, k, 2) < 2:
@@ -548,6 +572,7 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
             reconstruct_matrix(g, k)
     assert all(reasons.values()), reasons
     for g, is_max, k, ok in pairs:
+        assert not co_claw_oracle(g)
         assert count_colorings(g, k, 2) == 2
         assert is_max == is_maximal_ambiguous(g, k)
         assert ok == _certified(g, k)
@@ -571,6 +596,43 @@ def test_leading_clique_is_a_clique_prefix_of_the_search_order():
         assert w == len(order) or not all(g.has_edge(u, order[w])
                                           for u in lead)
         assert (w > 0) == (g.n > 0) and w <= clique_number(g)
+
+
+def test_co_claw_test_matches_brute_force():
+    rng = random.Random(31)
+    cases = [g for _, graphs in graph_levels(7) for g in graphs]
+    cases += [SimpleGraph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n) if rng.random() < p])
+              for n, p in ((rng.randint(0, 20), rng.random())
+                           for _ in range(200))]
+    outcomes = Counter()
+    for g in cases:
+        want = co_claw_oracle(g)
+        assert maximality._has_co_claw(g) == want, g.edges()
+        outcomes[want, g.n > 7] += 1
+    assert len(outcomes) == 4, outcomes
+
+
+def test_desirable_graphs_have_no_co_claw():
+    # G(A) joins two cells iff they share no row and no column
+    count = 0
+    for k in range(1, 5):
+        for n in range(9):
+            for mat in enumerate_desirable(k, n):
+                count += 1
+                assert not maximality._has_co_claw(build_graph(mat)), mat
+    assert count > 100
+
+
+def test_co_claw_graphs_are_neither_maximal_nor_certified():
+    graphs = [g for _, level in graph_levels(7) for g in level
+              if maximality._has_co_claw(g)]
+    assert len(graphs) == 822
+    for g in graphs:
+        for k in range(2, 6):
+            assert not is_maximal_ambiguous(g, k), (g.edges(), k)
+            with pytest.raises(ReconstructionError):
+                reconstruct_matrix(g, k)
 
 
 def test_lemma_check_finds_a_non_edge_both_colorings_separate():
