@@ -241,10 +241,8 @@ def build_parser():
     p = sub.add_parser("table", help="extremal edge count table (TSV)")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
-    oracle = p.add_mutually_exclusive_group()
-    oracle.add_argument("--oracle", dest="oracle", action="store_true")
-    oracle.add_argument("--no-oracle", dest="oracle", action="store_false")
-    p.set_defaults(func=cmd_table, oracle=True)
+    p.add_argument("--no-oracle", dest="oracle", action="store_false")
+    p.set_defaults(func=cmd_table)
 
     return parser
 

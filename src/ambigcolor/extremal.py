@@ -258,11 +258,12 @@ class ExtremalReport:
 def verify_turan_theorem(max_n, k_list):
     """For each (n, k) with k <= n <= max_n: formula value vs. the
     class-route oracle, and the oracle's extremal class keys vs. those of
-    the matrix families.  The ceilings are checked before any cell runs."""
-    if not k_list or max_n < max(2, min(k_list)):
+    the matrix families.  The k list, then the ceilings, are checked
+    before any cell runs."""
+    if not k_list or min(k_list) < 2 or max_n < min(k_list):
         raise PreconditionError(
-            "verify_turan_theorem checks nothing: it needs a non-empty k "
-            "list and max_n >= max(2, min k)")
+            "verify_turan_theorem checks nothing: it needs a non-empty "
+            "list of k >= 2 and max_n >= min k")
     _check_extremal_limits(max_n, max(k for k in k_list if k <= max_n))
     cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
              for n in range(max(2, k), max_n + 1)]

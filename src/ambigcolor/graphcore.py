@@ -12,7 +12,7 @@ edge-list / graph6 file formats.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
@@ -476,14 +476,6 @@ def enumerate_graphs(n):
     for _, level in graph_levels(n):
         pass
     return level
-
-
-def enumerate_labeled_graphs(n):
-    """All 2^C(n,2) labeled graphs on n vertices (cross-check oracle)."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield SimpleGraph(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -264,22 +264,21 @@ def is_fully_indecomposable(m_entries):
     Frobenius-Konig: an r x r matrix is fully indecomposable iff its
     support has a perfect matching and, with every column renamed by the
     row matched to it, the digraph i -> i' (M(i, i') != 0) is strongly
-    connected.  The matching is the diagonal when that is positive and an
-    augmenting-path matching otherwise; strong connectivity is one search
-    forward and one backward from row 0.  Accepts a ColorMatrix or a
-    nested list of rows.
+    connected.  Column permutations keep full indecomposability, so any
+    one augmenting-path matching decides it; strong connectivity is one
+    search forward and one backward from row 0.  Accepts a ColorMatrix
+    or a nested list of rows.
     """
     succ = _row_masks(m_entries)
     r = len(succ)
     if not r:
         return True
-    if not all(mask >> i & 1 for i, mask in enumerate(succ)):
-        adj = [[j for j in range(r) if mask >> j & 1] for mask in succ]
-        size, match_right = _bipartite_matching(adj, r, r)
-        if size < r:
-            return False
-        succ = [sum(1 << match_right[j] for j in row) for row in adj]
-    return _strongly_connected(succ)
+    adj = [[j for j in range(r) if mask >> j & 1] for mask in succ]
+    size, match_right = _bipartite_matching(adj, r, r)
+    if size < r:
+        return False
+    return _strongly_connected([sum(1 << match_right[j] for j in row)
+                                for row in adj])
 
 
 def _strongly_connected(succ):

@@ -80,10 +80,17 @@ class ReconstructionTrace:
     relabeling: dict                  # vertex -> (i, j, t) label in G(A)
 
 
-def _certificate(a_ord, b_ord):
-    """Matrix of the entries |A_i n B_j| of two equally long lists of class
-    bitmasks, and the relabeling that sends the vertices of A_i n B_j,
-    ascending, to the labels (i+1, j+1, t)."""
+def _certificate(g, a_ord, b_ord):
+    """Entries |A_i n B_j| of two class bitmask lists of g, of any lengths
+    and orders (zero entries allowed), and the relabeling that sends the
+    vertices of A_i n B_j, ascending, to the labels (i+1, j+1, t); None
+    when g is not G(A) for them.  Each v gets its label only once its row
+    passes the paper's lemma, N(v) = V - (A_i u B_j): G joins exactly the
+    pairs that both colorings separate.  As both lists partition V, this
+    is the one check that the relabeling is an isomorphism onto G(A);
+    None means some non-edge is separated by both colorings."""
+    full = (1 << g.n) - 1
+    rows = g.rows
     entries = []
     relabeling = {}
     for i, a in enumerate(a_ord, start=1):
@@ -91,50 +98,30 @@ def _certificate(a_ord, b_ord):
         for j, b in enumerate(b_ord, start=1):
             common = a & b
             row.append(common.bit_count())
+            nbrs = full & ~(a | b)
             t = 0
             while common:
                 low = common & -common
                 common ^= low
+                v = low.bit_length() - 1
+                if rows[v] != nbrs:
+                    return None
                 t += 1
-                relabeling[low.bit_length() - 1] = (i, j, t)
+                relabeling[v] = (i, j, t)
         entries.append(row)
-    return ColorMatrix(entries), relabeling
-
-
-def _joins_separated_pairs(g, a_ord, b_ord):
-    """The paper's lemma for two colorings of a maximal graph, as class
-    bitmask lists of any lengths and orders (zero entries allowed): G
-    joins exactly the pairs that both separate, so every v in A_i n B_j
-    has N(v) = V - (A_i u B_j).  As both lists partition V, this is the
-    one check that the relabeling built by `_certificate` is an
-    isomorphism onto G(A); False means some non-edge is separated by
-    both colorings."""
-    full = (1 << g.n) - 1
-    rows = g.rows
-    for a in a_ord:
-        for b in b_ord:
-            common = a & b
-            if not common:
-                continue
-            nbrs = full & ~(a | b)
-            while common:
-                low = common & -common
-                common ^= low
-                if rows[low.bit_length() - 1] != nbrs:
-                    return False
-    return True
+    return entries, relabeling
 
 
 def reconstruct_matrix(g, k):
     """Desirable certificate matrix A with G isomorphic to G(A), plus trace.
 
-    Once the two ordered class lists are fixed, the lemma that G joins
-    exactly the pairs both colorings separate (`_joins_separated_pairs`)
-    is checked first, so the certificate matrix, the relabeling and
-    `classify` are built only for graphs that are G(A).  Raises
-    ReconstructionError when the input is not ambiguously k-colorable,
-    when the Hall condition, the lemma or `classify` fails, and
-    PreconditionError for k > matrix.MAX_K before any search.
+    Once the two ordered class lists are fixed, `_certificate` checks the
+    lemma that G joins exactly the pairs both colorings separate as it
+    builds the certificate matrix and the relabeling, so `classify` runs
+    only on graphs that are G(A).  Raises ReconstructionError when the
+    input is not ambiguously k-colorable, when the Hall condition, the
+    lemma or `classify` fails, and PreconditionError for k > matrix.MAX_K
+    before any search.
     """
     if k > MAX_K:
         raise PreconditionError(f"certificate dimension k = {k} exceeds "
@@ -145,16 +132,11 @@ def reconstruct_matrix(g, k):
 
 def _reconstruct_from(g, k, cols):
     """`reconstruct_matrix` from the first two k-colorings of g, or all
-    when fewer exist, as `_ordered_classes` lists, with the checks in
-    the order listed there, except that the lemma, which ignores the
-    pairing, runs before the matching (still once) when the identity
-    pairing meets every class, which proves Hall's condition."""
+    when fewer exist, as `_ordered_classes` lists, with the checks in the
+    order listed there."""
     if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
     a, b = cols
-    lemma_first = len(a) == len(b) == k and all(x & y for x, y in zip(a, b))
-    if lemma_first and not _joins_separated_pairs(g, a, b):
-        raise ReconstructionError("G(A) is not isomorphic to the input")
     if len(a) < k:
         # tiny / small route: the certificate is diagonal, and the first
         # coloring is the greedy one, whose classes on a complete
@@ -180,15 +162,15 @@ def _reconstruct_from(g, k, cols):
         r = sum(a[i] != b[match[i]] for i in range(k))
         a_ord = [a[i] for i in order]
         b_ord = [b[match[i]] for i in order]
-    if not lemma_first and not _joins_separated_pairs(g, a_ord, b_ord):
+    certificate = _certificate(g, a_ord, b_ord)
+    if certificate is None:
         raise ReconstructionError("G(A) is not isomorphic to the input")
-
-    matrix, relabeling = _certificate(a_ord, b_ord)
+    matrix = ColorMatrix(certificate[0])
     verdict = classify(matrix)
     if not verdict.desirable:
         raise ReconstructionError(
             f"reconstructed matrix is not desirable: {verdict.witness}")
-    return matrix, ReconstructionTrace(r, relabeling)
+    return matrix, ReconstructionTrace(r, certificate[1])
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +256,12 @@ def verify_theorem1(max_n, k_list):
       - its leading clique (`_leading_clique`) has more than k vertices,
         so it has no k-coloring and no search is started;
       - it has fewer than two k-colorings;
-      - its first two colorings P and Q fail the lemma
-        (`_joins_separated_pairs`): some non-edge uv is separated by
-        both, so G + uv keeps P and Q and G is not maximal, and
-        `_reconstruct_from` raises, as each of its routes checks the
-        lemma on P's classes against Q's, or against P's own (which
-        also separate uv).
+      - its first two colorings P and Q fail the lemma (`_certificate`
+        returns None): some non-edge uv is separated by both, so G + uv
+        keeps P and Q and G is not maximal, and `_reconstruct_from`
+        raises, as each of its routes builds the certificate of P's
+        classes against Q's, or against P's own (which also separate
+        uv).
     Every k must lie in 1..matrix.MAX_K, checked before any graph is
     enumerated.
     """
@@ -301,7 +283,7 @@ def verify_theorem1(max_n, k_list):
                 # copied, and the maximality pass reads on past them
                 colorings = _class_masks(g, k)
                 cols = [_ordered_classes(m) for m in islice(colorings, 2)]
-                if len(cols) < 2 or not _joins_separated_pairs(g, *cols):
+                if len(cols) < 2 or _certificate(g, *cols) is None:
                     continue       # neither maximal ambiguous nor certified
                 is_max = _is_maximal_over(g, chain(cols, colorings), 2)
                 try:

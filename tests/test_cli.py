@@ -159,6 +159,15 @@ def test_verify_needs_max_n(theorem, capsys):
     assert captured.out == "" and "--max-n is needed" in captured.err
 
 
+def test_verify_turan_refuses_k_below_two_before_the_ceiling(capsys):
+    # k = 1 is bad input at any max_n, also above the extremal ceiling
+    for max_n in ("7", "40"):
+        assert main(["verify", "--theorem", "turan", "--max-n", max_n,
+                     "--k-list", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k >= 2" in captured.err
+
+
 def test_verify_turan_text(capsys):
     assert main(["verify", "--theorem", "turan", "--max-n", "5",
                  "--k-list", "2,3"]) == 0
@@ -194,6 +203,15 @@ def test_table(capsys):
         assert formula == oracle
         row[(int(n), int(k))] = int(formula)
     assert row[(4, 3)] == 4 and row[(5, 2)] == 4
+
+
+def test_table_has_no_oracle_option(capsys):
+    # the oracle column is the default; only --no-oracle changes it
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--max-n", "5", "--max-k", "3", "--oracle"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--oracle" in captured.err
 
 
 def test_table_rejects_empty_range(capsys):

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,10 +15,9 @@ from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph,
                                   clique_number, complement, complete_graph,
                                   complete_multipartite, cycle_graph,
                                   empty_graph, enumerate_graphs,
-                                  enumerate_labeled_graphs, from_edge_list,
-                                  from_graph6, graph_from_cells,
-                                  graph_levels, path_graph, to_edge_list,
-                                  to_graph6, turan_graph)
+                                  from_edge_list, from_graph6,
+                                  graph_from_cells, graph_levels, path_graph,
+                                  to_edge_list, to_graph6, turan_graph)
 from ambigcolor.matrix import ColorMatrix
 
 
@@ -224,6 +223,14 @@ def test_complement_involution():
 def test_enumerate_graphs_counts(n, count):
     # OEIS A000088: graphs on n unlabeled nodes
     assert len(enumerate_graphs(n)) == count
+
+
+def enumerate_labeled_graphs(n):
+    """All 2^C(n,2) labeled graphs on n vertices (cross-check oracle)."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        yield SimpleGraph(n, edges)
 
 
 def test_enumeration_consistent_with_labeled_filter():

@@ -207,9 +207,34 @@ def test_hall_condition_fails_on_ambiguous_non_maximal_graphs(text):
         reconstruct_matrix(g, 4)
 
 
+def oracle_joins_separated_pairs(g, a_ord, b_ord):
+    """Reference lemma, a pass of its own: every v in A_i n B_j has
+    N(v) = V - (A_i u B_j)."""
+    full = (1 << g.n) - 1
+    for a in a_ord:
+        for b in b_ord:
+            for v in range(g.n):
+                if (a & b) >> v & 1 and g.rows[v] != full & ~(a | b):
+                    return False
+    return True
+
+
+def oracle_certificate(a_ord, b_ord):
+    """Reference certificate, a second pass: the entries |A_i n B_j| and
+    the labels (i+1, j+1, t) of the vertices of A_i n B_j, ascending."""
+    entries = [[(a & b).bit_count() for b in b_ord] for a in a_ord]
+    relabeling = {}
+    for i, a in enumerate(a_ord, start=1):
+        for j, b in enumerate(b_ord, start=1):
+            cell = [v for v in range(a.bit_length()) if (a & b) >> v & 1]
+            for t, v in enumerate(cell, start=1):
+                relabeling[v] = (i, j, t)
+    return ColorMatrix(entries), relabeling
+
+
 def oracle_reconstruct(g, k):
-    """Reference: `reconstruct_matrix` with the Hall matching always
-    built before the lemma runs."""
+    """Reference: `reconstruct_matrix` with the Hall matching built first,
+    then the lemma and the certificate each in a pass of its own."""
     cols = [_ordered_classes(masks) for masks in islice(_class_masks(g, k), 2)]
     if len(cols) < 2:
         raise ReconstructionError("graph is not ambiguously k-colorable")
@@ -233,9 +258,9 @@ def oracle_reconstruct(g, k):
         r = sum(a[i] != b[match[i]] for i in range(k))
         a_ord = [a[i] for i in order]
         b_ord = [b[match[i]] for i in order]
-    if not maximality._joins_separated_pairs(g, a_ord, b_ord):
+    if not oracle_joins_separated_pairs(g, a_ord, b_ord):
         raise ReconstructionError("G(A) is not isomorphic to the input")
-    matrix, relabeling = maximality._certificate(a_ord, b_ord)
+    matrix, relabeling = oracle_certificate(a_ord, b_ord)
     verdict = classify(matrix)
     if not verdict.desirable:
         raise ReconstructionError(
@@ -252,8 +277,8 @@ def _reconstruction_outcome(reconstruct, g, k):
 
 
 def test_reconstruct_matches_matching_first_oracle():
-    # same certificate, r and relabeling, or the same message, whichever
-    # check the lemma-first order reaches first
+    # same certificate, r and relabeling, or the same message, against the
+    # oracle that checks the lemma and builds the certificate in two passes
     cases = [(g, k) for _, graphs in graph_levels(7) for g in graphs
              for k in range(1, 6)]
     cases += [(from_graph6(text), 4) for text in ("GCxvfW", "GCpdrw")]
@@ -284,19 +309,20 @@ def test_huge_k_on_two_isolated_vertices():
 
 def test_lemma_checked_before_classify(monkeypatch):
     # classify runs only on graphs that pass the lemma on their first two
-    # colorings, which are then G(A) of the matrix it classifies
+    # colorings, which are then G(A) of the matrix it classifies, and that
+    # matrix holds the entries of the one certificate pass
     lemma, classified = [], []
-    joins = maximality._joins_separated_pairs
+    certificate = maximality._certificate
 
-    def spy_joins(g, a_ord, b_ord):
-        lemma.append(joins(g, a_ord, b_ord))
+    def spy_certificate(g, a_ord, b_ord):
+        lemma.append(certificate(g, a_ord, b_ord))
         return lemma[-1]
 
     def spy_classify(m):
         classified.append(m)
         return classify(m)
 
-    monkeypatch.setattr(maximality, "_joins_separated_pairs", spy_joins)
+    monkeypatch.setattr(maximality, "_certificate", spy_certificate)
     monkeypatch.setattr(maximality, "classify", spy_classify)
     passed = calls = 0
     for _, graphs in graph_levels(6):
@@ -312,9 +338,10 @@ def test_lemma_checked_before_classify(monkeypatch):
                 assert ok == is_maximal_ambiguous(g, k)
                 assert len(lemma) <= 1 and len(classified) <= 1
                 if classified:
-                    assert lemma == [True]
+                    assert lemma[0] is not None
+                    assert ColorMatrix(lemma[0][0]) == classified[0]
                     assert are_isomorphic(g, build_graph(classified[0]))
-                passed += lemma == [True]
+                passed += len(lemma) == 1 and lemma[0] is not None
                 calls += len(classified)
     assert calls == passed > 0
 
@@ -635,24 +662,50 @@ def test_co_claw_graphs_are_neither_maximal_nor_certified():
                 reconstruct_matrix(g, k)
 
 
-def test_lemma_check_finds_a_non_edge_both_colorings_separate():
-    # _joins_separated_pairs is False exactly when some non-edge is
-    # separated by both colorings, whatever the lists' order and zeros
-    outcomes = set()
+def first_two_class_lists():
+    """(g, k, first, second) for every graph_levels(7) graph and k = 1..5
+    with two k-colorings: their `_ordered_classes` lists."""
     for _, graphs in graph_levels(7):
         for g in graphs:
             for k in range(1, 6):
                 cols = [_ordered_classes(m)
                         for m in islice(_class_masks(g, k), 2)]
-                if len(cols) < 2:
-                    continue
-                a, b = cols
-                want = not _separated_non_edge(g, a, b)
-                assert maximality._joins_separated_pairs(g, a, b) == want
-                assert maximality._joins_separated_pairs(
-                    g, b + [0], a[::-1]) == want
-                outcomes.add(want)
+                if len(cols) == 2:
+                    yield g, k, cols[0], cols[1]
+
+
+def test_lemma_check_finds_a_non_edge_both_colorings_separate():
+    # _certificate is None exactly when some non-edge is separated by both
+    # colorings, whatever the lists' order and zeros
+    outcomes = set()
+    for g, _, a, b in first_two_class_lists():
+        want = _separated_non_edge(g, a, b)
+        assert (maximality._certificate(g, a, b) is None) == want
+        assert (maximality._certificate(g, b + [0], a[::-1]) is None) == want
+        outcomes.add(want)
     assert outcomes == {False, True}
+
+
+def test_certificate_relabeling_is_an_isomorphism_onto_g_of_its_entries():
+    # on every first-two-coloring pair, unequal lengths included, a
+    # certificate's relabeling maps g onto G(entries), the entries padded
+    # with zero rows and columns to a square; padding the lists instead
+    # gives the same certificate
+    checked = set()
+    for g, k, a, b in first_two_class_lists():
+        certificate = maximality._certificate(g, a, b)
+        if certificate is None:
+            continue
+        entries, relabeling = certificate
+        size = max(len(a), len(b))
+        square = [row + [0] * (size - len(b)) for row in entries]
+        square += [[0] * size] * (size - len(a))
+        assert_relabeling_is_isomorphism(g, ColorMatrix(square), relabeling)
+        padded = maximality._certificate(g, a + [0] * (size - len(a)),
+                                         b + [0] * (size - len(b)))
+        assert padded == (square, relabeling)
+        checked.add(len(a) == len(b))
+    assert checked == {False, True}
 
 
 def test_verify_theorem1_rejects_vacuous_runs():
