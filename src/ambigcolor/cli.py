@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Subcommands wrap the library operations and verification harnesses.
-Exit codes: 0 success, 1 counterexample found or standard output closed
-early, 2 input error, 3 resource bound exceeded.
+Exit codes: 0 success, 1 counterexample (a missing certificate too) or
+standard output closed early, 2 input error, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -113,11 +113,7 @@ def cmd_check_maximal(args):
 
 def cmd_reconstruct(args):
     g = _load_graph(args.graph)
-    try:
-        mat, trace = maximality.reconstruct_matrix(g, args.k)
-    except ReconstructionError as exc:
-        print(f"no certificate: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
+    mat, trace = maximality.reconstruct_matrix(g, args.k)
     if args.format == "text":
         sys.stdout.write(mat.to_text())
     else:
@@ -146,12 +142,7 @@ def cmd_verify(args):
             print(f"counterexample_total={bad}")
         return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
     if args.theorem == "turan":
-        try:
-            reports = extremal.verify_turan_theorem(args.max_n, k_list)
-        except ReconstructionError as exc:
-            print(f"extremal graph without a certificate: {exc}",
-                  file=sys.stderr)
-            return EXIT_COUNTEREXAMPLE
+        reports = extremal.verify_turan_theorem(args.max_n, k_list)
         ok = all(r.agrees for r in reports)
         if args.format == "json":
             print(extremal.turan_report_json(reports))
@@ -259,6 +250,9 @@ def main(argv=None):
         # devnull so the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_COUNTEREXAMPLE
+    except ReconstructionError as exc:
+        print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -21,9 +21,10 @@ from itertools import chain
 
 from .coloring import MAX_N as COLORING_MAX_N
 from .coloring import _check_partition, count_colorings
-from .errors import PreconditionError, ResourceLimitError
+from .errors import (PreconditionError, ReconstructionError,
+                     ResourceLimitError)
 from .graphcore import (build_graph, canonical_form, enumerate_graphs,
-                        turan_graph)
+                        to_graph6, turan_graph)
 from .matrix import (ColorMatrix, _margin_classes, _margin_pairs,
                      _mininormal_matrices, _pairs, _small_matrices,
                      _special_matrices, _tiny_matrices, class_key,
@@ -175,7 +176,13 @@ def _class_route(n, k):
                 if count_colorings(g, k, 2) >= 2:
                     found.append(g)
         if found:
-            keys = {class_key(reconstruct_matrix(g, k)[0]) for g in found}
+            keys = set()
+            for g in found:
+                try:
+                    keys.add(class_key(reconstruct_matrix(g, k)[0]))
+                except ReconstructionError as exc:
+                    raise ReconstructionError(f"extremal graph {to_graph6(g)} "
+                                              f"at k = {k}: {exc}") from exc
             return edges, sorted(keys), scanned
     # not reached: at edges = 0 the edgeless G(M) has two k-colorings
 
@@ -184,9 +191,9 @@ def max_edges_by_class(pairs):
     """The class-route oracle for every (n, k) in `pairs`, n >= 2 and
     k >= 2, as {(n, k): (max edge count, sorted extremal class keys,
     classes scanned)}.  Raises ResourceLimitError past coloring.MAX_N or
-    EXTREMAL_MAX_K before any cell is computed, and ReconstructionError
-    if an extremal graph has no certificate (a counterexample to the
-    characterization theorem)."""
+    EXTREMAL_MAX_K before any cell is computed, and ReconstructionError,
+    naming the graph by graph6 string and k, if an extremal graph has no
+    certificate (a counterexample to the characterization theorem)."""
     pairs = list(pairs)
     if any(n < 2 or k < 2 for n, k in pairs):
         raise PreconditionError("the extremal oracle needs n >= 2, k >= 2")
@@ -227,8 +234,8 @@ class ExtremalReport:
     formula_value: int
     oracle_value: int | None = None
     classes_scanned: int = 0
-    certificates: list = field(default_factory=list)  # (family tags, key)
-    oracle_certificates: list = field(default_factory=list)
+    certificates: list = field(default_factory=list)  # {families, cert}
+    oracle_certificates: list = field(default_factory=list)  # key texts
     formula_agrees: bool | None = None
     certificates_agree: bool | None = None
 
@@ -239,34 +246,20 @@ class ExtremalReport:
         return bool(self.formula_agrees and self.certificates_agree
                     and self.classes_scanned > 0)
 
-    def to_json(self):
-        return {
-            "n": self.n, "k": self.k,
-            "formula_value": self.formula_value,
-            "oracle_value": self.oracle_value,
-            "classes_scanned": self.classes_scanned,
-            "certificates": [
-                {"families": fams, "cert": _key_text(key)}
-                for fams, key in self.certificates],
-            "oracle_certificates": [
-                _key_text(key) for key in self.oracle_certificates],
-            "formula_agrees": self.formula_agrees,
-            "certificates_agree": self.certificates_agree,
-        }
-
 
 def verify_turan_theorem(max_n, k_list):
-    """For each (n, k) with k <= n <= max_n: formula value vs. the
+    """For each k in k_list and k <= n <= max_n: formula value vs. the
     class-route oracle, and the oracle's extremal class keys vs. those of
-    the matrix families.  The k list, then the ceilings, are checked
-    before any cell runs."""
-    if not k_list or min(k_list) < 2 or max_n < min(k_list):
+    the matrix families, in reports of JSON-ready values (keys as text).
+    Each k must lie in 2..max_n, so that it gets rows; the k list, then
+    the ceilings, are checked before any cell runs."""
+    if not k_list or min(k_list) < 2 or max_n < max(k_list):
         raise PreconditionError(
-            "verify_turan_theorem checks nothing: it needs a non-empty "
-            "list of k >= 2 and max_n >= min k")
-    _check_extremal_limits(max_n, max(k for k in k_list if k <= max_n))
+            "verify_turan_theorem would check nothing for some k: it needs "
+            "a non-empty list of k >= 2 and max_n >= max k")
+    _check_extremal_limits(max_n, max(k_list))
     cells = [(n, k, ambiguous_max_edges(n, k)) for k in k_list
-             for n in range(max(2, k), max_n + 1)]
+             for n in range(k, max_n + 1)]
     oracle = max_edges_by_class((n, k) for n, k, _ in cells)
     reports = []
     for n, k, formula in cells:
@@ -275,8 +268,9 @@ def verify_turan_theorem(max_n, k_list):
         reports.append(ExtremalReport(
             n=n, k=k, formula_value=formula, oracle_value=value,
             classes_scanned=scanned,
-            certificates=[(tags, key) for key, tags in fam.items()],
-            oracle_certificates=oracle_keys,
+            certificates=[{"families": tags, "cert": _key_text(key)}
+                          for key, tags in fam.items()],
+            oracle_certificates=[_key_text(key) for key in oracle_keys],
             formula_agrees=(formula == value),
             certificates_agree=(list(fam) == oracle_keys),
         ))
@@ -286,7 +280,7 @@ def verify_turan_theorem(max_n, k_list):
 def turan_report_json(reports):
     return json.dumps(
         {"schema_version": 2, "theorem": "turan-type",
-         "rows": [r.to_json() for r in reports],
+         "rows": [vars(r) for r in reports],
          "all_agree": all(r.agrees for r in reports)},
         indent=2, sort_keys=True)
 
@@ -294,7 +288,7 @@ def turan_report_json(reports):
 def turan_report_tsv(reports):
     lines = ["n\tk\tformula\toracle\tclasses_scanned\tn_extremal\tfamilies"]
     for r in reports:
-        families = sorted({f for fams, _ in r.certificates for f in fams})
+        families = sorted({f for c in r.certificates for f in c["families"]})
         lines.append("\t".join([
             str(r.n), str(r.k), str(r.formula_value),
             str(r.oracle_value),

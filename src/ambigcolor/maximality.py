@@ -12,7 +12,7 @@ counts |A_i n B_j| form the certificate, which is special or normal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, islice
 
 from .coloring import _class_masks, _ordered_classes
@@ -313,6 +313,6 @@ def verify_theorem1(max_n, k_list):
 def theorem1_report_json(rows):
     return json.dumps(
         {"schema_version": 1, "theorem": "characterization",
-         "rows": [asdict(r) for r in rows],
+         "rows": [vars(r) for r in rows],
          "counterexample_total": sum(len(r.counterexamples) for r in rows)},
         indent=2, sort_keys=True)

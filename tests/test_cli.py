@@ -168,6 +168,15 @@ def test_verify_turan_refuses_k_below_two_before_the_ceiling(capsys):
         assert captured.out == "" and "k >= 2" in captured.err
 
 
+def test_verify_turan_refuses_a_k_above_max_n(capsys):
+    # such a k gets no row, so the run would pass without checking it
+    for max_n, k_list in (("5", "2,9"), ("3", "2,3,4"), ("40", "2,41")):
+        assert main(["verify", "--theorem", "turan", "--max-n", max_n,
+                     "--k-list", k_list]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_n >= max k" in captured.err
+
+
 def test_verify_turan_text(capsys):
     assert main(["verify", "--theorem", "turan", "--max-n", "5",
                  "--k-list", "2,3"]) == 0

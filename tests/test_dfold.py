@@ -1,9 +1,11 @@
 """d-fold colorability, tensors, the join, and matching counts."""
 
 import json
+import random
 
 import pytest
 
+from ambigcolor import dfold
 from ambigcolor.coloring import chromatic_number, count_colorings
 from ambigcolor.dfold import (ColorTensor, build_graph_d,
                               count_perfect_matchings, is_dfold_colorable,
@@ -111,8 +113,18 @@ def test_recover_tensor_round_trip():
     assert checked == 244
     with pytest.raises(PreconditionError):
         recover_tensor(complete_graph(3), 2, 3)   # only one coloring
-    for d, k in ((0, 2), (2, -1)):
-        with pytest.raises(PreconditionError, match="need d >= 1"):
+    for d, k in ((0, 2), (2, -1), (1, 2), (2, 0)):
+        with pytest.raises(PreconditionError, match="need d >= 2 and k >= 1"):
+            recover_tensor(path_graph(3), d, k)
+
+
+def test_recover_tensor_checks_d_and_k_before_any_search(monkeypatch):
+    def no_search(g, k):
+        raise AssertionError("colorings searched before d and k were checked")
+
+    monkeypatch.setattr(dfold, "_class_masks", no_search)
+    for d, k in ((1, 2), (2, 0), (0, 2), (2, -1)):
+        with pytest.raises(PreconditionError):
             recover_tensor(path_graph(3), d, k)
 
 
@@ -147,6 +159,38 @@ def test_count_perfect_matchings_known():
     assert count_perfect_matchings(path_graph(4)) == 1
     assert count_perfect_matchings(path_graph(3)) == 0    # odd order
     assert count_perfect_matchings(SimpleGraph(0)) == 1
+
+
+def plain_perfect_matchings(g):
+    """The count by plain recursion over every matching, without a memo."""
+    def count(unmatched):
+        if not unmatched:
+            return 1
+        v = (unmatched & -unmatched).bit_length() - 1
+        rest = unmatched & ~(1 << v)
+        return sum(count(rest & ~(1 << u)) for u in range(g.n)
+                   if rest >> u & 1 and g.has_edge(u, v))
+
+    return count((1 << g.n) - 1) if g.n % 2 == 0 else 0
+
+
+def test_count_perfect_matchings_of_k_n_up_to_the_limit():
+    # (n - 1)!! matchings; K_24 has about 3.2e11, so only a count that
+    # does not visit each of them finishes
+    double_factorial = 1
+    for n in range(2, dfold.MATCHING_MAX_N + 1, 2):
+        double_factorial *= n - 1
+        assert count_perfect_matchings(complete_graph(n)) == double_factorial
+
+
+def test_count_perfect_matchings_matches_plain_recursion():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(0, 14)
+        p = rng.choice((0.3, 0.6, 0.9))
+        g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        assert count_perfect_matchings(g) == plain_perfect_matchings(g), g
 
 
 def test_seymour_example_properties():

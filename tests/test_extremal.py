@@ -3,6 +3,7 @@ graph-corpus oracles, and the edge bound."""
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ from ambigcolor.extremal import (ExtremalReport, _edge_count,
                                  turan_report_json, turan_report_tsv,
                                  verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
-                                  cycle_graph, enumerate_graphs, graph_levels,
-                                  path_graph, turan_graph)
+                                  cycle_graph, enumerate_graphs, from_graph6,
+                                  graph_levels, path_graph, turan_graph)
 from ambigcolor.matrix import ColorMatrix, matrix_classes
 
 
@@ -176,16 +177,55 @@ def test_row_that_scanned_no_class_fails(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["all_agree"] is False
 
 
+def assert_missing_certificate_names_its_witness(argv, monkeypatch,
+                                                 capsys):
+    """Run `argv` with reconstruction failing on every graph of order 4:
+    exit 1, nothing on stdout, and the graph6 string on stderr decodes to
+    an extremal ambiguously k-colorable graph."""
+    real = extremal.reconstruct_matrix
+
+    def fails_at_order_4(g, k):
+        if g.n == 4:
+            raise ReconstructionError("reason")
+        return real(g, k)
+
+    monkeypatch.setattr(extremal, "reconstruct_matrix", fails_at_order_4)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    found = re.fullmatch(r"no certificate: extremal graph (\S+) at k = "
+                         r"(\d+): reason\n", captured.err)
+    assert found, captured.err
+    g, k = from_graph6(found[1]), int(found[2])
+    assert (g.n, k) == (4, 2)
+    assert g.m == ambiguous_max_edges(g.n, k)
+    assert len(enumerate_colorings(g, k, 2)) == 2
+
+
 def test_extremal_graph_without_certificate_is_a_counterexample(
         monkeypatch, capsys):
-    def fails(g, k):
-        raise ReconstructionError("no certificate")
+    assert_missing_certificate_names_its_witness(
+        ["verify", "--theorem", "turan", "--max-n", "4", "--k-list", "2"],
+        monkeypatch, capsys)
 
-    monkeypatch.setattr(extremal, "reconstruct_matrix", fails)
-    assert main(["verify", "--theorem", "turan", "--max-n", "4",
-                 "--k-list", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "without a certificate" in captured.err
+
+def test_table_extremal_graph_without_certificate_is_a_counterexample(
+        monkeypatch, capsys):
+    # the same exit 1 as verify, not the exit 2 of bad input
+    assert_missing_certificate_names_its_witness(
+        ["table", "--max-n", "4", "--max-k", "2"], monkeypatch, capsys)
+
+
+def test_verify_turan_theorem_refuses_a_k_above_max_n(monkeypatch):
+    # a listed k with no n in k..max_n would get no row and pass vacuously
+    def no_cell(n, k):
+        raise AssertionError("a cell ran before the k list was checked")
+
+    monkeypatch.setattr(extremal, "_class_route", no_cell)
+    monkeypatch.setattr(extremal, "ambiguous_max_edges", no_cell)
+    for max_n, k_list in ((5, [2, 9]), (3, [2, 3, 4]), (40, [2, 41])):
+        with pytest.raises(PreconditionError, match="max_n >= max k"):
+            verify_turan_theorem(max_n, k_list)
 
 
 # ---------------------------------------------------------------------------
