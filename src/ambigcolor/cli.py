@@ -156,6 +156,7 @@ def cmd_verify(args):
     else:
         for r in report["rows"]:
             print(f"k={r['k']} order={r['order']} holes={r['holes']} "
+                  f"holes_every_start={r['holes_every_start']} "
                   f"definition={r['definition']}")
         print(f"violations={len(report['violations'])}")
     return EXIT_OK if not report["violations"] else EXIT_COUNTEREXAMPLE
@@ -171,6 +172,9 @@ def cmd_table(args):
     if not cells:
         raise PreconditionError(
             "table has no (n, k) cell: it needs max_k >= 2 and max_n >= 2")
+    if args.max_k > args.max_n:
+        raise PreconditionError(
+            "table would have no row for some k: it needs max_n >= max_k")
     oracle = extremal.max_edges_by_class(cells) if args.oracle else {}
     for n, k in cells:
         row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]

@@ -120,12 +120,12 @@ def reconstruct_matrix(g, k):
     builds the certificate matrix and the relabeling, so `classify` runs
     only on graphs that are G(A).  Raises ReconstructionError when the
     input is not ambiguously k-colorable, when the Hall condition, the
-    lemma or `classify` fails, and PreconditionError for k > matrix.MAX_K
-    before any search.
+    lemma or `classify` fails, and PreconditionError for k outside
+    1..matrix.MAX_K before any search.
     """
-    if k > MAX_K:
-        raise PreconditionError(f"certificate dimension k = {k} exceeds "
-                                f"limit {MAX_K}")
+    if not 1 <= k <= MAX_K:
+        raise PreconditionError(f"certificate dimension k = {k} is outside "
+                                f"1..{MAX_K}")
     return _reconstruct_from(g, k, [_ordered_classes(masks) for masks
                                     in islice(_class_masks(g, k), 2)])
 

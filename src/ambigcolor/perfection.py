@@ -1,7 +1,10 @@
 """Desk-scale perfectness checking.
 
 Both methods run on the false-twin quotient of G: one vertex, the lowest,
-for each distinct adjacency row.  Vertices with equal rows are false twins
+for each distinct adjacency row.  The quotient is a vertex mask read on G's
+own rows, not a new graph; its vertices keep their relative order, so the
+pieces, tables and hole starts are those of the quotient taken as a graph.
+Vertices with equal rows are false twins
 (non-adjacent, since no vertex is its own neighbour, with the same
 neighbourhood), and dropping a twin v of a kept u changes no verdict: in
 any vertex set S holding both, a clique holds at most one of them and v
@@ -30,7 +33,9 @@ over independent sets.  Every witness is checked against the clique-number
 table, so the method still decides the definition.  The second method
 searches G and its complement for an induced odd cycle of length >= 5 by
 extending induced paths from the cycle's lowest vertex s, through the
-lower of its two cycle neighbours, and closing through the higher one.
+lower of its two cycle neighbours, and closing through the higher one;
+verify_perfectness runs it from one such start on the vertex-transitive
+G(J_k), where every hole has an image through that start.
 The strong perfect graph theorem says the two methods agree, which is
 used as a cross-check rather than assumed.
 """
@@ -42,39 +47,50 @@ from array import array
 
 from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
-from .graphcore import build_graph, complement
+from .graphcore import MAX_VERTICES, build_graph, complement
 from .matrix import ColorMatrix
 
 DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
 
 
-def _has_odd_hole(g):
-    """Induced odd cycle of length >= 5, found by extending induced paths.
+def _has_odd_hole(rows, keep, start=None):
+    """Induced odd cycle of length >= 5 in G[keep], found by extending
+    induced paths; G is given by its rows, keep is a vertex mask.
 
     Each hole is searched from its lowest vertex s, along the path
     s - a - ... - x where a is the lower of s's two neighbours on the
     hole; the higher one, b, closes the cycle.  A path grows from its last
-    vertex x only to vertices above s outside N(s) and outside the closed
-    neighbourhoods of the vertices before x, so it stays induced and
+    vertex x only to vertices of keep above s outside N(s) and outside the
+    closed neighbourhoods of the vertices before x, so it stays induced and
     misses N(s) after a.  It closes through a neighbour b > a of s and x
     with no neighbour among the interior vertices a .. (before x).  A path
     of m >= 4 vertices, m even, closes to a hole of odd length m + 1.
-    Fixing s lowest and a < b finds each hole from one start only.
+    Fixing s lowest and a < b finds each hole from one start only.  With
+    start = (s, a), a a neighbour of s in keep above s, the search runs
+    from that one start: it finds the holes through s, their lowest
+    vertex, and a, the lower of s's two neighbours on them.
     """
-    n, rows = g.n, g.rows
-    for s in range(n):
-        below = (2 << s) - 1
-        forbid_s = rows[s] | below
-        nbrs = rows[s] & ~below
+    sources = keep if start is None else 1 << start[0]
+    while sources:
+        low_s = sources & -sources
+        sources ^= low_s
+        s = low_s.bit_length() - 1
+        below = (low_s << 1) - 1
+        forbid_s = rows[s] | below | ~keep
+        nbrs = rows[s] & keep & ~below
+        if start is not None:
+            nbrs &= -(1 << start[1])        # a = start[1], then the b's
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
             a = low.bit_length() - 1
             closers = nbrs & ~rows[a]       # candidates for b
+            if start is not None:
+                nbrs = 0                    # no other a
             if not closers:
                 continue
             # (x, vertices on the path, union of N[v] over the path
-            # before x, the same without s)
+            # before x with s's forbidden set, the same without s's)
             stack = [(a, 2, forbid_s, 0)]
             while stack:
                 x, m, forbid, inner = stack.pop()
@@ -147,11 +163,13 @@ def _lowering_set(omega, rows, rest, cand, target):
 
 
 def _twin_quotient(g):
-    """The subgraph induced by the lowest vertex of each distinct row."""
-    reps = {}
+    """Mask of the representatives: the lowest vertex of each distinct row."""
+    seen, keep = set(), 0
     for v, row in enumerate(g.rows):
-        reps.setdefault(row, v)
-    return g.induced(reps.values())
+        if row not in seen:
+            seen.add(row)
+            keep |= 1 << v
+    return keep
 
 
 def _split(rows, s, co):
@@ -173,14 +191,15 @@ def _split(rows, s, co):
     return parts
 
 
-def _pieces(g):
-    """Masks of the pieces of g with two or more vertices, smallest first:
-    g split into components and co-components until no part splits."""
-    todo, pieces = [(1 << g.n) - 1] if g.n > 1 else [], []
+def _pieces(rows, keep):
+    """Masks of the pieces of G[keep] with two or more vertices, smallest
+    first: G[keep] split into components and co-components until no part
+    splits."""
+    todo, pieces = [keep] if keep & (keep - 1) else [], []
     while todo:
         s = todo.pop()
         for co in (False, True):
-            parts = _split(g.rows, s, co)
+            parts = _split(rows, s, co)
             if len(parts) > 1:
                 todo += [p for p in parts if p & (p - 1)]
                 break
@@ -199,8 +218,10 @@ def is_perfect(g, method="definition"):
     method="holes" searches G and its complement for an induced odd hole
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     Both limits bound the input order g.n.  Both methods then run on the
-    false-twin quotient; the definition method splits it into pieces that
-    are each connected and co-connected and runs on each, smallest first,
+    false-twin quotient, a mask of representatives on g's own rows: the
+    hole method searches every start in it on g and on its complement; the
+    definition method splits it into pieces that are each connected and
+    co-connected and runs on the induced subgraph of each, smallest first,
     as G is perfect iff every piece is (see the module docstring for both
     steps).
     """
@@ -210,11 +231,12 @@ def is_perfect(g, method="definition"):
     if g.n > limit:
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
-    g = _twin_quotient(g)
+    keep = _twin_quotient(g)
     if method == "holes":
-        return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
+        return (not _has_odd_hole(g.rows, keep)
+                and not _has_odd_hole(complement(g).rows, keep))
     whole = (1 << g.n) - 1
-    for s in _pieces(g):
+    for s in _pieces(g.rows, keep):
         p = g if s == whole else g.induced(v for v in range(g.n) if s >> v & 1)
         if not _chi_equals_omega_everywhere(p.n, p.rows):
             return False
@@ -228,31 +250,52 @@ def verify_perfectness(k_list):
     Every maximal ambiguously k-colorable graph is such a G(M).  Its
     vertices sharing (i, j) are false twins, so G(M) is perfect iff
     G(supp M) is (see is_perfect), an induced subgraph of G(J_k); and
-    perfectness is hereditary.  A row holds the hole search's verdict and,
-    where k^2 <= DEFAULT_PERFECT_MAX_N, the definition method's; a row
-    with a False verdict or two that disagree is a violation, reported as
-    J_k.  Every k is checked, k^2 against coloring.MAX_N, before any graph
-    is built.
+    perfectness is hereditary.  (By Konig's theorem every G(M) is perfect:
+    omega and chi of G(S) are the maximum matching and the minimum vertex
+    cover of the bipartite graph of the cells S.)
+
+    The hole search on G(J_k) and its complement runs from one start.
+    S_k x S_k with transpose acts on G(J_k) transitively on the vertices,
+    and the stabilizer of vertex 0 is transitive on 0's neighbours in
+    G(J_k) and in its complement; so any hole maps to one through 0 and
+    a0, 0's lowest neighbour, where 0 is the lowest vertex and a0 the
+    lower of 0's two hole neighbours, which the search from (0, a0)
+    finds.  A row holds that verdict ("holes"); the every-start search's
+    where k <= 6 ("holes_every_start"; 6.4 s at k = 7 on a 2-core host);
+    and, where k^2 <= DEFAULT_PERFECT_MAX_N, the definition method's.  A
+    row with a False verdict or two that disagree is a violation,
+    reported as J_k.  Every k is checked, k^2 against
+    graphcore.MAX_VERTICES, before any graph is built.
     """
     if not k_list or min(k_list) < 1:
         raise PreconditionError(
             "verify_perfectness needs a non-empty list of k >= 1")
-    if max(k_list) ** 2 > COLORING_MAX_N:
+    if max(k_list) ** 2 > MAX_VERTICES:
         raise ResourceLimitError(
-            f"verify_perfectness limited to k^2 <= {COLORING_MAX_N}")
+            f"verify_perfectness limited to k^2 <= {MAX_VERTICES}")
     rows = []
     for k in k_list:
         ones = ColorMatrix([[1] * k] * k)
         g = build_graph(ones)
+        full = (1 << g.n) - 1
+        sides = (g.rows, complement(g).rows)
+        # at k = 1 vertex 0 has no neighbour, so no hole passes through it
+        holes = not any(side[0] and _has_odd_hole(
+            side, full, (0, (side[0] & -side[0]).bit_length() - 1))
+            for side in sides)
+        every = (not any(_has_odd_hole(side, full) for side in sides)
+                 if k <= 6 else None)
         rows.append({"k": k, "order": g.n, "matrix": ones.to_json(),
-                     "covers_every_n": True, "holes": is_perfect(g, "holes"),
+                     "covers_every_n": True, "holes": holes,
+                     "holes_every_start": every,
                      "definition": is_perfect(g, "definition")
                      if g.n <= DEFAULT_PERFECT_MAX_N else None})
     violations = [row["matrix"] for row in rows
-                  if not row["holes"] or row["definition"] is False]
+                  if {row["holes"], row["holes_every_start"],
+                      row["definition"]} - {None} != {True}]
     return {"rows": rows, "violations": violations}
 
 
 def perfectness_report_json(report):
-    return json.dumps({"schema_version": 3, "theorem": "perfectness",
+    return json.dumps({"schema_version": 4, "theorem": "perfectness",
                        **report}, indent=2, sort_keys=True)

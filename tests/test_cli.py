@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ambigcolor
-from ambigcolor import coloring, extremal, graphcore
+from ambigcolor import coloring, extremal, graphcore, maximality
 from ambigcolor.cli import main
 
 FIG_TEXT = "3\n1 2 0\n1 3 1\n1 1 1\n"
@@ -197,8 +197,8 @@ def test_verify_turan_json(capsys):
 def test_verify_perfect(capsys):
     assert main(["verify", "--theorem", "perfect", "--k-list", "2,4"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "k=2 order=4 holes=True definition=True",
-        "k=4 order=16 holes=True definition=None",
+        "k=2 order=4 holes=True holes_every_start=True definition=True",
+        "k=4 order=16 holes=True holes_every_start=True definition=None",
         "violations=0"]
 
 
@@ -228,6 +228,14 @@ def test_table_rejects_empty_range(capsys):
     assert main(["table", "--max-n", "7", "--max-k", "1", "--no-oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "no (n, k) cell" in captured.err
+
+
+def test_table_refuses_a_k_above_max_n(capsys):
+    # such a k gets no row, so the table would drop it without a word
+    for oracle in ([], ["--no-oracle"]):
+        assert main(["table", "--max-n", "4", "--max-k", "9", *oracle]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_n >= max_k" in captured.err
 
 
 def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
@@ -294,6 +302,21 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
     assert main(["count", str(path), "-k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("error:") == 2
+
+
+def test_reconstruct_refuses_k_below_one(tmp_path, capsys, monkeypatch):
+    # no k-coloring search starts, so k = 0 is not reported as a graph
+    # that is not ambiguously k-colorable
+    def no_search(g, k):
+        raise AssertionError("a coloring search ran")
+
+    monkeypatch.setattr(maximality, "_class_masks", no_search)
+    path = tmp_path / "two.txt"
+    path.write_text("2 0\n")
+    for k in ("0", "-1"):
+        assert main(["reconstruct", str(path), "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside 1.." in captured.err
 
 
 def test_count_and_reconstruct_with_a_huge_k(tmp_path, capsys):

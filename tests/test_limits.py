@@ -60,7 +60,7 @@ CEILINGS = {
         lambda n: perfection.is_perfect(empty_graph(n), "definition")),
     # the least k whose G(J_k) has n or more vertices
     "verify_perfectness": (
-        coloring, "MAX_N",
+        graphcore, "MAX_VERTICES",
         lambda n: perfection.verify_perfectness([isqrt(n - 1) + 1])),
     "from_edge_list": (graphcore, "MAX_VERTICES",
                        lambda n: graphcore.from_edge_list(f"{n} 0\n")),
@@ -103,7 +103,7 @@ def test_one_color_tensor_is_bounded_in_d(tmp_path, capsys):
 @pytest.mark.parametrize("theorem, module, constant", [
     ("1", graphcore, "ENUMERATION_MAX_N"),
     ("turan", coloring, "MAX_N"),
-    ("perfect", coloring, "MAX_N"),
+    ("perfect", graphcore, "MAX_VERTICES"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
     limit = getattr(module, constant)
@@ -137,7 +137,7 @@ def test_perfectness_ceiling_is_checked_before_any_class(monkeypatch,
         raise AssertionError("a graph was built before the ceiling check")
 
     monkeypatch.setattr(perfection, "build_graph", no_graph)
-    for k_list, code in (("2,6", 3), ("2,0", 2)):
+    for k_list, code in (("2,9", 3), ("2,0", 2)):
         assert main(["verify", "--theorem", "perfect",
                      "--k-list", k_list]) == code
         assert capsys.readouterr().out == ""

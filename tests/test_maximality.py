@@ -307,6 +307,18 @@ def test_huge_k_on_two_isolated_vertices():
         reconstruct_matrix(g, k)
 
 
+def test_reconstruct_refuses_k_outside_its_range(monkeypatch):
+    # checked before any search: k = 0 is bad input, not a graph without
+    # two 0-colorings
+    def no_search(g, k):
+        raise AssertionError("a coloring search ran")
+
+    monkeypatch.setattr(maximality, "_class_masks", no_search)
+    for k in (0, -1, MAX_K + 1):
+        with pytest.raises(PreconditionError, match=f"1..{MAX_K}"):
+            reconstruct_matrix(SimpleGraph(2), k)
+
+
 def test_lemma_checked_before_classify(monkeypatch):
     # classify runs only on graphs that pass the lemma on their first two
     # colorings, which are then G(A) of the matrix it classifies, and that

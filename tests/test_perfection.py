@@ -67,6 +67,17 @@ def oracle_has_odd_hole(g):
     return False
 
 
+def has_odd_hole(g):
+    """The hole search on all of g."""
+    return _has_odd_hole(g.rows, (1 << g.n) - 1)
+
+
+def quotient_graph(g):
+    """g induced on the false-twin representatives."""
+    keep = _twin_quotient(g)
+    return g.induced(v for v in range(g.n) if keep >> v & 1)
+
+
 def random_graph(rng, n, p):
     return SimpleGraph(n, [(u, v) for u in range(n)
                            for v in range(u + 1, n) if rng.random() < p])
@@ -148,18 +159,88 @@ def oracle_verify_perfectness(max_n, k_list):
 def test_verify_perfectness_no_violations():
     report = verify_perfectness([1, 2, 3, 4, 5])
     assert report["violations"] == []
-    assert [(r["k"], r["order"], r["holes"], r["definition"])
-            for r in report["rows"]] == [
-        (1, 1, True, True), (2, 4, True, True), (3, 9, True, True),
-        (4, 16, True, None), (5, 25, True, None)]
+    assert [(r["k"], r["order"], r["holes"], r["holes_every_start"],
+             r["definition"]) for r in report["rows"]] == [
+        (1, 1, True, True, True), (2, 4, True, True, True),
+        (3, 9, True, True, True), (4, 16, True, True, None),
+        (5, 25, True, True, None)]
     for r in report["rows"]:
         assert r["covers_every_n"] and r["matrix"] == all_ones(r["k"]).to_json()
     obj = json.loads(perfectness_report_json(report))
-    assert obj["schema_version"] == 3
+    assert obj["schema_version"] == 4
     assert obj["rows"] == report["rows"] and obj["violations"] == []
     for k_list in ([], [0], [2, -1]):
         with pytest.raises(PreconditionError):
             verify_perfectness(k_list)
+
+
+def test_verify_perfectness_past_the_coloring_ceiling():
+    # k^2 = 36 and 49 > coloring.MAX_N: the search from one orbit start,
+    # beside the every-start search where k <= 6
+    report = verify_perfectness([6, 7])
+    assert report == {"violations": [], "rows": [
+        {"k": k, "order": k * k, "matrix": all_ones(k).to_json(),
+         "covers_every_n": True, "holes": True,
+         "holes_every_start": True if k <= 6 else None, "definition": None}
+        for k in (6, 7)]}
+
+
+def orbit_start(rows):
+    """(0, a0) with a0 the lowest neighbour of vertex 0."""
+    return 0, (rows[0] & -rows[0]).bit_length() - 1
+
+
+def test_orbit_start_search_equals_every_start_on_g_jk():
+    for k in range(2, 7):
+        g = build_graph(all_ones(k))
+        full = (1 << g.n) - 1
+        for h in (g, complement(g)):
+            assert _has_odd_hole(h.rows, full, orbit_start(h.rows)) == (
+                has_odd_hole(h)) is False, k
+
+
+def test_orbit_start_misses_a_hole_off_its_orbit():
+    # C5 on 1..5 and vertex 0 joined to 1 only: no automorphism maps the
+    # C5 through 0, so the search from (0, 1) alone misses it
+    g = SimpleGraph(6, [(v, v % 5 + 1) for v in range(1, 6)] + [(0, 1)])
+    assert orbit_start(g.rows) == (0, 1)
+    assert not _has_odd_hole(g.rows, (1 << 6) - 1, (0, 1))
+    assert has_odd_hole(g) and oracle_has_odd_hole(g)
+
+
+def max_matching(cells, k):
+    """Maximum matching of the bipartite graph B_S with a row vertex and a
+    column vertex per index and an edge per cell, by augmenting paths."""
+    col_of = {}
+    row_of = {}
+
+    def augment(i, seen):
+        for j in range(k):
+            if (i, j) in cells and j not in seen:
+                seen.add(j)
+                if j not in row_of or augment(row_of[j], seen):
+                    row_of[j], col_of[i] = i, j
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(k))
+
+
+def test_konig_on_random_supports():
+    # a clique of G(S) is a matching of B_S and a color class a star, so
+    # omega(G(S)) = nu(B_S) and chi(G(S)) = tau(B_S) = nu(B_S) by Konig
+    rng = random.Random(53)
+    sizes = set()
+    for _ in range(40):
+        k = rng.randint(1, 8)
+        cells = set(rng.sample([(i, j) for i in range(k) for j in range(k)],
+                               rng.randint(1, min(k * k, 32))))
+        g = build_graph(ColorMatrix([[int((i, j) in cells) for j in range(k)]
+                                     for i in range(k)]))
+        nu = max_matching(cells, k)
+        assert clique_number(g) == chromatic_number(g) == nu, (k, cells)
+        sizes.add(nu)
+    assert len(sizes) >= 5
 
 
 def test_harness_agrees_with_the_class_walk():
@@ -183,8 +264,8 @@ def test_every_small_class_reduces_to_an_induced_subgraph_of_g_jk():
                 for j, a in enumerate(row) if a)
             assert (support.rows, support.labels) == (
                 induced.rows, induced.labels), m
-            quotient = _twin_quotient(build_graph(m))
-            expect = _twin_quotient(support)
+            quotient = quotient_graph(build_graph(m))
+            expect = quotient_graph(support)
             assert (quotient.rows, quotient.labels) == (
                 expect.rows, expect.labels), m
             # G(supp M) may itself hold false twins, as for the support
@@ -203,14 +284,20 @@ def test_hole_search_fails_on_the_all_ones_tensor():
 
 def test_imperfect_verdict_is_reported_as_its_matrix(monkeypatch, tmp_path,
                                                      capsys):
-    # a False verdict at k = 3, then two verdicts that disagree at k = 3:
-    # each exits 1 with J_3 as the one violation, which `ambigcolor build`
-    # rebuilds into the 9-vertex G(J_3)
-    fakes = (lambda g, method: g.n != 9,
-             lambda g, method: g.n != 9 or method == "holes")
+    # at k = 3, a hole found from the orbit start, one found by the
+    # every-start search alone, and a False definition verdict: each exits
+    # 1 with J_3 as the one violation, which `ambigcolor build` rebuilds
+    # into the 9-vertex G(J_3)
+    holes, definition = perfection._has_odd_hole, perfection.is_perfect
+    fakes = ((lambda rows, keep, start=None: len(rows) == 9
+              or holes(rows, keep, start), definition),
+             (lambda rows, keep, start=None: len(rows) == 9 and start is None
+              or holes(rows, keep, start), definition),
+             (holes, lambda g, method: g.n != 9 and definition(g, method)))
     path = tmp_path / "witness.json"
-    for fake in fakes:
-        monkeypatch.setattr(perfection, "is_perfect", fake)
+    for fake_holes, fake_definition in fakes:
+        monkeypatch.setattr(perfection, "_has_odd_hole", fake_holes)
+        monkeypatch.setattr(perfection, "is_perfect", fake_definition)
         assert main(["verify", "--theorem", "perfect", "--k-list", "2,3,4",
                      "--format", "json"]) == 1
         violations = json.loads(capsys.readouterr().out)["violations"]
@@ -281,7 +368,8 @@ def test_definition_reaches_the_search_when_the_greedy_set_fails(
 
 
 def _record_orders(monkeypatch):
-    """Wrap both methods' workers; return the list of orders they get."""
+    """Wrap both methods' workers; return the list of orders they get: the
+    definition worker's n, the size of the hole search's vertex mask."""
     orders = []
     chi_omega = perfection._chi_equals_omega_everywhere
     holes = perfection._has_odd_hole
@@ -290,9 +378,9 @@ def _record_orders(monkeypatch):
         orders.append(n)
         return chi_omega(n, rows)
 
-    def holes_recorded(g):
-        orders.append(g.n)
-        return holes(g)
+    def holes_recorded(rows, keep, start=None):
+        orders.append(keep.bit_count())
+        return holes(rows, keep, start)
 
     monkeypatch.setattr(perfection, "_chi_equals_omega_everywhere",
                         chi_omega_recorded)
@@ -318,6 +406,8 @@ def test_methods_run_on_the_false_twin_quotient(monkeypatch):
     # G(A) has A(i, j) false twins labelled (i, j): 14 vertices, 8 rows
     g = build_graph(ColorMatrix([[3, 1, 0], [1, 4, 1], [1, 2, 1]]))
     assert g.n == 14 and len(set(g.rows)) == 8
+    assert _twin_quotient(g) == sum(
+        1 << g.rows.index(row) for row in set(g.rows))
     orders = _record_orders(monkeypatch)
     assert is_perfect(g, "definition")
     assert is_perfect(g, "holes")
@@ -331,11 +421,18 @@ def test_pieces_without_two_vertices_reach_no_worker(monkeypatch):
                                  [0, 0, 3, 0], [0, 0, 0, 2]]))
     assert g.n == 11 and len(set(g.rows)) == 6
     orders = _record_orders(monkeypatch)
-    assert is_perfect(g, "definition")
-    assert orders == []
-    # the hole method does not split: the quotient, then its complement
-    assert is_perfect(g, "holes")
-    assert orders == [6, 6]
+
+    def no_copy(self, perm):
+        raise AssertionError("a graph was copied")
+
+    with monkeypatch.context() as m:
+        m.setattr(SimpleGraph, "permuted", no_copy)
+        assert is_perfect(g, "definition")
+        assert orders == []
+        # the hole method does not split: the quotient, then its
+        # complement, both read through the mask
+        assert is_perfect(g, "holes")
+        assert orders == [6, 6]
     # a planted C5 is a piece of its own, and the smallest one; the hole
     # method finds it in the whole 11-vertex quotient
     h = disjoint_union(
@@ -354,7 +451,7 @@ def join(g, h):
 
 def unsplit_definition(g):
     """The definition worker run once on the whole false-twin quotient."""
-    q = _twin_quotient(g)
+    q = quotient_graph(g)
     return perfection._chi_equals_omega_everywhere(q.n, q.rows)
 
 
@@ -410,8 +507,8 @@ def test_quotient_keeps_both_verdicts():
         g = SimpleGraph.from_rows(rows).permuted(perm)
         assert len(set(g.rows)) < g.n
         raw = perfection._chi_equals_omega_everywhere(g.n, g.rows)
-        assert raw == (not _has_odd_hole(g)
-                       and not _has_odd_hole(complement(g))), g.edges()
+        assert raw == (not has_odd_hole(g)
+                       and not has_odd_hole(complement(g))), g.edges()
         assert is_perfect(g, "definition") == raw, g.edges()
         assert is_perfect(g, "holes") == raw, g.edges()
         verdicts.add(raw)
@@ -448,11 +545,38 @@ def test_hole_search_matches_oracle_on_all_small_graphs():
     holes = 0
     for n in range(8):
         for g in enumerate_graphs(n):
-            found = _has_odd_hole(g)
+            found = has_odd_hole(g)
             assert found == oracle_has_odd_hole(g), g.edges()
             holes += found
     # the graphs with an induced C5 or C7, a subset of the 147 imperfect
     assert 0 < holes < 147
+
+
+def test_hole_search_under_a_mask_matches_oracle():
+    # G[keep] read through the mask on g's rows: every mask of every graph
+    # up to n = 5, then seeded masks of random graphs up to n = 12
+    checked = found = 0
+    for n, graphs in graph_levels(5):
+        for g in graphs:
+            for keep in range(1 << n):
+                sub = g.induced(v for v in range(n) if keep >> v & 1)
+                expect = oracle_has_odd_hole(sub)
+                assert _has_odd_hole(g.rows, keep) == expect, (g.edges(), keep)
+                checked += 1
+                found += expect
+    # 1, 2, 4, 11 and 34 graphs at n = 1..5, 2^n masks each
+    assert checked == 2 + 8 + 32 + 176 + 1088 and found > 0
+    rng = random.Random(59)
+    verdicts = set()
+    for i in range(200):
+        n = rng.randint(5, 12)
+        g = random_graph(rng, n, (0.2, 0.4, 0.6, 0.8)[i % 4])
+        keep = rng.randrange(1 << n)
+        expect = oracle_has_odd_hole(
+            g.induced(v for v in range(n) if keep >> v & 1))
+        assert _has_odd_hole(g.rows, keep) == expect, (g.edges(), keep)
+        verdicts.add(expect)
+    assert verdicts == {False, True}
 
 
 def test_hole_search_matches_oracle_on_random_graphs():
@@ -467,7 +591,7 @@ def test_hole_search_matches_oracle_on_random_graphs():
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert _has_odd_hole(h.permuted(perm)) == expect, (
+                assert has_odd_hole(h.permuted(perm)) == expect, (
                     h.edges(), perm)
     assert verdicts == {False, True}
 
@@ -493,8 +617,8 @@ def test_hole_search_finds_long_holes(name):
         perms.append(perm)
     for perm in perms:
         g = h.permuted(perm)
-        assert _has_odd_hole(g) == oracle_has_odd_hole(g), perm
-        assert _has_odd_hole(complement(g)) == oracle_has_odd_hole(
+        assert has_odd_hole(g) == oracle_has_odd_hole(g), perm
+        assert has_odd_hole(complement(g)) == oracle_has_odd_hole(
             complement(g)), perm
         assert not is_perfect(g, "holes")
     assert not is_perfect(h, "definition")
@@ -520,5 +644,5 @@ def test_hole_search_sees_only_induced_odd_cycles():
                 perm = list(range(g.n))
                 rng.shuffle(perm)
                 h = g.permuted(perm)
-                assert _has_odd_hole(h) == oracle_has_odd_hole(h) == expect, (
+                assert has_odd_hole(h) == oracle_has_odd_hole(h) == expect, (
                     g.edges(), perm)
