@@ -390,6 +390,20 @@ def are_isomorphic(g, h):
     return canonical_form(g) == canonical_form(h)
 
 
+def _partition_key(rows, cells):
+    """An isomorphism invariant of a graph from its refined unit cells
+    (`_refine` commutes with relabeling): for a discrete partition its
+    one-leaf certificate, which is what `_canonical_search` returns for
+    it; otherwise the equitable quotient, the cell sizes and each cell's
+    neighbour count into each cell.  The first entry, the number of
+    cells, tells the two kinds apart."""
+    tops = [c.bit_length() - 1 for c in cells]
+    if len(cells) == len(rows):
+        return len(rows), _cert_bits(rows, tops)
+    return (len(cells), *[c.bit_count() for c in cells],
+            *[(rows[v] & c).bit_count() for v in tops for c in cells])
+
+
 def graph_levels(max_n):
     """Yield (n, all graphs on n vertices, one per isomorphism class) for
     n = 1..max_n, building each level once from the one before.
@@ -406,8 +420,14 @@ def graph_levels(max_n):
     not an earlier one is skipped too: swapping the two gives a smaller
     mask and a child isomorphic by a map that fixes the new vertex, so
     keeps it in the last cell, and such swaps reach a mask skipped for
-    no class.  Each class keeps its first child, labelled from the same
-    cells.
+    no class.
+
+    A kept child is filed under `_partition_key` of the same cells, and
+    is labelled by `_canonical_search` only when a second child of the
+    level has its key, and then both are.  Children with different keys
+    are not isomorphic, and a discrete partition's key is already the
+    certificate, so a second child with such a key is a duplicate and
+    nothing is labelled.  Each class keeps its first child.
 
     Only the low half is generated: the children with 2m <= C(n, 2),
     from the parents with at most that many edges.  This loses no class,
@@ -416,8 +436,9 @@ def graph_levels(max_n):
     one and m edges to C(n, 2) - m, so each graph above half is the
     complement of exactly one graph below half; those with exactly half
     are all generated, and none is complemented.  The level lists the
-    low half in certificate order, then the complements of its members
-    with 2m < C(n, 2), in the same order.
+    low half in (key, certificate) order, where only the children that
+    share a key need their certificates, then the complements of its
+    members with 2m < C(n, 2), in the same order.
     """
     if max_n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
@@ -427,7 +448,8 @@ def graph_levels(max_n):
     level = [SimpleGraph(0)]
     for size in range(1, max_n + 1):
         half = size * (size - 1) // 4       # floor(C(size, 2) / 2)
-        seen = {}
+        firsts = {}     # partition key -> rows and cells of its first child
+        labelled = {}   # partition key -> {certificate: rows}, once shared
         for g in level:
             # the new vertex may join at most `room` parent vertices
             room = half - g.m
@@ -454,10 +476,20 @@ def graph_levels(max_n):
                 cells = _refine(new_rows, [(1 << size) - 1])
                 if not cells[-1] >> g.n & 1:
                     continue
-                cert = _canonical_search(new_rows, cells)
-                if cert not in seen:
-                    seen[cert] = SimpleGraph.from_rows(new_rows)
-        low = [seen[c] for c in sorted(seen)]
+                key = _partition_key(new_rows, cells)
+                if key not in firsts:
+                    firsts[key] = new_rows, cells
+                elif len(cells) < size:
+                    if key not in labelled:
+                        rows, first_cells = firsts[key]
+                        labelled[key] = {
+                            _canonical_search(rows, first_cells): rows}
+                    labelled[key].setdefault(
+                        _canonical_search(new_rows, cells), new_rows)
+        low = []
+        for key in sorted(firsts):
+            certs = labelled.get(key) or {None: firsts[key][0]}
+            low += (SimpleGraph.from_rows(certs[c]) for c in sorted(certs))
         # 2m < C(n, 2)
         level = low + [complement(h) for h in low
                        if 4 * h.m < size * (size - 1)]
@@ -466,12 +498,8 @@ def graph_levels(max_n):
 
 def enumerate_graphs(n):
     """All graphs on exactly n vertices, one per isomorphism class: the
-    last level of ``graph_levels(n)``, in its order.  The graphs with
-    2m <= C(n, 2) come first, in certificate order, then the complements
-    of those with 2m < C(n, 2), in the same order.  This is every class
-    once: a low G keeps its canonical parent G - v, which has at most m
-    edges, and each graph above half is the complement of exactly one
-    graph below half."""
+    last level of ``graph_levels(n)``, in its order (see there for that
+    order and for which graphs are labelled)."""
     level = [SimpleGraph(0)]
     for _, level in graph_levels(n):
         pass

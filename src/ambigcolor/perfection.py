@@ -219,7 +219,8 @@ def is_perfect(g, method="definition"):
     (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
     Both limits bound the input order g.n.  Both methods then run on the
     false-twin quotient, a mask of representatives on g's own rows: the
-    hole method searches every start in it on g and on its complement; the
+    hole method searches every start in it on g and on its complement,
+    given as g's complemented rows cut to the mask, with no new graph; the
     definition method splits it into pieces that are each connected and
     co-connected and runs on the induced subgraph of each, smallest first,
     as G is perfect iff every piece is (see the module docstring for both
@@ -233,8 +234,12 @@ def is_perfect(g, method="definition"):
             f"is_perfect({method!r}) limited to n <= {limit}")
     keep = _twin_quotient(g)
     if method == "holes":
+        # a tuple, as g.rows is: the search's row lookups then meet one
+        # sequence type, which the interpreter's specialization rewards
         return (not _has_odd_hole(g.rows, keep)
-                and not _has_odd_hole(complement(g).rows, keep))
+                and not _has_odd_hole(tuple([keep & ~r & ~(1 << v)
+                                             for v, r in enumerate(g.rows)]),
+                                      keep))
     whole = (1 << g.n) - 1
     for s in _pieces(g.rows, keep):
         p = g if s == whole else g.induced(v for v in range(g.n) if s >> v & 1)

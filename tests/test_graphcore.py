@@ -10,7 +10,8 @@ from ambigcolor import graphcore
 from ambigcolor.dfold import ColorTensor, build_graph_d
 from ambigcolor.errors import InputFormatError, PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph,
-                                  _cert_bits, _clique_cover_order, _refine,
+                                  _cert_bits, _clique_cover_order,
+                                  _partition_key, _refine,
                                   are_isomorphic, build_graph, canonical_form,
                                   clique_number, complement, complete_graph,
                                   complete_multipartite, cycle_graph,
@@ -361,11 +362,34 @@ def test_twin_pruned_canonical_form_on_symmetric_graphs(g):
         assert canonical_form(g.permuted(perm)) == expected
 
 
+def unit_key(g):
+    """`_partition_key` of g's refined unit partition."""
+    return _partition_key(g.rows, _refine(g.rows, [(1 << g.n) - 1]))
+
+
+def test_partition_key_is_an_isomorphism_invariant():
+    # a discrete partition's key is the certificate itself; at n <= 6
+    # that is K1 and the eight asymmetric graphs on six vertices
+    rng = random.Random(13)
+    discrete = 0
+    for n, level in graph_levels(6):
+        for g in level:
+            key = unit_key(g)
+            for _ in range(4):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert unit_key(g.permuted(perm)) == key
+            if len(_refine(g.rows, [(1 << n) - 1])) == n:
+                discrete += 1
+                assert key == canonical_form(g)
+    assert discrete == 9
+
+
 def test_twin_pruned_enumeration_matches_oracle():
     # by class: each level holds one graph per certificate, though not
     # necessarily the oracle's representative.  It lists the low half,
-    # 2m <= C(n, 2), in certificate order, then the complements of its
-    # members with 2m < C(n, 2), in the same order
+    # 2m <= C(n, 2), in (partition key, certificate) order, then the
+    # complements of its members with 2m < C(n, 2), in the same order
     levels = dict(graph_levels(7))
     assert sorted(levels) == list(range(1, 8))
     for n in range(8):
@@ -377,11 +401,11 @@ def test_twin_pruned_enumeration_matches_oracle():
             assert [g.rows for g in levels[n]] == [g.rows for g in level]
         low = [g for g in level if 2 * g.m <= pairs]
         assert [g.rows for g in level[:len(low)]] == [g.rows for g in low]
-        certs = [canonical_form(g) for g in low]
-        assert certs == sorted(certs)
         assert [g.rows for g in level[len(low):]] == [
             complement(g).rows for g in low if 2 * g.m < pairs]
         if n:
+            keys = [(unit_key(g), canonical_form(g)) for g in low]
+            assert keys == sorted(keys)
             # the added vertex, the last, has maximum degree and lies in
             # the last cell of the refined unit partition
             assert all(g.degree(n - 1) == max(map(g.degree, range(n)))
@@ -404,12 +428,10 @@ def test_levels_are_closed_under_complement():
         assert bool(middle) == (n in (1, 4, 5, 8))
 
 
-def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
-    # of the 1077 augmentations at n <= 7 that keep at most half the
-    # edges and maximum degree and pass the twin skip, 808 put the new
-    # vertex in the last cell
-    refined = []
-    searches = []
+def spy_on_generation(monkeypatch):
+    """Record the order of every unit refinement and of every canonical
+    search that `graph_levels` runs."""
+    refined, searches = [], []
     refine = graphcore._refine
     search = graphcore._canonical_search
 
@@ -418,22 +440,34 @@ def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
             refined.append(len(rows))
         return refine(rows, cells, queue)
 
-    def spy(rows, cells):
+    def search_spy(rows, cells):
         searches.append(len(rows))
         return search(rows, cells)
 
     monkeypatch.setattr(graphcore, "_refine", refine_spy)
-    monkeypatch.setattr(graphcore, "_canonical_search", spy)
+    monkeypatch.setattr(graphcore, "_canonical_search", search_spy)
+    return refined, searches
+
+
+def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
+    # of the 1077 augmentations at n <= 7 that keep at most half the
+    # edges and maximum degree and pass the twin skip, 808 put the new
+    # vertex in the last cell; 241 of those share a partition key that
+    # is not a certificate with another kept child of their level
+    refined, searches = spy_on_generation(monkeypatch)
     for _ in graph_levels(7):
         pass
     assert len(refined) == 1077
-    assert len(searches) == 808
+    assert len(searches) == 241
 
 
-def test_graph_levels_counts_through_8():
+def test_graph_levels_counts_through_8(monkeypatch):
     # OEIS A000088 up to n = 8
+    refined, searches = spy_on_generation(monkeypatch)
     assert [len(level) for _, level in graph_levels(8)] == [
         1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert len(refined) == 14069
+    assert len(searches) == 2112
 
 
 def test_enumeration_matches_networkx_atlas():

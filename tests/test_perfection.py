@@ -114,6 +114,22 @@ def test_methods_agree_on_random_graphs():
         assert is_perfect(g, "definition") == is_perfect(g, "holes"), g.edges()
 
 
+def test_hole_method_builds_no_complement_graph(monkeypatch):
+    # the complement side reads complemented rows under the twin mask
+    def no_complement(g):
+        raise AssertionError("complement(g) was built")
+
+    monkeypatch.setattr(perfection, "complement", no_complement)
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(80):
+        n = rng.randint(1, 13)
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        verdicts.append(is_perfect(g, "holes"))
+        assert verdicts[-1] == is_perfect(g, "definition"), g.edges()
+    assert verdicts.count(True) == 65   # and 15 imperfect
+
+
 def test_method_validation_and_limits():
     with pytest.raises(PreconditionError):
         is_perfect(cycle_graph(4), method="guess")
