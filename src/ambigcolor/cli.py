@@ -1,6 +1,8 @@
 """Command-line frontend.
 
 Subcommands wrap the library operations and verification harnesses.
+The library returns data only and this module prints every report; the
+`verify` harnesses share one JSON envelope, written once in `cmd_verify`.
 Exit codes: 0 success, 1 counterexample (a missing certificate too) or
 standard output closed early, 2 input error, 3 resource bound exceeded.
 """
@@ -128,38 +130,47 @@ def cmd_verify(args):
         raise PreconditionError("--max-n is needed by --theorem 1 and turan,"
                                 " and refused by perfect, which covers every n")
     if args.theorem == "1":
-        rows = maximality.verify_theorem1(args.max_n, k_list)
-        bad = sum(len(r.counterexamples) for r in rows)
-        if args.format == "json":
-            print(maximality.theorem1_report_json(rows))
-        else:
-            for r in rows:
-                print(f"n={r.n} k={r.k} graphs={r.graphs} "
-                      f"maximal_ambiguous={r.maximal_ambiguous} "
-                      f"matched_by_matrix={r.matched_by_matrix} "
-                      f"family_graphs={r.family_graphs} "
-                      f"counterexamples={len(r.counterexamples)}")
-            print(f"counterexample_total={bad}")
-        return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
-    if args.theorem == "turan":
+        rows = [vars(r) for r in maximality.verify_theorem1(args.max_n,
+                                                            k_list)]
+        version, theorem, key = 1, "characterization", "counterexample_total"
+        verdict = sum(len(r["counterexamples"]) for r in rows)
+        ok = verdict == 0
+    elif args.theorem == "turan":
         reports = extremal.verify_turan_theorem(args.max_n, k_list)
-        ok = all(r.agrees for r in reports)
-        if args.format == "json":
-            print(extremal.turan_report_json(reports))
-        else:
-            sys.stdout.write(extremal.turan_report_tsv(reports))
-        return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
-    # "perfect", the last of argparse's choices
-    report = perfection.verify_perfectness(k_list)
+        rows = [vars(r) for r in reports]
+        version, theorem, key = 2, "turan-type", "all_agree"
+        verdict = ok = all(r.agrees for r in reports)
+    else:  # "perfect", the last of argparse's choices
+        report = perfection.verify_perfectness(k_list)
+        rows, verdict = report["rows"], report["violations"]
+        version, theorem, key, ok = 4, "perfectness", "violations", not verdict
     if args.format == "json":
-        print(perfection.perfectness_report_json(report))
+        print(json.dumps({"schema_version": version, "theorem": theorem,
+                          "rows": rows, key: verdict},
+                         indent=2, sort_keys=True))
+    elif args.theorem == "1":
+        for r in rows:
+            print(f"n={r['n']} k={r['k']} graphs={r['graphs']} "
+                  f"maximal_ambiguous={r['maximal_ambiguous']} "
+                  f"matched_by_matrix={r['matched_by_matrix']} "
+                  f"family_graphs={r['family_graphs']} "
+                  f"counterexamples={len(r['counterexamples'])}")
+        print(f"counterexample_total={verdict}")
+    elif args.theorem == "turan":
+        print("n\tk\tformula\toracle\tclasses_scanned\tn_extremal\tfamilies")
+        for r in rows:
+            families = {f for c in r["certificates"] for f in c["families"]}
+            print("\t".join(map(str, (
+                r["n"], r["k"], r["formula_value"], r["oracle_value"],
+                r["classes_scanned"], len(r["certificates"]),
+                ",".join(sorted(families)) or "-"))))
     else:
-        for r in report["rows"]:
+        for r in rows:
             print(f"k={r['k']} order={r['order']} holes={r['holes']} "
                   f"holes_every_start={r['holes_every_start']} "
                   f"definition={r['definition']}")
-        print(f"violations={len(report['violations'])}")
-    return EXIT_OK if not report["violations"] else EXIT_COUNTEREXAMPLE
+        print(f"violations={len(verdict)}")
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
 def cmd_table(args):

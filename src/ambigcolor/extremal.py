@@ -15,7 +15,6 @@ isomorphism stays as the small-n check of that route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -275,23 +274,3 @@ def verify_turan_theorem(max_n, k_list):
             certificates_agree=(list(fam) == oracle_keys),
         ))
     return reports
-
-
-def turan_report_json(reports):
-    return json.dumps(
-        {"schema_version": 2, "theorem": "turan-type",
-         "rows": [vars(r) for r in reports],
-         "all_agree": all(r.agrees for r in reports)},
-        indent=2, sort_keys=True)
-
-
-def turan_report_tsv(reports):
-    lines = ["n\tk\tformula\toracle\tclasses_scanned\tn_extremal\tfamilies"]
-    for r in reports:
-        families = sorted({f for c in r.certificates for f in c["families"]})
-        lines.append("\t".join([
-            str(r.n), str(r.k), str(r.formula_value),
-            str(r.oracle_value),
-            str(r.classes_scanned), str(len(r.certificates)),
-            ",".join(families) or "-"]))
-    return "\n".join(lines) + "\n"

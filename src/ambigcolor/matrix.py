@@ -565,9 +565,9 @@ def enumerate_desirable(k, n):
     A normal block is built from each strongly connected off-diagonal
     support that fits in n, so a call's work is bounded by the supports
     it tests plus the matrices it yields.  Raises ResourceLimitError when
-    the matrices yielded pass DEFAULT_ENUM_CAP."""
-    if k < 1 or n < 0:
-        raise PreconditionError("need k >= 1, n >= 0")
+    the matrices yielded pass DEFAULT_ENUM_CAP; k must lie in 1..MAX_K."""
+    if not 1 <= k <= MAX_K or n < 0:
+        raise PreconditionError(f"need k in 1..{MAX_K}, n >= 0")
     parts = (_tiny_matrices(k, n), _small_matrices(k, n),
              _special_matrices(k, n), _normal_matrices(k, n))
     for count, m in enumerate(chain.from_iterable(parts), 1):
@@ -699,10 +699,10 @@ def matrix_classes(k, n):
     the largest, over the row permutations that fix r, of T's columns
     sorted descending within each run of equal c.  When r = c the key
     of T must also be at least that of its transpose.  Each matrix
-    yielded is its own `class_key`.
+    yielded is its own `class_key`.  k must lie in 1..MAX_K.
     """
-    if k < 1 or n < 0:
-        raise PreconditionError("need k >= 1, n >= 0")
+    if not 1 <= k <= MAX_K or n < 0:
+        raise PreconditionError(f"need k in 1..{MAX_K}, n >= 0")
     for r, c in _margin_pairs(k, n):
         for rows in _margin_classes(r, c):
             yield ColorMatrix(rows)

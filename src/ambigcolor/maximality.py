@@ -11,7 +11,6 @@ counts |A_i n B_j| form the certificate, which is special or normal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -44,14 +43,18 @@ def _is_maximal_over(g, colorings, d):
     # non-neighbours above each vertex, so every non-edge is seen once
     upper = [((1 << n) - 1) & ~rows[u] & ~((1 << (u + 1)) - 1)
              for u in range(n)]
-    # layers[i][u]: non-edges uv separated by at least i + 1 colorings
-    layers = [[0] * n for _ in range(d - 1)]
+    # layers[i][u]: non-edges uv separated by at least i + 1 colorings; a
+    # tally reaches c only at the c-th coloring, so layer c - 1 is added then
+    layers = []
     # the layers between the first and the last, updated top down so that
     # each reads the layer below as it stood before this coloring
-    middle = range(d - 2, 0, -1)
+    middle = ()
     count = 0
     for masks in colorings:
         count += 1
+        if count < d:
+            layers.append([0] * n)
+            middle = range(count - 1, 0, -1)
         for mask in masks:
             rest = mask
             while rest:
@@ -308,11 +311,3 @@ def verify_theorem1(max_n, k_list):
                 matched_by_matrix=matched, family_graphs=family,
                 counterexamples=counterexamples))
     return rows
-
-
-def theorem1_report_json(rows):
-    return json.dumps(
-        {"schema_version": 1, "theorem": "characterization",
-         "rows": [vars(r) for r in rows],
-         "counterexample_total": sum(len(r.counterexamples) for r in rows)},
-        indent=2, sort_keys=True)

@@ -42,7 +42,6 @@ used as a cross-check rather than assumed.
 
 from __future__ import annotations
 
-import json
 from array import array
 
 from .coloring import MAX_N as COLORING_MAX_N
@@ -299,8 +298,3 @@ def verify_perfectness(k_list):
                   if {row["holes"], row["holes_every_start"],
                       row["definition"]} - {None} != {True}]
     return {"rows": rows, "violations": violations}
-
-
-def perfectness_report_json(report):
-    return json.dumps({"schema_version": 4, "theorem": "perfectness",
-                       **report}, indent=2, sort_keys=True)

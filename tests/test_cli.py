@@ -1,5 +1,6 @@
 """End-to-end command-line tests (golden outputs, exit codes)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -200,6 +201,27 @@ def test_verify_perfect(capsys):
         "k=2 order=4 holes=True holes_every_start=True definition=True",
         "k=4 order=16 holes=True holes_every_start=True definition=None",
         "violations=0"]
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    ("--theorem 1 --max-n 5", 0,
+     "57272f52231f57889018a3b6a46ea7a982717d64051b1402f64f7adc60517c27"),
+    ("--theorem 1 --max-n 5 --format json", 0,
+     "136a6bd95510ad89fb86fea7db44c16cdf63a2c350956cf2c799b87a40846334"),
+    ("--theorem turan --max-n 6", 0,
+     "54020594a0d6943690b1f24afa50219945c8f12dbec941b6af555146e3c2ed13"),
+    ("--theorem turan --max-n 6 --format json", 0,
+     "3203edd5be9d3bef14110ce699146ce046a9dfe1d66ed877707b54fbdaaa0be6"),
+    ("--theorem perfect --k-list 1,2,3", 0,
+     "dfb6d88d1fd9b2a4c23f8d9d6be6fc6497ca126267452044d9ababdbb86f7a4c"),
+    ("--theorem perfect --k-list 1,2,3 --format json", 0,
+     "084364a3a625e6f023783291ea0df3db3a849ea64cd71700ff5e9e4e287e895c"),
+])
+def test_verify_reports_are_byte_identical(argv, code, digest, capsys):
+    # every verify report, text and JSON, pinned byte for byte
+    assert main(["verify", *argv.split()]) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_table(capsys):

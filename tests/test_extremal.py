@@ -17,7 +17,6 @@ from ambigcolor.extremal import (ExtremalReport, _edge_count,
                                  ambiguous_max_edges, brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
                                  max_edges_by_class, turan_number,
-                                 turan_report_json, turan_report_tsv,
                                  verify_turan_theorem)
 from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
                                   cycle_graph, enumerate_graphs, from_graph6,
@@ -131,16 +130,21 @@ def test_edge_count_from_entries():
             assert _edge_count(m.entries) == build_graph(m).m, m
 
 
-def test_verify_turan_theorem_report():
+def test_verify_turan_theorem_report(capsys):
     reports = verify_turan_theorem(6, [2, 3])
     assert all(r.agrees and r.classes_scanned > 0 for r in reports)
-    obj = json.loads(turan_report_json(reports))
+    argv = ["verify", "--theorem", "turan", "--max-n", "6", "--k-list", "2,3"]
+    assert main(argv + ["--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["all_agree"] is True and obj["schema_version"] == 2
+    assert obj["theorem"] == "turan-type" and obj["rows"] == [
+        vars(r) for r in reports]
     row = obj["rows"][0]
     assert (row["n"], row["k"]) == (2, 2)
     assert row["oracle_certificates"] == ["2,0;0,0"]
     assert row["certificates"] == [{"families": ["small"], "cert": "2,0;0,0"}]
-    tsv = turan_report_tsv(reports)
+    assert main(argv) == 0
+    tsv = capsys.readouterr().out
     assert tsv.splitlines()[0].startswith("n\tk")
     assert len(tsv.splitlines()) == len(reports) + 1
     for max_n, k_list in ((1, [2]), (3, [4]), (5, [])):
@@ -164,7 +168,13 @@ def test_row_that_scanned_no_class_fails(monkeypatch, capsys):
     report = ExtremalReport(n=4, k=2, formula_value=2, oracle_value=2,
                             formula_agrees=True, certificates_agree=True)
     assert report.classes_scanned == 0 and not report.agrees
-    assert json.loads(turan_report_json([report]))["all_agree"] is False
+    argv = ["verify", "--theorem", "turan", "--max-n", "4", "--k-list", "2",
+            "--format", "json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "verify_turan_theorem",
+                      lambda max_n, k_list: [report])
+        assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["all_agree"] is False
 
     def scans_nothing(n, k):
         value, keys, _ = route(n, k)
@@ -172,8 +182,7 @@ def test_row_that_scanned_no_class_fails(monkeypatch, capsys):
 
     route = extremal._class_route
     monkeypatch.setattr(extremal, "_class_route", scans_nothing)
-    assert main(["verify", "--theorem", "turan", "--max-n", "4",
-                 "--k-list", "2", "--format", "json"]) == 1
+    assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["all_agree"] is False
 
 

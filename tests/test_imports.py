@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced in that module, no
 module checks anything with an assert statement (python -O strips them),
-and every function the benchmark's tracer wraps by name exists."""
+only the CLI prints, only the CLI and the input loaders import json, and
+every function the benchmark's tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -41,6 +42,40 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert at lines {lines}"
+
+
+def reaches_stdout(node):
+    """`print`, `<x>.stdout`, or `from sys import stdout`."""
+    if isinstance(node, ast.Name):
+        return node.id == "print"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "stdout"
+    return isinstance(node, ast.alias) and node.name == "stdout"
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(ambigcolor.__file__)],
+                         ids=lambda p: p.name)
+def test_only_the_cli_prints(path):
+    # the library returns data; the CLI prints every report
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if reaches_stdout(node)]
+    assert path.name == "cli.py" or not lines, \
+        f"{path.name} prints or writes to stdout at lines {lines}"
+
+
+def imported_modules(tree):
+    """The top-level names of the modules a module imports from."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.split(".")[0]
+
+
+def test_only_the_cli_and_the_input_loaders_import_json():
+    importers = {path.name for path in MODULES if "json" in imported_modules(
+        ast.parse(path.read_text(encoding="utf-8")))}
+    assert importers == {"cli.py", "dfold.py", "matrix.py"}
 
 
 def test_traced_names_exist():

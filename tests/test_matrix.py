@@ -564,6 +564,17 @@ def test_enumerate_desirable_stops_at_its_cap(monkeypatch):
         next(enumerate_desirable(0, 3))
 
 
+@pytest.mark.parametrize("generate", [enumerate_desirable, matrix_classes],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k, n", [(0, 3), (matrix.MAX_K + 1, 0), (40, 3),
+                                  (3, -1)])
+def test_generators_refuse_k_outside_max_k(generate, k, n):
+    # a precondition on the call, not an input error from a matrix built
+    # inside it, and the same for both generators
+    with pytest.raises(PreconditionError, match=f"1..{matrix.MAX_K}"):
+        next(generate(k, n))
+
+
 def test_enumerate_desirable_no_duplicates():
     for k in (2, 3, 4, 5):
         for n in range(0, 9):

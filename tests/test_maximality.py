@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, islice
 
@@ -20,8 +21,7 @@ from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
                                ColorMatrix, _bipartite_matching, classify,
                                enumerate_desirable)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
-                                   reconstruct_matrix, theorem1_report_json,
-                                   verify_theorem1)
+                                   reconstruct_matrix, verify_theorem1)
 
 FIG_MATRIX = ColorMatrix([[1, 2, 0], [1, 3, 1], [1, 1, 1]])
 
@@ -94,6 +94,20 @@ def test_is_maximal_invariant_under_vertex_order():
 def test_is_maximal_rejects_d_below_one():
     with pytest.raises(PreconditionError):
         is_maximal(cycle_graph(4), 3, 0)
+
+
+def test_is_maximal_memory_flat_in_d():
+    # two vertices, two 2-colorings: no d >= 3 is reached, and the tally
+    # layers grow with the colorings read, not with d
+    g = SimpleGraph(2)
+    tracemalloc.start()
+    try:
+        assert not is_maximal(g, 2, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert not is_maximal(g, 2, 10**12)
 
 
 def test_is_maximal_ambiguous_known():
@@ -741,10 +755,11 @@ def test_verify_theorem1_checks_k_before_enumerating(monkeypatch):
                         f"list of k in 1..{MAX_K}"}
 
 
-def test_report_json_schema():
-    rows = verify_theorem1(3, [2])
-    obj = json.loads(theorem1_report_json(rows))
-    assert obj["schema_version"] == 1
+def test_report_json_schema(capsys):
+    assert main(["verify", "--theorem", "1", "--max-n", "3", "--k-list", "2",
+                 "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["schema_version"] == 1 and obj["theorem"] == "characterization"
     assert obj["counterexample_total"] == 0
     assert obj["rows"][0]["n"] == 1
 

@@ -20,7 +20,6 @@ from ambigcolor.dfold import ColorTensor, build_graph_d
 from ambigcolor.matrix import ColorMatrix, matrix_classes
 from ambigcolor.maximality import is_maximal_ambiguous
 from ambigcolor.perfection import (_has_odd_hole, _twin_quotient, is_perfect,
-                                   perfectness_report_json,
                                    verify_perfectness)
 
 
@@ -172,7 +171,7 @@ def oracle_verify_perfectness(max_n, k_list):
             if not is_perfect(build_graph(m), "holes")]
 
 
-def test_verify_perfectness_no_violations():
+def test_verify_perfectness_no_violations(capsys):
     report = verify_perfectness([1, 2, 3, 4, 5])
     assert report["violations"] == []
     assert [(r["k"], r["order"], r["holes"], r["holes_every_start"],
@@ -182,8 +181,10 @@ def test_verify_perfectness_no_violations():
         (5, 25, True, True, None)]
     for r in report["rows"]:
         assert r["covers_every_n"] and r["matrix"] == all_ones(r["k"]).to_json()
-    obj = json.loads(perfectness_report_json(report))
-    assert obj["schema_version"] == 4
+    assert main(["verify", "--theorem", "perfect", "--k-list", "1,2,3,4,5",
+                 "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["schema_version"] == 4 and obj["theorem"] == "perfectness"
     assert obj["rows"] == report["rows"] and obj["violations"] == []
     for k_list in ([], [0], [2, -1]):
         with pytest.raises(PreconditionError):
