@@ -132,7 +132,7 @@ def cmd_verify(args):
     if args.theorem == "1":
         rows = [vars(r) for r in maximality.verify_theorem1(args.max_n,
                                                             k_list)]
-        version, theorem, key = 1, "characterization", "counterexample_total"
+        version, theorem, key = 2, "characterization", "counterexample_total"
         verdict = sum(len(r["counterexamples"]) for r in rows)
         ok = verdict == 0
     elif args.theorem == "turan":
@@ -150,8 +150,9 @@ def cmd_verify(args):
                          indent=2, sort_keys=True))
     elif args.theorem == "1":
         for r in rows:
-            print(f"n={r['n']} k={r['k']} graphs={r['graphs']} "
-                  f"maximal_ambiguous={r['maximal_ambiguous']} "
+            graphs = "-" if r["graphs"] is None else r["graphs"]
+            print(f"n={r['n']} k={r['k']} graphs={graphs} "
+                  f"shaped={r['shaped']} maximal_ambiguous={r['maximal_ambiguous']} "
                   f"matched_by_matrix={r['matched_by_matrix']} "
                   f"family_graphs={r['family_graphs']} "
                   f"counterexamples={len(r['counterexamples'])}")

@@ -253,7 +253,7 @@ def path_graph(n):
 # canonical labeling / isomorphism
 # ---------------------------------------------------------------------------
 
-def _refine(rows, cells, queue=None):
+def _refine(rows, cells, queue=None, last=-1):
     """Equitable refinement of an ordered partition into bitmask cells.
 
     Splitter-queue refinement (McKay 1981): a FIFO queue holds splitter
@@ -264,7 +264,10 @@ def _refine(rows, cells, queue=None):
     in an order that depends only on the graph and the input order, so
     relabeling the vertices relabels the result.  A partition that is
     equitable apart from one individualized vertex v needs only the
-    queue [1 << v].
+    queue [1 << v].  With `last`, a vertex mask, it returns None as soon
+    as the last cell no longer meets it: the fragments of the last cell
+    take its place, so it only shrinks, and no vertex that left it
+    returns.
     """
     n = len(rows)
     cells = list(cells)
@@ -283,26 +286,40 @@ def _refine(rows, cells, queue=None):
                     queue += (c ^ hit, hit)
                 else:
                     out.append(c)
-            cells = out
-            continue
-        for c in cells:
-            if not c & (c - 1):
-                out.append(c)
-                continue
-            groups = {}
-            rest = c
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                key = (rows[low.bit_length() - 1] & w).bit_count()
-                groups[key] = groups.get(key, 0) | low
-            if len(groups) == 1:
-                out.append(c)
-                continue
-            for key in sorted(groups):
-                out.append(groups[key])
-                queue.append(groups[key])
+        else:
+            for c in cells:
+                low = c & -c
+                high = c ^ low
+                if not high:
+                    out.append(c)
+                    continue
+                if not high & (high - 1):
+                    # two vertices: compare their two counts
+                    a = (rows[low.bit_length() - 1] & w).bit_count()
+                    b = (rows[high.bit_length() - 1] & w).bit_count()
+                    if a == b:
+                        out.append(c)
+                    else:
+                        pair = (low, high) if a < b else (high, low)
+                        out += pair
+                        queue += pair
+                    continue
+                groups = {}
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    key = (rows[low.bit_length() - 1] & w).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                if len(groups) == 1:
+                    out.append(c)
+                    continue
+                for key in sorted(groups):
+                    out.append(groups[key])
+                    queue.append(groups[key])
         cells = out
+        if not cells[-1] & last:
+            return None
     return cells
 
 
@@ -404,30 +421,111 @@ def _partition_key(rows, cells):
             *[(rows[v] & c).bit_count() for v in tops for c in cells])
 
 
-def graph_levels(max_n):
-    """Yield (n, all graphs on n vertices, one per isomorphism class) for
-    n = 1..max_n, building each level once from the one before.
+def _child_cells(rows, of_degree, mask):
+    """`_refine(rows, [all])` of a child, or None once its new vertex, the
+    last, has left the last cell, which then never holds it again.
+
+    The child joins its new vertex to `mask` in a parent whose vertices of
+    degree d form `of_degree[d]`, d = 0..n, and the new vertex has the
+    child's maximum degree |mask|, as no parent vertex of that degree is
+    in the mask.  So the child's degree cells, ascending, come from those
+    masks, with each vertex of the mask one degree up; they are exactly
+    the cells that the first splitter of [all] cuts and queues, in that
+    order, so refinement seeded with them ends in the same cells."""
+    deg = mask.bit_count()
+    new = 1 << (len(rows) - 1)
+    seed, below = [], 0     # below: the mask's vertices one degree down
+    for d in range(deg):
+        cell = of_degree[d] & ~mask | below
+        below = of_degree[d] & mask
+        if cell:
+            seed.append(cell)
+    seed.append(of_degree[deg] | below | new)
+    return _refine(rows, seed, last=new)
+
+
+def _augment(level, max_m, accept=None):
+    """The children of the graphs in `level`, all on n vertices, one per
+    isomorphism class of the graphs on n + 1 vertices with at most max_m
+    edges whose canonical parent is in `level`, and that `accept` (a test
+    of a child's rows, run before its refinement) takes.
 
     Grown by vertex augmentation with McKay's canonical deletion (1998):
     a child is kept only if its new vertex lies in the last cell of
     `_refine` of its unit partition.  Refinement commutes with
-    relabeling, so for every n-vertex graph G and v in that cell, some
-    mask of the representative of G - v yields a child isomorphic to G
-    whose new vertex, the image of v, is kept.  The first splitter
-    orders cells by ascending degree and later splits act in place, so
-    that cell lies among the vertices of maximum degree, a cheaper test
-    run first.  A mask with a later member of a parent twin class but
-    not an earlier one is skipped too: swapping the two gives a smaller
-    mask and a child isomorphic by a map that fixes the new vertex, so
-    keeps it in the last cell, and such swaps reach a mask skipped for
-    no class.
+    relabeling, so for every such G and v in that cell, some mask of the
+    representative of G - v yields a child isomorphic to G whose new
+    vertex, the image of v, is kept.  The first splitter orders cells by
+    ascending degree and later splits act in place, so that cell lies
+    among the vertices of maximum degree, a cheaper test run first.  A
+    mask with a later member of a parent twin class but not an earlier
+    one is skipped too: swapping the two gives a smaller mask and a child
+    isomorphic by a map that fixes the new vertex, so keeps it in the
+    last cell, and such swaps reach a mask skipped for no class.
 
     A kept child is filed under `_partition_key` of the same cells, and
-    is labelled by `_canonical_search` only when a second child of the
-    level has its key, and then both are.  Children with different keys
-    are not isomorphic, and a discrete partition's key is already the
-    certificate, so a second child with such a key is a duplicate and
-    nothing is labelled.  Each class keeps its first child.
+    is labelled by `_canonical_search` only when a second child has its
+    key, and then both are.  Children with different keys are not
+    isomorphic.  A key fixes the graph when its partition has n + 1
+    cells, and also n: the one cell of two vertices is then a pair of
+    twins, as every other cell is single and the partition equitable.
+    So a second child with such a key is a duplicate and nothing is
+    labelled.  Each class keeps its first child, and the children are
+    listed in (key, certificate) order, where only the children that
+    share a key need their certificates.
+    """
+    size = level[0].n + 1
+    firsts = {}     # partition key -> rows and cells of its first child
+    labelled = {}   # partition key -> {certificate: rows}, once shared
+    for g in level:
+        # the new vertex may join at most `room` parent vertices
+        room = max_m - g.m
+        if room < 0:
+            continue
+        chains = [(1 << a, 1 << b) for a, b in _twin_chains(g.rows)]
+        # the new vertex has maximum degree iff its degree |mask| is at
+        # least every parent degree and above those of the parent
+        # vertices it joins
+        degrees = [r.bit_count() for r in g.rows]
+        top = max(degrees, default=0)
+        of_degree = [0] * size
+        for v, d in enumerate(degrees):
+            of_degree[d] |= 1 << v
+        for mask in range(1 << g.n):
+            deg = mask.bit_count()
+            if deg < top or deg > room or mask & of_degree[deg]:
+                continue
+            if any(mask & b and not mask & a for a, b in chains):
+                continue
+            new_rows = [r | (mask >> v & 1) << g.n
+                        for v, r in enumerate(g.rows)]
+            new_rows.append(mask)
+            if accept is not None and not accept(new_rows):
+                continue
+            cells = _child_cells(new_rows, of_degree, mask)
+            if cells is None:
+                continue
+            key = _partition_key(new_rows, cells)
+            if key not in firsts:
+                firsts[key] = new_rows, cells
+            elif len(cells) < size - 1:
+                if key not in labelled:
+                    rows, first_cells = firsts[key]
+                    labelled[key] = {
+                        _canonical_search(rows, first_cells): rows}
+                labelled[key].setdefault(
+                    _canonical_search(new_rows, cells), new_rows)
+    children = []
+    for key in sorted(firsts):
+        certs = labelled.get(key) or {None: firsts[key][0]}
+        children += (SimpleGraph.from_rows(certs[c]) for c in sorted(certs))
+    return children
+
+
+def graph_levels(max_n):
+    """Yield (n, all graphs on n vertices, one per isomorphism class) for
+    n = 1..max_n, building each level once from the one before by
+    `_augment` (see there for the method).
 
     Only the low half is generated: the children with 2m <= C(n, 2),
     from the parents with at most that many edges.  This loses no class,
@@ -436,9 +534,8 @@ def graph_levels(max_n):
     one and m edges to C(n, 2) - m, so each graph above half is the
     complement of exactly one graph below half; those with exactly half
     are all generated, and none is complemented.  The level lists the
-    low half in (key, certificate) order, where only the children that
-    share a key need their certificates, then the complements of its
-    members with 2m < C(n, 2), in the same order.
+    low half in `_augment`'s order, then the complements of its members
+    with 2m < C(n, 2), in the same order.
     """
     if max_n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
@@ -447,49 +544,8 @@ def graph_levels(max_n):
         raise PreconditionError(f"need a vertex count >= 0, got {max_n}")
     level = [SimpleGraph(0)]
     for size in range(1, max_n + 1):
-        half = size * (size - 1) // 4       # floor(C(size, 2) / 2)
-        firsts = {}     # partition key -> rows and cells of its first child
-        labelled = {}   # partition key -> {certificate: rows}, once shared
-        for g in level:
-            # the new vertex may join at most `room` parent vertices
-            room = half - g.m
-            if room < 0:
-                continue
-            chains = [(1 << a, 1 << b) for a, b in _twin_chains(g.rows)]
-            # the new vertex has maximum degree iff its degree |mask| is
-            # at least every parent degree and above those of the parent
-            # vertices it joins
-            degrees = [r.bit_count() for r in g.rows]
-            top = max(degrees, default=0)
-            of_degree = [0] * (g.n + 1)
-            for v, d in enumerate(degrees):
-                of_degree[d] |= 1 << v
-            for mask in range(1 << g.n):
-                deg = mask.bit_count()
-                if deg < top or deg > room or mask & of_degree[deg]:
-                    continue
-                if any(mask & b and not mask & a for a, b in chains):
-                    continue
-                new_rows = [r | (mask >> v & 1) << g.n
-                            for v, r in enumerate(g.rows)]
-                new_rows.append(mask)
-                cells = _refine(new_rows, [(1 << size) - 1])
-                if not cells[-1] >> g.n & 1:
-                    continue
-                key = _partition_key(new_rows, cells)
-                if key not in firsts:
-                    firsts[key] = new_rows, cells
-                elif len(cells) < size:
-                    if key not in labelled:
-                        rows, first_cells = firsts[key]
-                        labelled[key] = {
-                            _canonical_search(rows, first_cells): rows}
-                    labelled[key].setdefault(
-                        _canonical_search(new_rows, cells), new_rows)
-        low = []
-        for key in sorted(firsts):
-            certs = labelled.get(key) or {None: firsts[key][0]}
-            low += (SimpleGraph.from_rows(certs[c]) for c in sorted(certs))
+        # floor(C(size, 2) / 2) edges at most
+        low = _augment(level, size * (size - 1) // 4)
         # 2m < C(n, 2)
         level = low + [complement(h) for h in low
                        if 4 * h.m < size * (size - 1)]

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .coloring import _class_masks, _ordered_classes
-from .errors import PreconditionError, ReconstructionError
-from .graphcore import build_graph, graph_levels
+from .errors import PreconditionError, ReconstructionError, ResourceLimitError
+from .graphcore import ENUMERATION_MAX_N, _augment, build_graph, graph_levels
 from .matrix import (MAX_K, ColorMatrix, _bipartite_matching, classify,
                      enumerate_desirable)
+from .perfection import _has_odd_hole, _twin_quotient
+
+SHAPED_MAX_N = 12       # G(M)-shaped graphs up to isomorphism, by _augment
 
 
 def is_maximal(g, k, d):
@@ -184,7 +187,8 @@ def _reconstruct_from(g, k, cols):
 class TheoremReportRow:
     n: int
     k: int
-    graphs: int
+    graphs: int | None
+    shaped: int
     maximal_ambiguous: int
     matched_by_matrix: int
     family_graphs: int
@@ -195,14 +199,27 @@ def _edge_list_lines(g):
     return [f"{u} {v}" for u, v in g.edges()]
 
 
-def _has_co_claw(g):
-    """Whether g induces a co-claw: a triangle uvw and a vertex joined to
-    none of u, v, w.  For each edge uv, u < v, the vertices outside
-    N(u) u N(v) are taken as one bitmask, and each common neighbour w
-    above v asks whether one of them also lies outside N(w).  The
-    triangle's own vertices need no mask of their own: each lies in the
-    others' neighbourhoods."""
-    n, rows = g.n, g.rows
+def _is_shaped(rows):
+    """Whether the graph with these rows is G(M)-shaped: G(M) for some
+    matrix M of any size.
+
+    Let H be the complement of G's false-twin quotient, one vertex per
+    distinct row.  G is G(M) iff H is the line graph of a bipartite graph
+    B: the edges xy of B are the cells (x, y) of supp M, two of which G
+    does not join iff they share a row or a column, and the twin classes
+    are the entries.  By Harary and Holzmann (1974), that holds iff H has
+    no induced claw, diamond or odd hole, tested in that order:
+      - a claw of H is a co-claw of G, a triangle uvw and a vertex joined
+        to none of u, v, w.  No two of its vertices are twins, so it is
+        looked for in G itself: for each edge uv, u < v, the vertices
+        outside N(u) u N(v) are taken as one bitmask, and each common
+        neighbour w above v asks whether one of them also lies outside
+        N(w);
+      - a diamond: an edge ab of H whose common neighbours in H are not
+        a clique of H;
+      - an odd hole: `perfection._has_odd_hole` on H's rows.
+    """
+    n = len(rows)
     full = (1 << n) - 1
     for u in range(n):
         higher = rows[u] >> (u + 1) << (u + 1)
@@ -218,8 +235,46 @@ def _has_co_claw(g):
                 bit = common & -common
                 common ^= bit
                 if outside & ~rows[bit.bit_length() - 1]:
-                    return True
-    return False
+                    return False
+    keep = _twin_quotient(rows)
+    h = tuple([keep & ~r & ~(1 << v) for v, r in enumerate(rows)])
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ha = h[low.bit_length() - 1]
+        higher = ha & rest
+        while higher:
+            b = higher & -higher
+            higher ^= b
+            common = ha & h[b.bit_length() - 1]
+            others = common
+            while others:
+                c = others & -others
+                others ^= c
+                if common & ~h[c.bit_length() - 1] & ~c:
+                    return False
+    return not _has_odd_hole(h, keep)
+
+
+def _shaped_levels(max_n):
+    """Yield (n, the graphs on n vertices or None, the G(M)-shaped ones),
+    one per isomorphism class, for n = 1..max_n.
+
+    Up to ENUMERATION_MAX_N, the shaped graphs are those of `graph_levels`
+    that `_is_shaped` takes.  Above it only they are grown, by `_augment`
+    with no edge bound and the shape test as its filter, and the level of
+    all graphs is None.  This loses no class: deleting a vertex of G(M)
+    lowers one entry of M by one, so the class is hereditary, and the
+    canonical parent G - v of a shaped G is shaped, in the level below.
+    """
+    shaped = []
+    for n, graphs in graph_levels(min(max_n, ENUMERATION_MAX_N)):
+        shaped = [g for g in graphs if _is_shaped(g.rows)]
+        yield n, graphs, shaped
+    for n in range(ENUMERATION_MAX_N + 1, max_n + 1):
+        shaped = _augment(shaped, n * (n - 1) // 2, _is_shaped)
+        yield n, None, shaped
 
 
 def _leading_clique(g):
@@ -239,23 +294,21 @@ def _leading_clique(g):
 def verify_theorem1(max_n, k_list):
     """Exhaustively check the biconditional on all graphs with n <= max_n.
 
-    Both directions run per (n, k): every graph up to isomorphism is
-    tested for maximal ambiguity and for reconstructability, both read
-    off one coloring search, and the desirable matrices with entry sum n,
-    one per relabeling orbit (see enumerate_desirable), are checked to
-    induce maximal ambiguously k-colorable graphs; `family_graphs` counts
-    them.  Four exact tests each show a (graph, k) to be neither
-    maximal ambiguous nor certified, and skip both verdict cores:
-      - the graph induces a co-claw (`_has_co_claw`), tested once per
-        graph, which then starts no search for any k.  A maximal or
-        certified G passes the lemma below on some pair of class lists
-        (for the tiny and small route, on its parts against themselves),
-        so G is G(M) for the matrix M of their intersections: two
-        vertices are non-adjacent iff they share a row or a column of M.
-        A triangle holds three cells in pairwise different rows and
-        columns; a vertex has one row and one column, so by pigeonhole it
-        shares one of them with at most two of the three cells and is
-        joined to the third;
+    Both directions run per (n, k): every G(M)-shaped graph up to
+    isomorphism, from `_shaped_levels`, is tested for maximal ambiguity
+    and for reconstructability, both read off one coloring search, and
+    the desirable matrices with entry sum n, one per relabeling orbit
+    (see enumerate_desirable), are checked to induce maximal ambiguously
+    k-colorable graphs; `family_graphs` counts them.  A row's `shaped`
+    counts the shaped graphs, and `graphs` all graphs on n vertices,
+    None above ENUMERATION_MAX_N, where they are not built.
+
+    No other graph can be maximal or certified.  A maximal or certified
+    G passes the lemma below on some pair of class lists (for the tiny
+    and small route, on its parts against themselves), so G is G(M) for
+    the matrix M of their intersections: two vertices are non-adjacent
+    iff they share a row or a column of M.  Three more exact tests each
+    show a shaped (graph, k) to be neither, and skip both verdict cores:
       - its leading clique (`_leading_clique`) has more than k vertices,
         so it has no k-coloring and no search is started;
       - it has fewer than two k-colorings;
@@ -265,16 +318,18 @@ def verify_theorem1(max_n, k_list):
         raises, as each of its routes builds the certificate of P's
         classes against Q's, or against P's own (which also separate
         uv).
-    Every k must lie in 1..matrix.MAX_K, checked before any graph is
-    enumerated.
+    Every k must lie in 1..matrix.MAX_K, and max_n in 1..SHAPED_MAX_N,
+    checked before any graph is enumerated.
     """
     if max_n < 1 or not k_list or not all(1 <= k <= MAX_K for k in k_list):
         raise PreconditionError("verify_theorem1 needs max_n >= 1 and a "
                                 f"non-empty list of k in 1..{MAX_K}")
+    if max_n > SHAPED_MAX_N:
+        raise ResourceLimitError(
+            f"verify_theorem1 limited to n <= {SHAPED_MAX_N}")
     rows = []
-    for n, graphs in graph_levels(max_n):
-        kept = [(g, _leading_clique(g)) for g in graphs
-                if not _has_co_claw(g)]
+    for n, graphs, shaped in _shaped_levels(max_n):
+        kept = [(g, _leading_clique(g)) for g in shaped]
         for k in k_list:
             maximal = 0
             matched = 0
@@ -307,7 +362,8 @@ def verify_theorem1(max_n, k_list):
                     counterexamples.append(_edge_list_lines(g))
             counterexamples.sort()
             rows.append(TheoremReportRow(
-                n=n, k=k, graphs=len(graphs), maximal_ambiguous=maximal,
+                n=n, k=k, graphs=None if graphs is None else len(graphs),
+                shaped=len(shaped), maximal_ambiguous=maximal,
                 matched_by_matrix=matched, family_graphs=family,
                 counterexamples=counterexamples))
     return rows

@@ -161,10 +161,10 @@ def _lowering_set(omega, rows, rest, cand, target):
     return False
 
 
-def _twin_quotient(g):
+def _twin_quotient(rows):
     """Mask of the representatives: the lowest vertex of each distinct row."""
     seen, keep = set(), 0
-    for v, row in enumerate(g.rows):
+    for v, row in enumerate(rows):
         if row not in seen:
             seen.add(row)
             keep |= 1 << v
@@ -231,7 +231,7 @@ def is_perfect(g, method="definition"):
     if g.n > limit:
         raise ResourceLimitError(
             f"is_perfect({method!r}) limited to n <= {limit}")
-    keep = _twin_quotient(g)
+    keep = _twin_quotient(g.rows)
     if method == "holes":
         # a tuple, as g.rows is: the search's row lookups then meet one
         # sequence type, which the interpreter's specialization rewards

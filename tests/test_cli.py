@@ -205,9 +205,9 @@ def test_verify_perfect(capsys):
 
 @pytest.mark.parametrize("argv, code, digest", [
     ("--theorem 1 --max-n 5", 0,
-     "57272f52231f57889018a3b6a46ea7a982717d64051b1402f64f7adc60517c27"),
+     "5214deb3e73e20c7369ca3676579af99befa8b8916a4e6c30a013594e0277aff"),
     ("--theorem 1 --max-n 5 --format json", 0,
-     "136a6bd95510ad89fb86fea7db44c16cdf63a2c350956cf2c799b87a40846334"),
+     "dcd3f1536716725099880644eb637c798439225964728f36298a721e5e012a38"),
     ("--theorem turan --max-n 6", 0,
      "54020594a0d6943690b1f24afa50219945c8f12dbec941b6af555146e3c2ed13"),
     ("--theorem turan --max-n 6 --format json", 0,

@@ -1,7 +1,9 @@
 """Graph container, construction from matrices, canonical forms, cliques."""
 
+import hashlib
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -10,8 +12,9 @@ from ambigcolor import graphcore
 from ambigcolor.dfold import ColorTensor, build_graph_d
 from ambigcolor.errors import InputFormatError, PreconditionError, ResourceLimitError
 from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph,
-                                  _cert_bits, _clique_cover_order,
-                                  _partition_key, _refine,
+                                  _cert_bits, _child_cells,
+                                  _clique_cover_order, _partition_key,
+                                  _refine,
                                   are_isomorphic, build_graph, canonical_form,
                                   clique_number, complement, complete_graph,
                                   complete_multipartite, cycle_graph,
@@ -428,6 +431,50 @@ def test_levels_are_closed_under_complement():
         assert bool(middle) == (n in (1, 4, 5, 8))
 
 
+def degree_filtered_children(g):
+    """(child rows, the parent's vertices by degree, mask) for every mask
+    whose new vertex has maximum degree, with no parent vertex of its
+    degree in the mask: the children `_child_cells` is defined on."""
+    degrees = [r.bit_count() for r in g.rows]
+    of_degree = [sum(1 << v for v, d in enumerate(degrees) if d == e)
+                 for e in range(g.n + 1)]
+    for mask in range(1 << g.n):
+        deg = mask.bit_count()
+        if deg >= max(degrees, default=0) and not mask & of_degree[deg]:
+            rows = [r | (mask >> v & 1) << g.n for v, r in enumerate(g.rows)]
+            yield rows + [mask], of_degree, mask
+
+
+def test_child_cells_match_the_unit_refinement():
+    # seeded with the degree cells and stopped once the new vertex leaves
+    # the last cell, the refinement keeps a child with the cells, in
+    # order, of the refinement from [all], and drops it exactly when those
+    # leave the new vertex outside the last cell; every child at n <= 7,
+    # and those of 150 parents at n = 8
+    parents = [g for _, level in graph_levels(6) for g in level]
+    parents += random.Random(36).sample(enumerate_graphs(7), 150)
+    outcomes = Counter()
+    for g in [SimpleGraph(0)] + parents:
+        for rows, of_degree, mask in degree_filtered_children(g):
+            unit = _refine(rows, [(1 << len(rows)) - 1])
+            kept = bool(unit[-1] >> g.n & 1)
+            assert _child_cells(rows, of_degree, mask) == (
+                unit if kept else None), (rows, mask)
+            outcomes[kept, len(rows) == 8] += 1
+    assert len(outcomes) == 4, outcomes
+
+
+def test_graph_levels_lists_are_pinned():
+    # every level through n = 8, rows and order, as first generated with
+    # a refinement from [all] and a dict per split
+    digest = hashlib.sha256()
+    for _, level in graph_levels(8):
+        for g in level:
+            digest.update(repr(g.rows).encode())
+    assert digest.hexdigest() == (
+        "3573d9936b56e808ba5be5f987ad433bf388ed6a33de6436172937b000814c6f")
+
+
 def spy_on_generation(monkeypatch):
     """Record the order of every unit refinement and of every canonical
     search that `graph_levels` runs."""
@@ -435,10 +482,10 @@ def spy_on_generation(monkeypatch):
     refine = graphcore._refine
     search = graphcore._canonical_search
 
-    def refine_spy(rows, cells, queue=None):
+    def refine_spy(rows, cells, queue=None, last=-1):
         if queue is None:
             refined.append(len(rows))
-        return refine(rows, cells, queue)
+        return refine(rows, cells, queue, last)
 
     def search_spy(rows, cells):
         searches.append(len(rows))
@@ -452,13 +499,13 @@ def spy_on_generation(monkeypatch):
 def test_graph_levels_labels_only_last_cell_augmentations(monkeypatch):
     # of the 1077 augmentations at n <= 7 that keep at most half the
     # edges and maximum degree and pass the twin skip, 808 put the new
-    # vertex in the last cell; 241 of those share a partition key that
-    # is not a certificate with another kept child of their level
+    # vertex in the last cell; 187 of those share a partition key of
+    # fewer than n - 1 cells with another kept child of their level
     refined, searches = spy_on_generation(monkeypatch)
     for _ in graph_levels(7):
         pass
     assert len(refined) == 1077
-    assert len(searches) == 241
+    assert len(searches) == 187
 
 
 def test_graph_levels_counts_through_8(monkeypatch):
@@ -467,7 +514,7 @@ def test_graph_levels_counts_through_8(monkeypatch):
     assert [len(level) for _, level in graph_levels(8)] == [
         1, 2, 4, 11, 34, 156, 1044, 12346]
     assert len(refined) == 14069
-    assert len(searches) == 2112
+    assert len(searches) == 1406
 
 
 def test_enumeration_matches_networkx_atlas():

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ambigcolor import coloring, dfold, extremal, graphcore, perfection
+from ambigcolor import (coloring, dfold, extremal, graphcore, maximality,
+                        perfection)
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
 from ambigcolor.graphcore import SimpleGraph, empty_graph
@@ -34,7 +35,7 @@ CEILINGS = {
                      lambda n: list(graphcore.graph_levels(n))),
     "enumerate_graphs": (graphcore, "ENUMERATION_MAX_N",
                          graphcore.enumerate_graphs),
-    "verify_theorem1": (graphcore, "ENUMERATION_MAX_N",
+    "verify_theorem1": (maximality, "SHAPED_MAX_N",
                         lambda n: verify_theorem1(n, [2])),
     "brute_force_max_edges": (
         graphcore, "ENUMERATION_MAX_N",
@@ -101,7 +102,7 @@ def test_one_color_tensor_is_bounded_in_d(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("theorem, module, constant", [
-    ("1", graphcore, "ENUMERATION_MAX_N"),
+    ("1", maximality, "SHAPED_MAX_N"),
     ("turan", coloring, "MAX_N"),
     ("perfect", graphcore, "MAX_VERTICES"),
 ])

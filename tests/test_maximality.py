@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import combinations, islice
 
 import pytest
@@ -12,14 +13,16 @@ from ambigcolor import graphcore, maximality
 from ambigcolor.cli import main
 from ambigcolor.coloring import (_class_masks, _ordered_classes,
                                  count_colorings, enumerate_colorings)
-from ambigcolor.errors import PreconditionError, ReconstructionError
-from ambigcolor.graphcore import (SimpleGraph, are_isomorphic, build_graph,
-                                  clique_number, complete_graph, cycle_graph,
+from ambigcolor.errors import (PreconditionError, ReconstructionError,
+                               ResourceLimitError)
+from ambigcolor.graphcore import (SimpleGraph, _augment, are_isomorphic,
+                                  build_graph, canonical_form, clique_number,
+                                  complete_graph, cycle_graph,
                                   enumerate_graphs, from_graph6,
                                   graph_levels, path_graph)
 from ambigcolor.matrix import (MAX_K, NORMAL, SMALL, SPECIAL, TINY,
                                ColorMatrix, _bipartite_matching, classify,
-                               enumerate_desirable)
+                               enumerate_desirable, matrix_classes)
 from ambigcolor.maximality import (is_maximal, is_maximal_ambiguous,
                                    reconstruct_matrix, verify_theorem1)
 
@@ -437,6 +440,19 @@ def recorded_levels(monkeypatch):
     return levels
 
 
+@cache
+def matrix_graph_certificates(n):
+    """The certificates of G(M) over `matrix_classes(n, n)`: every graph
+    G(M) on n vertices, as M has at most n nonzero rows and columns."""
+    return frozenset(canonical_form(build_graph(m))
+                     for m in matrix_classes(n, n))
+
+
+def shaped_oracle(g):
+    """Whether g is G(M) for some matrix M, by its certificate."""
+    return canonical_form(g) in matrix_graph_certificates(g.n)
+
+
 def co_claw_oracle(g):
     """Brute force: some 4 vertices induce a triangle and a vertex joined
     to none of it."""
@@ -450,9 +466,9 @@ def co_claw_oracle(g):
 
 
 def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
-    # one _class_masks search per (graph, k) that neither the co-claw nor
+    # one _class_masks search per (graph, k) that neither the shape nor
     # the leading-clique rule skips, and one more per family matrix checks
-    # its G(A); every graph skipped for k induces a co-claw or holds a
+    # its G(A); every graph skipped for k is no G(M) or holds a
     # (k + 1)-clique, and both rules skip some graph
     calls = []          # (graph, k), the graph kept so no id is reused
     search = maximality._class_masks
@@ -477,15 +493,15 @@ def test_verify_theorem1_searches_colorings_once_per_graph(monkeypatch):
             list(enumerate_desirable(r.k, r.n)))
         for g in graphs[r.n]:
             count = searches[(id(g), r.k)]
-            co_claw = co_claw_oracle(g)
-            assert count == (not co_claw
+            shaped = shaped_oracle(g)
+            assert count == (shaped
                              and maximality._leading_clique(g) <= r.k)
-            if co_claw:
-                skipped["co-claw"] += 1
+            if not shaped:
+                skipped["unshaped"] += 1
             elif not count:
                 skipped["clique"] += 1
                 assert clique_number(g) > r.k, (g.edges(), r.k)
-    assert skipped["co-claw"] > 0 and skipped["clique"] > 0, skipped
+    assert skipped["unshaped"] > 0 and skipped["clique"] > 0, skipped
 
 
 def count_orders(monkeypatch):
@@ -512,10 +528,10 @@ def test_maximality_and_reconstruction_share_one_search_order(monkeypatch):
 
 
 def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
-    # every level graph without a co-claw gets its order once, for its
-    # leading clique, and every search on it reuses that order, including
-    # graphs no k searches; a level graph with a co-claw never gets one;
-    # each family graph gets its order once, for its own search
+    # every G(M)-shaped level graph gets its order once, for its leading
+    # clique, and every search on it reuses that order, including graphs
+    # no k searches; a level graph that is no G(M) never gets one; each
+    # family graph gets its order once, for its own search
     calls = count_orders(monkeypatch)
     searched = {}       # id -> graph, kept alive so no id is reused
     search = maximality._class_masks
@@ -533,12 +549,13 @@ def test_verify_theorem1_computes_one_search_order_per_graph(monkeypatch):
     family = {key: g for key, g in searched.items()
               if key not in level_graphs}
     assert len(family) == sum(r.family_graphs for r in rows)
-    co_claw = {key for key, g in level_graphs.items() if co_claw_oracle(g)}
-    assert co_claw and not co_claw & set(searched)
-    # some level graphs without a co-claw are never searched either: their
-    # leading clique is too big
-    assert set(searched) - set(family) < set(level_graphs) - co_claw
-    ordered = [g for key, g in level_graphs.items() if key not in co_claw]
+    unshaped = {key for key, g in level_graphs.items()
+                if not shaped_oracle(g)}
+    assert unshaped and not unshaped & set(searched)
+    # some shaped level graphs are never searched either: their leading
+    # clique is too big
+    assert set(searched) - set(family) < set(level_graphs) - unshaped
+    ordered = [g for key, g in level_graphs.items() if key not in unshaped]
     ordered += family.values()
     assert len(calls) == len(ordered)
     assert sorted(calls) == sorted(g.rows for g in ordered)
@@ -556,8 +573,8 @@ def _separated_non_edge(g, a, b):
 def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
     # the harness's verdict pair for each (graph, k) that reaches its cores
     # equals what is_maximal_ambiguous and reconstruct_matrix say on their
-    # own; every other (graph, k) is skipped for one of four reasons (a
-    # co-claw, a leading clique above k, fewer than two k-colorings, the
+    # own; every other (graph, k) is skipped for one of four reasons (no
+    # G(M), a leading clique above k, fewer than two k-colorings, the
     # lemma failing on the first two), each of which occurs, and neither
     # public function accepts a skipped pair
     maximal_over = maximality._is_maximal_over
@@ -604,12 +621,12 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
     assert len(everything) == 4 * sum(len(graphs)
                                       for _, graphs in graph_levels(6))
     assert checked <= {(id(g), k) for g, k in everything}
-    reasons = {"co-claw": 0, "clique": 0, "colorings": 0, "lemma": 0}
+    reasons = {"unshaped": 0, "clique": 0, "colorings": 0, "lemma": 0}
     for g, k in everything:
         if (id(g), k) in checked:
             continue
-        if (id(g), k) not in searched and co_claw_oracle(g):
-            reasons["co-claw"] += 1
+        if (id(g), k) not in searched and not shaped_oracle(g):
+            reasons["unshaped"] += 1
         elif (id(g), k) not in searched:
             reasons["clique"] += 1
             assert clique_number(g) > k
@@ -625,7 +642,7 @@ def test_verify_theorem1_verdicts_match_the_public_functions(monkeypatch):
             reconstruct_matrix(g, k)
     assert all(reasons.values()), reasons
     for g, is_max, k, ok in pairs:
-        assert not co_claw_oracle(g)
+        assert shaped_oracle(g)
         assert count_colorings(g, k, 2) == 2
         assert is_max == is_maximal_ambiguous(g, k)
         assert ok == _certified(g, k)
@@ -651,7 +668,19 @@ def test_leading_clique_is_a_clique_prefix_of_the_search_order():
         assert (w > 0) == (g.n > 0) and w <= clique_number(g)
 
 
-def test_co_claw_test_matches_brute_force():
+def test_shape_test_picks_out_the_graphs_of_matrices():
+    # G(M)-shaped graphs are exactly the G(M) of the matrix classes
+    counts = []
+    for n, level in graph_levels(7):
+        shaped = {canonical_form(g) for g in level
+                  if maximality._is_shaped(g.rows)}
+        assert shaped == matrix_graph_certificates(n), n
+        counts.append(len(shaped))
+    assert counts == [1, 2, 4, 10, 23, 65, 177]
+
+
+def test_shape_test_refuses_every_co_claw_graph():
+    # a co-claw of G is a claw of the complement of its twin quotient
     rng = random.Random(31)
     cases = [g for _, graphs in graph_levels(7) for g in graphs]
     cases += [SimpleGraph(n, [(u, v) for u in range(n)
@@ -660,10 +689,15 @@ def test_co_claw_test_matches_brute_force():
                            for _ in range(200))]
     outcomes = Counter()
     for g in cases:
-        want = co_claw_oracle(g)
-        assert maximality._has_co_claw(g) == want, g.edges()
-        outcomes[want, g.n > 7] += 1
-    assert len(outcomes) == 4, outcomes
+        co_claw = co_claw_oracle(g)
+        shaped = maximality._is_shaped(g.rows)
+        assert not (co_claw and shaped), g.edges()
+        outcomes[co_claw, shaped, g.n > 7] += 1
+    # shaped graphs, co-claw graphs and graphs refused for a diamond or an
+    # odd hole occur among the small graphs and the large random ones
+    assert {key[:2] for key in outcomes} == {(False, True), (True, False),
+                                             (False, False)}, outcomes
+    assert {key[2] for key in outcomes} == {False, True}
 
 
 def test_desirable_graphs_have_no_co_claw():
@@ -673,19 +707,47 @@ def test_desirable_graphs_have_no_co_claw():
         for n in range(9):
             for mat in enumerate_desirable(k, n):
                 count += 1
-                assert not maximality._has_co_claw(build_graph(mat)), mat
+                g = build_graph(mat)
+                assert not co_claw_oracle(g), mat
+                assert maximality._is_shaped(g.rows), mat
     assert count > 100
 
 
 def test_co_claw_graphs_are_neither_maximal_nor_certified():
     graphs = [g for _, level in graph_levels(7) for g in level
-              if maximality._has_co_claw(g)]
+              if co_claw_oracle(g)]
     assert len(graphs) == 822
     for g in graphs:
         for k in range(2, 6):
             assert not is_maximal_ambiguous(g, k), (g.edges(), k)
             with pytest.raises(ReconstructionError):
                 reconstruct_matrix(g, k)
+
+
+def test_shaped_levels_match_the_shaped_members_of_graph_levels():
+    # grown from the shaped graphs alone, as above ENUMERATION_MAX_N, with
+    # no edge bound and no complement step; compared as certificate sets
+    level = [SimpleGraph(0)]
+    for n, graphs in graph_levels(8):
+        level = _augment(level, n * (n - 1) // 2, maximality._is_shaped)
+        assert all(g.n == n for g in level)
+        certs = [canonical_form(g) for g in level]
+        assert len(set(certs)) == len(certs)
+        assert set(certs) == {canonical_form(g) for g in graphs
+                              if maximality._is_shaped(g.rows)}, n
+
+
+def test_verify_theorem1_past_the_graph_levels():
+    # the n = 9 rows: (maximal_ambiguous = matched_by_matrix, family_graphs)
+    # per k, over the 1666 G(M)-shaped graphs on nine vertices
+    rows = [r for r in verify_theorem1(9, [2, 3, 4, 5]) if r.n >= 8]
+    assert [(r.n, r.graphs, r.shaped) for r in rows] == (
+        [(8, 12346, 539)] * 4 + [(9, None, 1666)] * 4)
+    got = {r.k: (r.maximal_ambiguous, r.family_graphs)
+           for r in rows if r.n == 9}
+    assert got == {2: (14, 63), 3: (50, 504), 4: (39, 328), 5: (19, 59)}
+    assert all(r.maximal_ambiguous == r.matched_by_matrix
+               and not r.counterexamples for r in rows)
 
 
 def first_two_class_lists():
@@ -755,11 +817,20 @@ def test_verify_theorem1_checks_k_before_enumerating(monkeypatch):
                         f"list of k in 1..{MAX_K}"}
 
 
+def test_verify_theorem1_checks_its_ceiling_before_enumerating(monkeypatch):
+    def no_enumeration(max_n):
+        raise AssertionError("graphs enumerated before the ceiling check")
+
+    monkeypatch.setattr(maximality, "graph_levels", no_enumeration)
+    with pytest.raises(ResourceLimitError):
+        verify_theorem1(maximality.SHAPED_MAX_N + 1, [2])
+
+
 def test_report_json_schema(capsys):
     assert main(["verify", "--theorem", "1", "--max-n", "3", "--k-list", "2",
                  "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["schema_version"] == 1 and obj["theorem"] == "characterization"
+    assert obj["schema_version"] == 2 and obj["theorem"] == "characterization"
     assert obj["counterexample_total"] == 0
     assert obj["rows"][0]["n"] == 1
 

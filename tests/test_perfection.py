@@ -73,7 +73,7 @@ def has_odd_hole(g):
 
 def quotient_graph(g):
     """g induced on the false-twin representatives."""
-    keep = _twin_quotient(g)
+    keep = _twin_quotient(g.rows)
     return g.induced(v for v in range(g.n) if keep >> v & 1)
 
 
@@ -423,7 +423,7 @@ def test_methods_run_on_the_false_twin_quotient(monkeypatch):
     # G(A) has A(i, j) false twins labelled (i, j): 14 vertices, 8 rows
     g = build_graph(ColorMatrix([[3, 1, 0], [1, 4, 1], [1, 2, 1]]))
     assert g.n == 14 and len(set(g.rows)) == 8
-    assert _twin_quotient(g) == sum(
+    assert _twin_quotient(g.rows) == sum(
         1 << g.rows.index(row) for row in set(g.rows))
     orders = _record_orders(monkeypatch)
     assert is_perfect(g, "definition")
