@@ -6,7 +6,8 @@ anticliques.  One backtracker finds them all; every coloring question
 maximality) goes through it.  Partitions are handed out canonically as
 restricted-growth strings over the input's vertex order, so distinct
 Coloring values are exactly distinct unordered partitions.  The empty
-graph has exactly one coloring (the empty partition) for every k.
+graph has exactly one coloring (the empty partition) for every k.  The
+search's only order limit is the graph's own, graphcore.MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import PreconditionError, ResourceLimitError
-
-MAX_N = 32
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,8 @@ def _class_masks(g, k):
     first block is a clique that opens its classes with no branching, and
     each later vertex meets placed neighbours early, so the search cost
     hardly depends on how the input numbers its vertices.
-    Raises ResourceLimitError above MAX_N vertices.
     """
     n, rows = g.n, g.rows
-    if n > MAX_N:
-        raise ResourceLimitError(f"coloring search limited to n <= {MAX_N}")
     if k < 0:
         raise PreconditionError("need k >= 0")
     masks = [0] * min(k, n)

@@ -18,29 +18,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .coloring import MAX_N as COLORING_MAX_N
 from .coloring import _check_partition, count_colorings
 from .errors import (PreconditionError, ReconstructionError,
                      ResourceLimitError)
-from .graphcore import (build_graph, canonical_form, enumerate_graphs,
-                        to_graph6, turan_graph)
+from .graphcore import build_graph, canonical_form, enumerate_graphs, to_graph6
 from .matrix import (ColorMatrix, _margin_classes, _margin_pairs,
                      _mininormal_matrices, _pairs, _small_matrices,
                      _special_matrices, _tiny_matrices, class_key,
                      special_variants)
 from .maximality import reconstruct_matrix
 
+EXTREMAL_MAX_N = 32     # the margin scan of the class route, not its colorings
 EXTREMAL_MAX_K = 5
 
 
 def turan_number(n, k):
-    """ex(n, K_{k+1}): edge count of the Turan graph T(n, k).
-
-    Computed by constructing the graph and counting, not by closed form.
-    """
+    """ex(n, K_{k+1}): edge count of the Turan graph T(n, k), from its
+    part sizes, n mod k of them q + 1 and the rest q = floor(n/k): the
+    C(n, 2) pairs less those inside a part."""
     if n < 0 or k < 1:
         raise PreconditionError("need n >= 0, k >= 1")
-    return turan_graph(n, k).m
+    q, rem = divmod(n, k)
+    return _pairs([n]) - rem * _pairs([q + 1]) - (k - rem) * _pairs([q])
 
 
 def ambiguous_max_edges(n, k):
@@ -105,10 +104,10 @@ def lemma_bound(g, partition, selected):
 # ---------------------------------------------------------------------------
 
 def _check_extremal_limits(max_n, max_k):
-    if max_n > COLORING_MAX_N or max_k > EXTREMAL_MAX_K:
+    if max_n > EXTREMAL_MAX_N or max_k > EXTREMAL_MAX_K:
         raise ResourceLimitError(
             f"the extremal oracle and families are limited to "
-            f"n <= {COLORING_MAX_N}, k <= {EXTREMAL_MAX_K}")
+            f"n <= {EXTREMAL_MAX_N}, k <= {EXTREMAL_MAX_K}")
 
 
 def _edge_count(entries):
@@ -189,7 +188,7 @@ def _class_route(n, k):
 def max_edges_by_class(pairs):
     """The class-route oracle for every (n, k) in `pairs`, n >= 2 and
     k >= 2, as {(n, k): (max edge count, sorted extremal class keys,
-    classes scanned)}.  Raises ResourceLimitError past coloring.MAX_N or
+    classes scanned)}.  Raises ResourceLimitError past EXTREMAL_MAX_N or
     EXTREMAL_MAX_K before any cell is computed, and ReconstructionError,
     naming the graph by graph6 string and k, if an extremal graph has no
     certificate (a counterexample to the characterization theorem)."""

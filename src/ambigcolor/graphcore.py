@@ -18,7 +18,6 @@ from .errors import InputFormatError, PreconditionError, ResourceLimitError
 
 MAX_VERTICES = 64
 DEFAULT_CANON_MAX_N = 16
-DEFAULT_CLIQUE_MAX_N = 32
 ENUMERATION_MAX_N = 8       # graphs up to isomorphism, by graph_levels
 
 
@@ -31,7 +30,8 @@ class SimpleGraph:
     the graph was built from a matrix (or the (i_1, ..., i_d, t) tuple for
     tensors).  The coloring search order is computed on first use and kept
     (`clique_cover_order`); as the graph never changes, it never goes
-    stale, and equality and hashing ignore it.
+    stale, and equality and hashing ignore it.  Both constructors refuse
+    more than MAX_VERTICES vertices, `__init__` before it builds a row.
     """
 
     __slots__ = ("n", "rows", "labels", "_order")
@@ -39,6 +39,7 @@ class SimpleGraph:
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
             raise InputFormatError(f"vertex count must be >= 0, got {n}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
@@ -52,6 +53,7 @@ class SimpleGraph:
 
     @classmethod
     def from_rows(cls, rows, labels=None):
+        _check_order(len(rows))
         g = cls.__new__(cls)
         g.n = len(rows)
         g.rows = tuple(rows)
@@ -133,6 +135,11 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
+def _check_order(n):
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"graph limited to n <= {MAX_VERTICES}")
+
+
 def _clique_cover_order(rows):
     """The vertices of a graph given by its adjacency bitmasks, as a
     first-fit clique cover (greedy coloring of the complement): sorted by
@@ -170,9 +177,7 @@ def graph_from_cells(k, d, flat):
     for idx, a in zip(product(range(1, k + 1), repeat=d), flat):
         if a:
             n += a
-            if n > MAX_VERTICES:
-                raise ResourceLimitError(
-                    f"G(A) has more than {MAX_VERTICES} vertices")
+            _check_order(n)
             cells.append((idx, a))
     # vertices sharing coordinate p with value x, per (p, x)
     shared = {}
@@ -210,6 +215,7 @@ def complete_multipartite(sizes):
     if not sizes or any(s < 1 for s in sizes):
         raise PreconditionError("class sizes must be positive")
     n = sum(sizes)
+    _check_order(n)
     rows = [0] * n
     full = (1 << n) - 1
     start = 0
@@ -225,6 +231,7 @@ def turan_graph(n, r):
     """Balanced complete r-partite graph T(n, r) on n vertices."""
     if n < 0 or r < 1:
         raise PreconditionError("need n >= 0, r >= 1")
+    _check_order(n)
     if n == 0:
         return SimpleGraph(0)
     r = min(r, n)
@@ -234,7 +241,7 @@ def turan_graph(n, r):
 
 
 def complete_graph(n):
-    return complete_multipartite([1] * n) if n else SimpleGraph(0)
+    return turan_graph(n, max(n, 1))
 
 
 def empty_graph(n):
@@ -569,9 +576,6 @@ def enumerate_graphs(n):
 def clique_number(g):
     """Size of a maximum clique, by branch and bound with a greedy
     coloring bound."""
-    if g.n > DEFAULT_CLIQUE_MAX_N:
-        raise ResourceLimitError(
-            f"clique_number limited to n <= {DEFAULT_CLIQUE_MAX_N}")
     if g.n == 0:
         return 0
     rows = g.rows

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from array import array
 
-from .coloring import MAX_N as COLORING_MAX_N
 from .errors import PreconditionError, ResourceLimitError
 from .graphcore import MAX_VERTICES, build_graph, complement
 from .matrix import ColorMatrix
@@ -215,9 +214,9 @@ def is_perfect(g, method="definition"):
     color class through its lowest vertex is looked for as that vertex
     alone, then as the greedy stable set from a table, then by a search.
     method="holes" searches G and its complement for an induced odd hole
-    (the cross-check), for n <= coloring.MAX_N, the reach of maximality.
-    Both limits bound the input order g.n.  Both methods then run on the
-    false-twin quotient, a mask of representatives on g's own rows: the
+    (the cross-check), on any graph, so up to graphcore.MAX_VERTICES;
+    DEFAULT_PERFECT_MAX_N bounds the input order g.n.  Both methods run on
+    the false-twin quotient, a mask of representatives on g's own rows: the
     hole method searches every start in it on g and on its complement,
     given as g's complemented rows cut to the mask, with no new graph; the
     definition method splits it into pieces that are each connected and
@@ -227,10 +226,9 @@ def is_perfect(g, method="definition"):
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
-    limit = DEFAULT_PERFECT_MAX_N if method == "definition" else COLORING_MAX_N
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"is_perfect({method!r}) limited to n <= {limit}")
+    if method == "definition" and g.n > DEFAULT_PERFECT_MAX_N:
+        raise ResourceLimitError(f"is_perfect('definition') limited to "
+                                 f"n <= {DEFAULT_PERFECT_MAX_N}")
     keep = _twin_quotient(g.rows)
     if method == "holes":
         # a tuple, as g.rows is: the search's row lookups then meet one

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ambigcolor
-from ambigcolor import coloring, extremal, graphcore, maximality
+from ambigcolor import extremal, graphcore, maximality
 from ambigcolor.cli import main
 
 FIG_TEXT = "3\n1 2 0\n1 3 1\n1 1 1\n"
@@ -261,7 +261,7 @@ def test_table_refuses_a_k_above_max_n(capsys):
 
 
 def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
-    max_n, max_k = coloring.MAX_N, extremal.EXTREMAL_MAX_K
+    max_n, max_k = extremal.EXTREMAL_MAX_N, extremal.EXTREMAL_MAX_K
     for n, k in ((max_n + 1, 2), (max_k + 1, max_k + 1)):
         assert main(["table", "--max-n", str(n), "--max-k", str(k)]) == 3
         captured = capsys.readouterr()
@@ -274,6 +274,18 @@ def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     assert len(lines) == 11 + 10 + 9
     assert all(line.split("\t")[2] == line.split("\t")[3] for line in lines)
+
+
+def test_table_without_oracle_has_no_order_ceiling(capsys):
+    # the formula counts T(n, k)'s edges from its part sizes, so no row
+    # builds a graph, and n may pass graphcore.MAX_VERTICES
+    assert main(["table", "--max-n", "200", "--max-k", "3",
+                 "--no-oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 199 + 198
+    for line in lines:
+        n, k, formula = map(int, line.split("\t"))
+        assert formula == (k - 1) * n * n // (2 * k) - n // k
 
 
 MALFORMED_INPUTS = {
@@ -372,9 +384,15 @@ def test_verify_rejects_a_repeated_k(theorem, capsys):
     assert captured.out == "" and "repeated k" in captured.err
 
 
-def test_coloring_commands_limited_to_32_vertices(tmp_path, capsys):
-    big = tmp_path / "empty33.txt"
-    big.write_text("33 0\n")
+def test_coloring_commands_limited_to_max_vertices(tmp_path, capsys):
+    n = graphcore.MAX_VERTICES
+    ok = tmp_path / f"empty{n}.txt"
+    ok.write_text(f"{n} 0\n")
+    assert main(["count", str(ok), "-k", "2", "--cap", "5"]) == 0
+    assert main(["check-maximal", str(ok), "-k", "2"]) == 0
+    assert capsys.readouterr().out == "5\nfalse\n"
+    big = tmp_path / f"empty{n + 1}.txt"
+    big.write_text(f"{n + 1} 0\n")
     for command in ("count", "check-maximal", "reconstruct"):
         assert main([command, str(big), "-k", "2"]) == 3
     assert capsys.readouterr().out == ""

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigcolor.coloring import (MAX_N, Coloring, _class_masks,
+from ambigcolor.coloring import (Coloring, _class_masks,
                                  _ordered_classes, chromatic_number,
                                  count_colorings, enumerate_colorings,
                                  is_ambiguously_colorable,
                                  is_uniquely_colorable, iter_colorings)
 from ambigcolor.dfold import is_dfold_colorable, recover_tensor
-from ambigcolor.errors import PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, _clique_cover_order,
+from ambigcolor.errors import (PreconditionError, ReconstructionError,
+                               ResourceLimitError)
+from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph,
+                                  _clique_cover_order,
                                   complete_graph, complete_multipartite,
                                   cycle_graph, empty_graph, graph_levels,
                                   path_graph)
@@ -196,7 +198,7 @@ def test_search_order_is_the_first_fit_clique_cover():
     cases = [g for _, graphs in graph_levels(7) for g in graphs]
     cases += [random_graph(rng, rng.randint(0, 32), rng.random())
               for _ in range(200)]
-    cases += [maker(n) for n in (0, 1, 5, MAX_N)
+    cases += [maker(n) for n in (0, 1, 5, MAX_VERTICES)
               for maker in (empty_graph, complete_graph)]
     for g in cases:
         blocks = oracle_clique_cover(g)
@@ -231,23 +233,28 @@ def test_first_coloring_of_complete_multipartite_is_its_parts():
 
 
 def test_one_ceiling_for_every_coloring_entry_point():
-    ok, big = empty_graph(MAX_N), empty_graph(MAX_N + 1)
+    # the ceiling is the graph object's: no graph has MAX_VERTICES + 1
+    # vertices, and every entry point runs on one with MAX_VERTICES
+    with pytest.raises(ResourceLimitError):
+        empty_graph(MAX_VERTICES + 1)
+    ok = empty_graph(MAX_VERTICES)
     assert count_colorings(ok, 1, 2) == 1
-    assert chromatic_number(complete_graph(MAX_N)) == MAX_N
+    assert chromatic_number(complete_graph(MAX_VERTICES)) == MAX_VERTICES
     entry_points = [
-        lambda g: next(iter_colorings(g, 2)),
-        lambda g: enumerate_colorings(g, 2, limit=1),
-        lambda g: count_colorings(g, 2, 1),
-        chromatic_number,
-        lambda g: is_ambiguously_colorable(g, 2),
-        lambda g: is_uniquely_colorable(g, 2),
-        lambda g: is_maximal(g, 2, 3),
-        lambda g: is_maximal_ambiguous(g, 2),
-        lambda g: is_maximal(g, 2, 1),
-        lambda g: is_dfold_colorable(g, 3, 2),
-        lambda g: reconstruct_matrix(g, 2),
-        lambda g: recover_tensor(g, 3, 2),
+        (lambda g: next(iter_colorings(g, 2)).num_classes, 1),
+        (lambda g: len(enumerate_colorings(g, 2, limit=1)), 1),
+        (lambda g: count_colorings(g, 2, 1), 1),
+        (chromatic_number, 1),
+        (lambda g: is_ambiguously_colorable(g, 2), True),
+        (lambda g: is_uniquely_colorable(g, 2), False),
+        (lambda g: is_maximal(g, 2, 3), False),
+        (lambda g: is_maximal_ambiguous(g, 2), False),
+        (lambda g: is_maximal(g, 2, 1), False),
+        (lambda g: is_dfold_colorable(g, 3, 2), True),
+        (lambda g: sum(recover_tensor(g, 3, 2).entries), MAX_VERTICES),
     ]
-    for call in entry_points:
-        with pytest.raises(ResourceLimitError):
-            call(big)
+    for call, want in entry_points:
+        assert call(ok) == want
+    # the first two 2-colorings give the diagonal [64, 0], not desirable
+    with pytest.raises(ReconstructionError, match="not desirable"):
+        reconstruct_matrix(ok, 2)

@@ -4,6 +4,7 @@ graph-corpus oracles, and the edge bound."""
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,17 @@ from hypothesis import strategies as st
 
 from ambigcolor import extremal
 from ambigcolor.cli import main
-from ambigcolor.coloring import MAX_N as COLORING_MAX_N, enumerate_colorings
+from ambigcolor.coloring import enumerate_colorings
 from ambigcolor.errors import PreconditionError, ReconstructionError
 from ambigcolor.extremal import (ExtremalReport, _edge_count,
                                  ambiguous_max_edges, brute_force_max_edges,
                                  enumerate_extremal, lemma_bound,
                                  max_edges_by_class, turan_number,
                                  verify_turan_theorem)
-from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
-                                  cycle_graph, enumerate_graphs, from_graph6,
-                                  graph_levels, path_graph, turan_graph)
+from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph, build_graph,
+                                  canonical_form, cycle_graph,
+                                  enumerate_graphs, from_graph6, graph_levels,
+                                  path_graph, turan_graph)
 from ambigcolor.matrix import ColorMatrix, matrix_classes
 
 
@@ -36,6 +38,22 @@ def test_turan_number_known():
             q, r = divmod(n, k)
             expect = (n * n - r * (q + 1) ** 2 - (k - r) * q * q) // 2
             assert turan_number(n, k) == expect
+
+
+def test_turan_number_counts_the_edges_of_the_turan_graph():
+    for n in range(MAX_VERTICES + 1):
+        for k in range(1, n + 3):
+            assert turan_number(n, k) == turan_graph(n, k).m, (n, k)
+
+
+def test_ambiguous_max_edges_builds_no_graph():
+    # T(10^6, 3) would need 10^6 rows; its parts give its edge count, the
+    # closed form floor((1 - 1/k) n^2 / 2)
+    n, k = 10 ** 6, 3
+    start = time.perf_counter()
+    value = ambiguous_max_edges(n, k)
+    assert time.perf_counter() - start < 0.1
+    assert value == (k - 1) * n * n // (2 * k) - n // k
 
 
 def test_ambiguous_max_edges_formula():
@@ -159,8 +177,8 @@ def test_verify_turan_theorem_reaches_order_12():
 
 
 def test_verify_turan_theorem_reaches_the_coloring_cap():
-    reports = verify_turan_theorem(COLORING_MAX_N, [2])
-    assert len(reports) == COLORING_MAX_N - 1
+    reports = verify_turan_theorem(extremal.EXTREMAL_MAX_N, [2])
+    assert len(reports) == extremal.EXTREMAL_MAX_N - 1
     assert all(r.agrees for r in reports)
 
 

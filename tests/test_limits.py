@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ambigcolor import (coloring, dfold, extremal, graphcore, maximality,
-                        perfection)
+from ambigcolor import dfold, extremal, graphcore, maximality, perfection
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
 from ambigcolor.graphcore import SimpleGraph, empty_graph
@@ -29,7 +28,7 @@ CEILINGS = {
     "are_isomorphic": (graphcore, "DEFAULT_CANON_MAX_N",
                        lambda n: graphcore.are_isomorphic(empty_graph(n),
                                                           empty_graph(n))),
-    "clique_number": (graphcore, "DEFAULT_CLIQUE_MAX_N",
+    "clique_number": (graphcore, "MAX_VERTICES",
                       lambda n: graphcore.clique_number(empty_graph(n))),
     "graph_levels": (graphcore, "ENUMERATION_MAX_N",
                      lambda n: list(graphcore.graph_levels(n))),
@@ -41,18 +40,18 @@ CEILINGS = {
         graphcore, "ENUMERATION_MAX_N",
         lambda n: extremal.brute_force_max_edges(n, 2)),
     "max_edges_by_class-n": (
-        coloring, "MAX_N",
+        extremal, "EXTREMAL_MAX_N",
         lambda n: extremal.max_edges_by_class([(n, 2)])),
     "max_edges_by_class-k": (
         extremal, "EXTREMAL_MAX_K",
         lambda k: extremal.max_edges_by_class([(k, k)])),
     "verify_turan_theorem": (
-        coloring, "MAX_N",
+        extremal, "EXTREMAL_MAX_N",
         lambda n: extremal.verify_turan_theorem(n, [2])),
     "verify_turan_theorem-k": (
         extremal, "EXTREMAL_MAX_K",
         lambda k: extremal.verify_turan_theorem(k, [k])),
-    "enumerate_extremal-n": (coloring, "MAX_N",
+    "enumerate_extremal-n": (extremal, "EXTREMAL_MAX_N",
                              lambda n: extremal.enumerate_extremal(n, 2)),
     "enumerate_extremal-k": (extremal, "EXTREMAL_MAX_K",
                              lambda k: extremal.enumerate_extremal(k, k)),
@@ -101,9 +100,27 @@ def test_one_color_tensor_is_bounded_in_d(tmp_path, capsys):
     assert dfold.build_graph_d(dfold.ColorTensor(1, d, [1])).n == 1
 
 
+def test_graph_constructors_refuse_before_allocating():
+    # a graph has at most MAX_VERTICES vertices, checked before any row is
+    # allocated: rows for 10^12 or 10^9 vertices would not fit in memory
+    half = empty_graph(40)
+    calls = [
+        lambda: SimpleGraph(10 ** 12),
+        lambda: SimpleGraph.from_rows([0] * (graphcore.MAX_VERTICES + 1)),
+        lambda: dfold.join(half, half),
+        lambda: graphcore.complete_multipartite([40, 40]),
+        lambda: graphcore.turan_graph(10 ** 9, 3),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            call()
+        assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("theorem, module, constant", [
     ("1", maximality, "SHAPED_MAX_N"),
-    ("turan", coloring, "MAX_N"),
+    ("turan", extremal, "EXTREMAL_MAX_N"),
     ("perfect", graphcore, "MAX_VERTICES"),
 ])
 def test_verify_ceiling_exits_3(theorem, module, constant, capsys):
@@ -179,8 +196,8 @@ def test_readme_limits_table_matches_the_modules():
 
 def module_ceilings():
     """(module, name) for every int constant assigned at the top level of
-    a package module whose name contains MAX or CAP (imported aliases such
-    as perfection's COLORING_MAX_N are not assignments)."""
+    a package module whose name contains MAX or CAP (imported names such
+    as maximality's ENUMERATION_MAX_N are not assignments)."""
     out = set()
     for path in Path(graphcore.__file__).parent.glob("*.py"):
         module = importlib.import_module(f"ambigcolor.{path.stem}")

@@ -181,6 +181,63 @@ def test_reconstruct_large_orders():
             reconstruct_matrix(SimpleGraph(g.n, g.edges()[1:]), mat.k)
 
 
+def seeded_desirable(rng, k, n, kind):
+    """A desirable k x k matrix of entry sum n > 2k: normal, a positive
+    diagonal and a cycle on a block of r >= 2 indices with the rest of the
+    mass inside the block or on the diagonal outside it; or special, a
+    positive diagonal and one off-diagonal 1.  Then one seeded
+    simultaneous row and column permutation."""
+    entries = [[int(i == j) for j in range(k)] for i in range(k)]
+    if kind == NORMAL:
+        block = rng.sample(range(k), rng.randint(2, k))
+        for a, b in zip(block, block[1:] + block[:1]):
+            entries[a][b] += 1
+        cells = ([(i, j) for i in block for j in block]
+                 + [(i, i) for i in range(k) if i not in block])
+    else:
+        i, j = rng.sample(range(k), 2)
+        entries[i][j] = 1
+        cells = [(i, i) for i in range(k)]
+    for _ in range(n - sum(map(sum, entries))):
+        i, j = rng.choice(cells)
+        entries[i][j] += 1
+    order = rng.sample(range(k), k)
+    return ColorMatrix([[entries[p][q] for q in order] for p in order])
+
+
+def test_certifies_desirable_graphs_up_to_max_vertices():
+    # G(A) of 33..64 vertices, k = 3..8, in shuffled vertex orders: each is
+    # certified, and G(A) - e and G(A) + e are refused by both functions
+    rng = random.Random(37)
+    seen = set()
+    for item in range(160):
+        k, n = 3 + item % 6, 33 + item % 32
+        kind = (NORMAL, SPECIAL)[item // 6 % 2]
+        mat = seeded_desirable(rng, k, n, kind)
+        assert classify(mat).verdict == kind
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = build_graph(mat).permuted(perm)
+        assert is_maximal_ambiguous(g, k)
+        out, trace = reconstruct_matrix(g, k)
+        assert classify(out).verdict == kind
+        assert_relabeling_is_isomorphism(g, out, trace.relabeling)
+        u, v = rng.choice(g.edges())
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        for h in (SimpleGraph.from_rows(rows),
+                  g.add_edge(*rng.choice(g.non_edges()))):
+            assert not is_maximal_ambiguous(h, k)
+            with pytest.raises(ReconstructionError):
+                reconstruct_matrix(h, k)
+        seen.add((k, kind, n))
+    assert {(k, kind) for k, kind, _ in seen} == {
+        (k, kind) for k in range(3, 9) for kind in (NORMAL, SPECIAL)}
+    assert min(n for *_, n in seen) == 33
+    assert max(n for *_, n in seen) == graphcore.MAX_VERTICES
+
+
 def test_reconstructed_relabeling_is_an_isomorphism_on_small_graphs():
     # reconstruct_matrix checks G = G(A) once, by the lemma on the aligned
     # classes; this checks its relabeling edge by edge on every maximal

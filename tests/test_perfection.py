@@ -9,13 +9,13 @@ import pytest
 
 from ambigcolor import perfection
 from ambigcolor.cli import main
-from ambigcolor.coloring import MAX_N as COLORING_MAX_N, chromatic_number
+from ambigcolor.coloring import chromatic_number
 from ambigcolor.errors import PreconditionError, ResourceLimitError
-from ambigcolor.graphcore import (SimpleGraph, build_graph, canonical_form,
-                                  clique_number, complement, complete_graph,
-                                  complete_multipartite, cycle_graph,
-                                  empty_graph, enumerate_graphs, graph_levels,
-                                  path_graph)
+from ambigcolor.graphcore import (MAX_VERTICES, SimpleGraph, build_graph,
+                                  canonical_form, clique_number, complement,
+                                  complete_graph, complete_multipartite,
+                                  cycle_graph, empty_graph, enumerate_graphs,
+                                  graph_levels, path_graph)
 from ambigcolor.dfold import ColorTensor, build_graph_d
 from ambigcolor.matrix import ColorMatrix, matrix_classes
 from ambigcolor.maximality import is_maximal_ambiguous
@@ -137,11 +137,11 @@ def test_method_validation_and_limits():
         is_perfect(empty_graph(20), method="guess")
     with pytest.raises(ResourceLimitError):
         is_perfect(empty_graph(20), "definition")
-    # the hole search needs no 2^n table: it runs to the coloring ceiling
+    # the hole search needs no 2^n table: it runs to the graph ceiling
     assert is_perfect(empty_graph(20), "holes")
-    assert is_perfect(empty_graph(COLORING_MAX_N), "holes")
+    assert is_perfect(empty_graph(MAX_VERTICES), "holes")
     with pytest.raises(ResourceLimitError):
-        is_perfect(empty_graph(COLORING_MAX_N + 1), "holes")
+        is_perfect(empty_graph(MAX_VERTICES + 1), "holes")
 
 
 def test_hole_search_beyond_the_definition_ceiling():
@@ -192,8 +192,8 @@ def test_verify_perfectness_no_violations(capsys):
 
 
 def test_verify_perfectness_past_the_coloring_ceiling():
-    # k^2 = 36 and 49 > coloring.MAX_N: the search from one orbit start,
-    # beside the every-start search where k <= 6
+    # k^2 = 36 and 49: the search from one orbit start, beside the
+    # every-start search where k <= 6
     report = verify_perfectness([6, 7])
     assert report == {"violations": [], "rows": [
         {"k": k, "order": k * k, "matrix": all_ones(k).to_json(),
