@@ -175,10 +175,6 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
-    header = ["n", "k", "formula"]
-    if args.oracle:
-        header.append("oracle")
-    lines = ["\t".join(header)]
     cells = [(n, k) for k in range(2, args.max_k + 1)
              for n in range(max(2, k), args.max_n + 1)]
     if not cells:
@@ -187,12 +183,9 @@ def cmd_table(args):
     if args.max_k > args.max_n:
         raise PreconditionError(
             "table would have no row for some k: it needs max_n >= max_k")
-    oracle = extremal.max_edges_by_class(cells) if args.oracle else {}
-    for n, k in cells:
-        row = [str(n), str(k), str(extremal.ambiguous_max_edges(n, k))]
-        if args.oracle:
-            row.append(str(oracle[n, k][0]))
-        lines.append("\t".join(row))
+    lines = ["n\tk\tformula"]
+    lines += [f"{n}\t{k}\t{extremal.ambiguous_max_edges(n, k)}"
+              for n, k in cells]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -245,10 +238,9 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="extremal edge count table (TSV)")
+    p = sub.add_parser("table", help="extremal edge count formula table (TSV)")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--no-oracle", dest="oracle", action="store_false")
     p.set_defaults(func=cmd_table)
 
     return parser

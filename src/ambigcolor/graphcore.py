@@ -650,11 +650,10 @@ def from_edge_list(text):
 
 
 def to_graph6(g):
-    """Standard graph6 encoding (n <= 62 supported here)."""
+    """Standard graph6 encoding; an order past 62 is "~" and 3 bytes."""
     n = g.n
-    if n > 62:
-        raise ResourceLimitError("graph6 export limited to n <= 62")
-    out = [chr(n + 63)]
+    out = [chr(63 + b) for b in
+           ([n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63])]
     bits = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
     bits += [0] * (-len(bits) % 6)
     for i in range(0, len(bits), 6):
@@ -666,16 +665,24 @@ def to_graph6(g):
 
 
 def from_graph6(text):
+    """Decode graph6, with or without ">>graph6<<"; an order past
+    MAX_VERTICES, "~~" forms too, is refused before the body is read."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise InputFormatError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not 0 <= n <= 62:
-        raise InputFormatError("only short-form graph6 (n <= 62) supported")
+    tildes = 0 if s[0] != "~" else 1 if s[1:2] != "~" else 2
+    end = tildes + (1, 3, 6)[tildes]
+    head = [ord(ch) - 63 for ch in s[tildes:end]]
+    if len(head) != end - tildes or not all(0 <= v < 64 for v in head):
+        raise InputFormatError(f"bad graph6 order {s[:end]!r}")
+    n = sum(v << 6 * i for i, v in enumerate(reversed(head)))  # big-endian
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"graph6 string has {n} > {MAX_VERTICES} vertices")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
+    body = s[end:]
     if len(body) != need:
         raise InputFormatError(f"graph6 body length {len(body)}, expected {need}")
     bits = []

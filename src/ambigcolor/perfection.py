@@ -48,7 +48,7 @@ from .errors import PreconditionError, ResourceLimitError
 from .graphcore import MAX_VERTICES, build_graph, complement
 from .matrix import ColorMatrix
 
-DEFAULT_PERFECT_MAX_N = 14     # the definition method's 2^n table
+DEFAULT_PERFECT_MAX_N = 14     # the 2^n table of one piece
 
 
 def _has_odd_hole(rows, keep, start=None):
@@ -210,25 +210,22 @@ def is_perfect(g, method="definition"):
     """True iff chi = omega on every induced subgraph.
 
     method="definition" decides the definition by one dynamic program
-    over the vertex subsets, for n <= DEFAULT_PERFECT_MAX_N: per subset, a
-    color class through its lowest vertex is looked for as that vertex
-    alone, then as the greedy stable set from a table, then by a search.
+    over the vertex subsets of each piece, of at most DEFAULT_PERFECT_MAX_N
+    vertices (checked on the largest before any table): per subset, a color
+    class through its lowest vertex is looked for as that vertex alone,
+    then as the greedy stable set from a table, then by a search.
     method="holes" searches G and its complement for an induced odd hole
-    (the cross-check), on any graph, so up to graphcore.MAX_VERTICES;
-    DEFAULT_PERFECT_MAX_N bounds the input order g.n.  Both methods run on
-    the false-twin quotient, a mask of representatives on g's own rows: the
-    hole method searches every start in it on g and on its complement,
-    given as g's complemented rows cut to the mask, with no new graph; the
-    definition method splits it into pieces that are each connected and
-    co-connected and runs on the induced subgraph of each, smallest first,
-    as G is perfect iff every piece is (see the module docstring for both
-    steps).
+    (the cross-check), on any graph, so up to graphcore.MAX_VERTICES.
+    Both methods run on the false-twin quotient, a mask of representatives
+    on g's own rows: the hole method searches every start in it on g and on
+    its complement, given as g's complemented rows cut to the mask, with no
+    new graph; the definition method splits it into pieces that are each
+    connected and co-connected and runs on the induced subgraph of each,
+    smallest first, as G is perfect iff every piece is (see the module
+    docstring for both steps).
     """
     if method not in ("definition", "holes"):
         raise PreconditionError(f"unknown method {method!r}")
-    if method == "definition" and g.n > DEFAULT_PERFECT_MAX_N:
-        raise ResourceLimitError(f"is_perfect('definition') limited to "
-                                 f"n <= {DEFAULT_PERFECT_MAX_N}")
     keep = _twin_quotient(g.rows)
     if method == "holes":
         # a tuple, as g.rows is: the search's row lookups then meet one
@@ -237,8 +234,12 @@ def is_perfect(g, method="definition"):
                 and not _has_odd_hole(tuple([keep & ~r & ~(1 << v)
                                              for v, r in enumerate(g.rows)]),
                                       keep))
+    pieces = _pieces(g.rows, keep)
+    if pieces and pieces[-1].bit_count() > DEFAULT_PERFECT_MAX_N:
+        raise ResourceLimitError("is_perfect('definition') limited to "
+                                 f"pieces of <= {DEFAULT_PERFECT_MAX_N}")
     whole = (1 << g.n) - 1
-    for s in _pieces(g.rows, keep):
+    for s in pieces:
         p = g if s == whole else g.induced(v for v in range(g.n) if s >> v & 1)
         if not _chi_equals_omega_everywhere(p.n, p.rows):
             return False
@@ -262,8 +263,9 @@ def verify_perfectness(k_list):
     G(J_k) and in its complement; so any hole maps to one through 0 and
     a0, 0's lowest neighbour, where 0 is the lowest vertex and a0 the
     lower of 0's two hole neighbours, which the search from (0, a0)
-    finds.  A row holds that verdict ("holes"); the every-start search's
-    where k <= 6 ("holes_every_start"; 6.4 s at k = 7 on a 2-core host);
+    finds.  A row holds that verdict ("holes"); the every-start search's,
+    is_perfect(g, "holes") as G(J_k) is twin-free, where k <= 6
+    ("holes_every_start"; 6.4 s at k = 7 on a 2-core host);
     and, where k^2 <= DEFAULT_PERFECT_MAX_N, the definition method's.  A
     row with a False verdict or two that disagree is a violation,
     reported as J_k.  Every k is checked, k^2 against
@@ -285,8 +287,7 @@ def verify_perfectness(k_list):
         holes = not any(side[0] and _has_odd_hole(
             side, full, (0, (side[0] & -side[0]).bit_length() - 1))
             for side in sides)
-        every = (not any(_has_odd_hole(side, full) for side in sides)
-                 if k <= 6 else None)
+        every = is_perfect(g, "holes") if k <= 6 else None
         rows.append({"k": k, "order": g.n, "matrix": ones.to_json(),
                      "covers_every_n": True, "holes": holes,
                      "holes_every_start": every,

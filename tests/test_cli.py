@@ -12,6 +12,7 @@ import pytest
 import ambigcolor
 from ambigcolor import extremal, graphcore, maximality
 from ambigcolor.cli import main
+from ambigcolor.matrix import ColorMatrix
 
 FIG_TEXT = "3\n1 2 0\n1 3 1\n1 1 1\n"
 C4_EDGES = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -227,60 +228,44 @@ def test_verify_reports_are_byte_identical(argv, code, digest, capsys):
 def test_table(capsys):
     assert main(["table", "--max-n", "5", "--max-k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n\tk\tformula\toracle"
+    assert lines[0] == "n\tk\tformula"
     row = dict()
     for line in lines[1:]:
-        n, k, formula, oracle = line.split("\t")
-        assert formula == oracle
-        row[(int(n), int(k))] = int(formula)
-    assert row[(4, 3)] == 4 and row[(5, 2)] == 4
+        n, k, formula = map(int, line.split("\t"))
+        assert formula == extremal.ambiguous_max_edges(n, k)
+        row[(n, k)] = formula
+    assert row[(4, 3)] == 4 and row[(5, 2)] == 4 and len(row) == 4 + 3
 
 
 def test_table_has_no_oracle_option(capsys):
-    # the oracle column is the default; only --no-oracle changes it
-    with pytest.raises(SystemExit) as info:
-        main(["table", "--max-n", "5", "--max-k", "3", "--oracle"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--oracle" in captured.err
+    # the table prints the formula alone; the class-route oracle is
+    # checked against it by `verify --theorem turan`
+    for flag in ("--oracle", "--no-oracle"):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--max-n", "5", "--max-k", "3", flag])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
 
 
 def test_table_rejects_empty_range(capsys):
     assert main(["table", "--max-n", "-3", "--max-k", "3"]) == 2
-    assert main(["table", "--max-n", "7", "--max-k", "1", "--no-oracle"]) == 2
+    assert main(["table", "--max-n", "7", "--max-k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "no (n, k) cell" in captured.err
 
 
 def test_table_refuses_a_k_above_max_n(capsys):
     # such a k gets no row, so the table would drop it without a word
-    for oracle in ([], ["--no-oracle"]):
-        assert main(["table", "--max-n", "4", "--max-k", "9", *oracle]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "max_n >= max_k" in captured.err
-
-
-def test_table_oracle_limited_to_the_extremal_ceiling(capsys):
-    max_n, max_k = extremal.EXTREMAL_MAX_N, extremal.EXTREMAL_MAX_K
-    for n, k in ((max_n + 1, 2), (max_k + 1, max_k + 1)):
-        assert main(["table", "--max-n", str(n), "--max-k", str(k)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "limited to" in captured.err
-    assert main(["table", "--max-n", str(max_n + 1), "--max-k", "4",
-                 "--no-oracle"]) == 0
-    capsys.readouterr()
-    # the class route reaches past the graph corpus's order 7
-    assert main(["table", "--max-n", "12", "--max-k", "4"]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == 11 + 10 + 9
-    assert all(line.split("\t")[2] == line.split("\t")[3] for line in lines)
+    assert main(["table", "--max-n", "4", "--max-k", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_n >= max_k" in captured.err
 
 
 def test_table_without_oracle_has_no_order_ceiling(capsys):
     # the formula counts T(n, k)'s edges from its part sizes, so no row
     # builds a graph, and n may pass graphcore.MAX_VERTICES
-    assert main(["table", "--max-n", "200", "--max-k", "3",
-                 "--no-oracle"]) == 0
+    assert main(["table", "--max-n", "200", "--max-k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     assert len(lines) == 199 + 198
     for line in lines:
@@ -407,6 +392,23 @@ def test_graph_files_limited_to_max_vertices(tmp_path, capsys):
             assert main([command, str(big), "-k", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "graph file" in captured.err
+
+
+def test_graph6_files_cover_max_vertices(tmp_path, capsys):
+    # the 64-vertex G(A) of the 8 x 8 matrix with 4 on (i, i) and on
+    # (i, i+1 mod 8) as a graph6 file; a 65-vertex order is refused
+    cyclic = [[4 if j in (i, (i + 1) % 8) else 0 for j in range(8)]
+              for i in range(8)]
+    g6 = tmp_path / "cyclic8.g6"
+    g6.write_text(graphcore.to_graph6(graphcore.build_graph(
+        ColorMatrix(cyclic))) + "\n")
+    assert main(["check-maximal", str(g6), "-k", "8"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    g6.write_text("~?@@\n")
+    for command in ("count", "check-maximal", "reconstruct"):
+        assert main([command, str(g6), "-k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "graph6" in captured.err
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):

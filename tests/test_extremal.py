@@ -132,7 +132,7 @@ def test_class_route_matches_graph_corpus_oracle():
 
 def test_class_route_matches_formula_past_the_graph_corpus():
     cells = ([(n, 2) for n in range(8, 21)]
-             + [(n, 3) for n in range(8, 13)])
+             + [(n, k) for k in (3, 4) for n in range(8, 13)])
     for (n, k), (value, keys, scanned) in max_edges_by_class(cells).items():
         assert value == ambiguous_max_edges(n, k), (n, k)
         assert keys and scanned > 0
@@ -204,11 +204,11 @@ def test_row_that_scanned_no_class_fails(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["all_agree"] is False
 
 
-def assert_missing_certificate_names_its_witness(argv, monkeypatch,
-                                                 capsys):
-    """Run `argv` with reconstruction failing on every graph of order 4:
-    exit 1, nothing on stdout, and the graph6 string on stderr decodes to
-    an extremal ambiguously k-colorable graph."""
+def test_extremal_graph_without_certificate_is_a_counterexample(
+        monkeypatch, capsys):
+    # with reconstruction failing on every graph of order 4: exit 1,
+    # nothing on stdout, and the graph6 string on stderr decodes to an
+    # extremal ambiguously k-colorable graph
     real = extremal.reconstruct_matrix
 
     def fails_at_order_4(g, k):
@@ -217,7 +217,8 @@ def assert_missing_certificate_names_its_witness(argv, monkeypatch,
         return real(g, k)
 
     monkeypatch.setattr(extremal, "reconstruct_matrix", fails_at_order_4)
-    assert main(argv) == 1
+    assert main(["verify", "--theorem", "turan", "--max-n", "4",
+                 "--k-list", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     found = re.fullmatch(r"no certificate: extremal graph (\S+) at k = "
@@ -227,20 +228,6 @@ def assert_missing_certificate_names_its_witness(argv, monkeypatch,
     assert (g.n, k) == (4, 2)
     assert g.m == ambiguous_max_edges(g.n, k)
     assert len(enumerate_colorings(g, k, 2)) == 2
-
-
-def test_extremal_graph_without_certificate_is_a_counterexample(
-        monkeypatch, capsys):
-    assert_missing_certificate_names_its_witness(
-        ["verify", "--theorem", "turan", "--max-n", "4", "--k-list", "2"],
-        monkeypatch, capsys)
-
-
-def test_table_extremal_graph_without_certificate_is_a_counterexample(
-        monkeypatch, capsys):
-    # the same exit 1 as verify, not the exit 2 of bad input
-    assert_missing_certificate_names_its_witness(
-        ["table", "--max-n", "4", "--max-k", "2"], monkeypatch, capsys)
 
 
 def test_verify_turan_theorem_refuses_a_k_above_max_n(monkeypatch):

@@ -617,10 +617,37 @@ def test_graph6_round_trip():
 
 
 def test_graph6_rejects_garbage():
-    with pytest.raises(ResourceLimitError):
-        to_graph6(empty_graph(63))
-    # empty; n = 4 needs one body character; "!" is below "?"
+    # empty; n = 4 needs one body character; "!" is below "?"; a long
+    # order needs three bytes after "~", and six after "~~"
     for text, reason in (("", "empty"), ("C", "body length"),
-                         ("C~~", "body length"), ("C!", "bad graph6")):
+                         ("C~~", "body length"), ("C!", "bad graph6"),
+                         ("~", "bad graph6 order"), ("~?@", "bad graph6 order"),
+                         ("~~????@", "bad graph6 order"),
+                         ("~?!?", "bad graph6 order")):
         with pytest.raises(InputFormatError, match=reason):
+            from_graph6(text)
+
+
+def test_graph6_long_form_covers_every_order():
+    # past n = 62 the order is "~" and three 6-bit bytes, as networkx 3.6
+    # writes them: 63 and 64 are 0, 0, 63 and 0, 1, 0
+    for n, header in ((62, "}"), (63, "~??~"), (64, "~?@?")):
+        text = to_graph6(empty_graph(n))
+        assert text[:len(header)] == header
+        assert set(text[len(header):]) <= {"?"}
+        assert from_graph6(text) == empty_graph(n)
+    rng = random.Random(64)
+    for n in (63, 64, 63, 64):
+        g = SimpleGraph(n, [(u, v) for u, v in combinations(range(n), 2)
+                            if rng.random() < 0.3])
+        text = to_graph6(g)
+        assert from_graph6(text) == g
+        assert from_graph6(">>graph6<<" + text + "\n") == g
+
+
+def test_graph6_six_byte_order_is_refused_before_the_body():
+    # 65 in the six-byte "~~" form, and 258048, the least order that needs
+    # it; no body follows either
+    for text in ("~~????@@", "~~???~??"):
+        with pytest.raises(ResourceLimitError, match="graph6"):
             from_graph6(text)

@@ -19,7 +19,7 @@ import pytest
 from ambigcolor import dfold, extremal, graphcore, maximality, perfection
 from ambigcolor.cli import main
 from ambigcolor.errors import ResourceLimitError
-from ambigcolor.graphcore import SimpleGraph, empty_graph
+from ambigcolor.graphcore import SimpleGraph, cycle_graph, empty_graph
 from ambigcolor.maximality import verify_theorem1
 
 CEILINGS = {
@@ -57,13 +57,17 @@ CEILINGS = {
                              lambda k: extremal.enumerate_extremal(k, k)),
     "is_perfect-definition": (
         perfection, "DEFAULT_PERFECT_MAX_N",
-        lambda n: perfection.is_perfect(empty_graph(n), "definition")),
+        lambda n: perfection.is_perfect(cycle_graph(n), "definition")),
     # the least k whose G(J_k) has n or more vertices
     "verify_perfectness": (
         graphcore, "MAX_VERTICES",
         lambda n: perfection.verify_perfectness([isqrt(n - 1) + 1])),
     "from_edge_list": (graphcore, "MAX_VERTICES",
                        lambda n: graphcore.from_edge_list(f"{n} 0\n")),
+    # the long graph6 order: "~" and n in three 6-bit bytes, with no body
+    "from_graph6": (graphcore, "MAX_VERTICES",
+                    lambda n: graphcore.from_graph6("~" + "".join(
+                        chr(63 + (n >> s & 63)) for s in (12, 6, 0)))),
     "count_perfect_matchings": (
         dfold, "MATCHING_MAX_N",
         lambda n: dfold.count_perfect_matchings(empty_graph(n))),

@@ -134,9 +134,10 @@ def test_method_validation_and_limits():
         is_perfect(cycle_graph(4), method="guess")
     # the method is a precondition, checked before the size limit
     with pytest.raises(PreconditionError):
-        is_perfect(empty_graph(20), method="guess")
+        is_perfect(cycle_graph(20), method="guess")
+    # C20 is one piece of 20 vertices, past the definition's ceiling
     with pytest.raises(ResourceLimitError):
-        is_perfect(empty_graph(20), "definition")
+        is_perfect(cycle_graph(20), "definition")
     # the hole search needs no 2^n table: it runs to the graph ceiling
     assert is_perfect(empty_graph(20), "holes")
     assert is_perfect(empty_graph(MAX_VERTICES), "holes")
@@ -417,6 +418,27 @@ def test_definition_at_its_ceiling(monkeypatch):
                     + [(v, v + 1) for v in range(5, n - 1)])
     assert len(set(g.rows)) == n and not is_perfect(g, "definition")
     assert orders == [n, n]
+
+
+def test_definition_ceiling_bounds_the_largest_piece(monkeypatch):
+    # a 61-vertex G(A) whose one piece of two or more vertices has 9: the
+    # definition runs on it alone, and the empty graph has no such piece
+    g = build_graph(ColorMatrix([[10, 5, 6], [7, 9, 3], [4, 8, 9]]))
+    assert g.n == 61 > perfection.DEFAULT_PERFECT_MAX_N
+    orders = _record_orders(monkeypatch)
+    assert is_perfect(g, "definition")
+    assert orders == [9]
+    assert is_perfect(g, "holes")
+    assert is_perfect(empty_graph(MAX_VERTICES), "definition")
+    assert not is_perfect(disjoint_union(empty_graph(40), cycle_graph(7)),
+                          "definition")
+    # the ceiling is checked on the largest piece before any table, so
+    # the imperfect C5, the smaller piece, does not decide first
+    del orders[:]
+    with pytest.raises(ResourceLimitError, match="pieces"):
+        is_perfect(disjoint_union(cycle_graph(5), cycle_graph(15)),
+                   "definition")
+    assert orders == []
 
 
 def test_methods_run_on_the_false_twin_quotient(monkeypatch):
